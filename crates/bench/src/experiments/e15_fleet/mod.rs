@@ -101,9 +101,9 @@ pub fn run_with(p: &SimParams) -> SimSummary {
         })
         .collect();
     sim::simulate(p, |tenant, now| {
-        let cert = ca.issue(tenant, &csrs[tenant], sim::CRED_LIFETIME_S)?;
         // Expiry tracks the *virtual* clock (the CA's clock is fixed).
-        Ok((cert, now + sim::CRED_LIFETIME_S))
+        ca.issue(tenant, &csrs[tenant], sim::CRED_LIFETIME_S)
+            .map(|cert| (cert, now + sim::CRED_LIFETIME_S))
     })
 }
 

@@ -1,7 +1,7 @@
 //! E9 — Fig 6: Globus Online restarts failed transfers "from the last
-//! checkpoint" using the stored short-term credential. Measured with the
-//! fault injector; the ablation compares checkpoint-restart against
-//! restart-from-scratch.
+//! checkpoint" using the stored short-term credential. Measured with a
+//! one-shot connection reset on the chaos layer; the ablation compares
+//! checkpoint-restart against restart-from-scratch.
 
 use crate::experiments::common::NOW;
 use crate::table;
@@ -9,8 +9,8 @@ use ig_client::TransferOpts;
 use ig_gcmu::InstallOptions;
 use ig_gol::{GlobusOnline, TransferRequest};
 use ig_pki::time::Clock;
-use ig_server::{FaultInjector, UserContext};
-use std::sync::Arc;
+use ig_server::UserContext;
+use ig_xio::{ChaosConfig, ChaosHook, FaultKind, FaultSpec, Trigger};
 
 /// One measured point.
 pub struct Row {
@@ -28,17 +28,26 @@ pub struct Row {
     pub saved_fraction: f64,
 }
 
+/// Parallel data streams per transfer.
+const STREAMS: usize = 2;
+
 /// Run the sweep.
 pub fn run(fast: bool) -> Vec<Row> {
     let size: usize = if fast { 120_000 } else { 600_000 };
     let mut rows = Vec::new();
     for (i, frac) in [0.25f64, 0.5, 0.75].iter().enumerate() {
-        let fault = FaultInjector::after_bytes((size as f64 * frac) as u64);
+        // `AfterBytes` counts per link and the sender deals blocks
+        // round-robin, so each stream's share of the fault point is
+        // `1 / STREAMS` of it: the reset lands when `frac` of the file
+        // has left the server in total.
+        let fault_at = (size as f64 * frac) as u64 / STREAMS as u64;
+        let reset = FaultSpec::send(FaultKind::Reset, Trigger::AfterBytes(fault_at));
+        let fault = ChaosHook::new(ChaosConfig::single(0xE9_00 + i as u64, reset));
         let a = InstallOptions::new("e9-src.example.org")
             .account("alice", "pw")
             .clock(Clock::Fixed(NOW))
             .seed(0xE9_00 + i as u64)
-            .fault(Arc::clone(&fault))
+            .data_chaos(fault)
             .install()
             .expect("install src");
         let b = InstallOptions::new("e9-dst.example.org")
@@ -67,7 +76,7 @@ pub fn run(fast: bool) -> Vec<Row> {
                     dst_path: "/home/alice/f.bin".into(),
                     max_retries: 3,
                     retry: None,
-                    opts: Some(TransferOpts::default().parallel(2).block(8 * 1024)),
+                    opts: Some(TransferOpts::default().parallel(STREAMS).block(8 * 1024)),
                 },
             )
             .expect("managed transfer");

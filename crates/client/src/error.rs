@@ -106,6 +106,7 @@ impl From<ig_server::ServerError> for ClientError {
             ig_server::ServerError::Timeout(m) => ClientError::Timeout(m),
             ig_server::ServerError::Truncated(m) => ClientError::Truncated(m),
             ig_server::ServerError::Corrupt(m) => ClientError::Corrupt(m),
+            ig_server::ServerError::Data(m) => ClientError::Data(m),
             other => ClientError::Data(other.to_string()),
         }
     }

@@ -13,10 +13,10 @@ use ig_protocol::command::Command;
 use ig_protocol::markers::{PerfMarker, RestartMarker};
 use ig_netsim::CcAlgo;
 use ig_protocol::{ByteRanges, HostPort, Reply};
-use ig_server::data::{wrap_accept, wrap_connect, AnyDataListener, DataSecurity};
+use ig_server::data::{AnyDataListener, DataSecurity, DataStack};
 use ig_server::dtp::{send_dir, send_ranges, Progress, Receiver};
 use ig_server::{Dsi, MemDsi, UserContext};
-use ig_xio::{ChaosHook, DataTransport, Link, RetryPolicy, TcpLink, UdpConfig, UdpLink};
+use ig_xio::{ChaosHook, DataTransport, Link, RetryPolicy, UdpConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -152,22 +152,14 @@ impl TransferOpts {
     fn accept_deadline(&self) -> Duration {
         self.io_timeout.unwrap_or(Duration::from_secs(30))
     }
-
-    /// Finish a data stream: apply the read deadline, then the chaos
-    /// hook (outermost, so faults hit post-handshake wire traffic).
-    fn finish_stream(&self, mut stream: Box<dyn Link>) -> Box<dyn Link> {
-        let _ = stream.set_recv_timeout(self.io_timeout);
-        match &self.chaos {
-            Some(hook) => hook.wrap(stream),
-            None => stream,
-        }
-    }
 }
 
-/// Data-channel security for the *client's own* data endpoint: with a
-/// DCSC context installed, present/accept that credential (§V); otherwise
-/// the user's own credential.
-fn client_data_security(session: &ClientSession) -> DataSecurity {
+/// How the *client's own* data streams are built. Security: with a DCSC
+/// context installed, present/accept that credential (§V); otherwise the
+/// user's own credential. `opts` contributes the read deadline and the
+/// chaos hook; listings (`None`) run without either. Client streams are
+/// unthrottled and unmetered.
+fn client_data_stack(session: &ClientSession, opts: Option<&TransferOpts>) -> DataStack {
     let (credential, trust) = match &session.dcsc {
         Some(cred) => (
             cred.clone(),
@@ -175,12 +167,18 @@ fn client_data_security(session: &ClientSession) -> DataSecurity {
         ),
         None => (session.config.credential.clone(), session.config.trust.clone()),
     };
-    DataSecurity {
-        dcau: session.dcau.clone(),
-        prot: session.prot,
-        credential: Some(credential),
-        trust,
-        clock: session.config.clock,
+    DataStack {
+        security: DataSecurity {
+            dcau: session.dcau.clone(),
+            prot: session.prot,
+            credential: Some(credential),
+            trust,
+            clock: session.config.clock,
+        },
+        stripe_rate: None,
+        recv_deadline: opts.and_then(|o| o.io_timeout),
+        chaos: opts.and_then(|o| o.chaos.clone()),
+        meter: None,
     }
 }
 
@@ -207,25 +205,17 @@ fn ensure_transport(session: &mut ClientSession, opts: &TransferOpts) -> Result<
     Ok(())
 }
 
-/// Dial one data channel to `addr` over the selected transport.
-fn data_connect(
+/// Dial the `opts.parallelism` data streams of an upload to `addr`.
+fn dial_streams(
+    session: &mut ClientSession,
     addr: HostPort,
-    session: &ClientSession,
     opts: &TransferOpts,
-) -> Result<Box<dyn Link>> {
-    match opts.transport {
-        DataTransport::Tcp => {
-            let tcp = TcpLink::connect(addr.to_socket_addr())
-                .map_err(|e| ClientError::Data(format!("connect {addr}: {e}")))?;
-            Ok(Box::new(tcp))
-        }
-        DataTransport::Udp => {
-            let cfg = udp_config(session, opts.udp_cc, opts.io_timeout);
-            let link = UdpLink::connect(addr.to_socket_addr(), cfg)
-                .map_err(|e| ClientError::Data(format!("udp connect {addr}: {e}")))?;
-            Ok(Box::new(link))
-        }
-    }
+) -> Result<Vec<Box<dyn Link>>> {
+    let stack = client_data_stack(session, Some(opts));
+    let udp = udp_config(session, opts.udp_cc, opts.io_timeout);
+    (0..opts.parallelism)
+        .map(|_| Ok(stack.connect(addr, opts.transport, &udp, &mut session.rng)?))
+        .collect()
 }
 
 /// Bind the client's own data listener for the selected transport.
@@ -285,12 +275,7 @@ pub fn put_bytes_resume(
     staging.put("/buf", data);
     let staging: Arc<dyn Dsi> = Arc::new(staging);
     let user = UserContext::superuser();
-    let sec = client_data_security(session);
-    let mut streams: Vec<Box<dyn Link>> = Vec::with_capacity(opts.parallelism);
-    for _ in 0..opts.parallelism {
-        let conn = data_connect(addr, session, opts)?;
-        streams.push(opts.finish_stream(wrap_connect(conn, &sec, &mut session.rng)?));
-    }
+    let streams = dial_streams(session, addr, opts)?;
     let ranges = match have {
         Some(have) => have.missing(data.len() as u64),
         None => vec![(0, data.len() as u64)],
@@ -325,7 +310,7 @@ pub fn get_bytes(
     session.command(&Command::Port(listener.addr()?))?;
     session.send_cmd(&Command::Retr(remote_path.into()))?;
     // Accept the server's connections (it connects before replying 150).
-    let sec = client_data_security(session);
+    let stack = client_data_stack(session, Some(opts));
     let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
     let user = UserContext::superuser();
     let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Progress::new());
@@ -342,7 +327,7 @@ pub fn get_bytes(
                 return Err(ClientError::Timeout("data connection never arrived".into()));
             }
         };
-        receiver.add_stream(opts.finish_stream(wrap_accept(conn, &sec, &mut session.rng)?))?;
+        receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
     }
     let obs = Arc::clone(&session.config.obs);
     let final_reply = read_until_final(session, |r| {
@@ -386,7 +371,7 @@ pub fn get_partial(
         module: "P".into(),
         args: format!("{offset},{length} {remote_path}"),
     })?;
-    let sec = client_data_security(session);
+    let stack = client_data_stack(session, Some(opts));
     let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
     let user = UserContext::superuser();
     let progress = Progress::new();
@@ -402,7 +387,7 @@ pub fn get_partial(
                 return Err(ClientError::ServerError(reply));
             }
         };
-        receiver.add_stream(opts.finish_stream(wrap_accept(conn, &sec, &mut session.rng)?))?;
+        receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
     }
     let obs = Arc::clone(&session.config.obs);
     let final_reply = read_until_final(session, |r| {
@@ -427,13 +412,13 @@ pub fn list(session: &mut ClientSession, path: &str) -> Result<Vec<String>> {
             .map_err(ClientError::from)?;
     session.command(&Command::Port(listener.addr()?))?;
     session.send_cmd(&Command::Mlsd(Some(path.into())))?;
-    let sec = client_data_security(session);
+    let stack = client_data_stack(session, None);
     let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
     let user = UserContext::superuser();
     let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Progress::new());
     for _ in 0..session.parallelism {
         let conn = listener.accept_link(Duration::from_secs(30))?;
-        receiver.add_stream(wrap_accept(conn, &sec, &mut session.rng)?)?;
+        receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
     }
     let final_reply = read_until_final(session, |_| {})?;
     let _ = receiver.finish();
@@ -631,12 +616,7 @@ pub fn put_dir_resume(
     if !opening.is_preliminary() {
         return Err(ClientError::ServerError(opening));
     }
-    let sec = client_data_security(session);
-    let mut streams: Vec<Box<dyn Link>> = Vec::with_capacity(opts.parallelism);
-    for _ in 0..opts.parallelism {
-        let conn = data_connect(addr, session, opts)?;
-        streams.push(opts.finish_stream(wrap_connect(conn, &sec, &mut session.rng)?));
-    }
+    let streams = dial_streams(session, addr, opts)?;
     let progress = Progress::new();
     let send_result =
         send_dir(streams, local, &user, local_root, skip, opts.block_size, &progress);
@@ -698,7 +678,7 @@ pub fn get_dir_resume(
         module: "DIR".into(),
         args: format!("{skip} {remote_root}"),
     })?;
-    let sec = client_data_security(session);
+    let stack = client_data_stack(session, Some(opts));
     let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
     let user = UserContext::superuser();
     let progress = Progress::new();
@@ -708,8 +688,7 @@ pub fn get_dir_resume(
     for _ in 0..opts.parallelism {
         match listener.accept_link(opts.accept_deadline()) {
             Ok(conn) => {
-                receiver
-                    .add_stream(opts.finish_stream(wrap_accept(conn, &sec, &mut session.rng)?))?;
+                receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
                 connected += 1;
             }
             Err(_) if connected == 0 => {
@@ -794,7 +773,7 @@ fn retry_dir(
     let start = std::time::Instant::now();
     let mut skip = 0u64;
     let mut attempt = 0u32;
-    let mut last_err: Option<ClientError> = None;
+    let mut last_err: Option<ClientError>;
     loop {
         attempt += 1;
         match attempt_at(skip) {
@@ -854,7 +833,7 @@ pub fn get_files_pipelined(
         session.set_parallelism(1)?;
     }
     session.command(&Command::Pipe(window as u32))?;
-    let sec = client_data_security(session);
+    let stack = client_data_stack(session, Some(opts));
     let user = UserContext::superuser();
     let mut out = Vec::with_capacity(remote_paths.len());
     for chunk in remote_paths.chunks(window) {
@@ -888,7 +867,7 @@ pub fn get_files_pipelined(
             let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
             let receiver =
                 Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Progress::new());
-            receiver.add_stream(opts.finish_stream(wrap_accept(conn, &sec, &mut session.rng)?))?;
+            receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
             let port_ack = read_until_final(session, |_| {})?;
             if port_ack.is_error() {
                 return Err(ClientError::ServerError(port_ack));

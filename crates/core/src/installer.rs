@@ -49,8 +49,9 @@ pub struct InstallOptions {
     pub seed: u64,
     /// RSA key size.
     pub key_bits: usize,
-    /// Optional fault injector for the GridFTP data plane (E9).
-    pub fault: Option<Arc<ig_server::FaultInjector>>,
+    /// Optional chaos hook for the GridFTP data plane (E9's mid-transfer
+    /// crash), handed to [`ServerConfig::with_data_chaos`].
+    pub data_chaos: Option<Arc<ig_xio::ChaosHook>>,
 }
 
 impl InstallOptions {
@@ -69,7 +70,7 @@ impl InstallOptions {
             clock: Clock::System,
             seed: 0x6c_d0,
             key_bits: 512,
-            fault: None,
+            data_chaos: None,
         }
     }
 
@@ -116,9 +117,9 @@ impl InstallOptions {
         self
     }
 
-    /// Builder: fault injector.
-    pub fn fault(mut self, f: Arc<ig_server::FaultInjector>) -> Self {
-        self.fault = Some(f);
+    /// Builder: chaos hook on the server's data streams.
+    pub fn data_chaos(mut self, hook: Arc<ig_xio::ChaosHook>) -> Self {
+        self.data_chaos = Some(hook);
         self
     }
 
@@ -171,8 +172,8 @@ impl InstallOptions {
         .with_stripes(self.stripes, self.stripe_rate);
         server_cfg.dcsc_enabled = self.dcsc_enabled;
         server_cfg.key_bits = self.key_bits;
-        if let Some(f) = self.fault {
-            server_cfg = server_cfg.with_fault(f);
+        if let Some(hook) = self.data_chaos {
+            server_cfg = server_cfg.with_data_chaos(hook);
         }
         let usage = Arc::clone(&server_cfg.usage);
         let gridftp = GridFtpServer::start(server_cfg, self.seed.wrapping_mul(31))?;

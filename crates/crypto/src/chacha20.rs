@@ -73,15 +73,6 @@ fn chacha_core(state: &[u32; 16]) -> [u32; 16] {
     working
 }
 
-fn chacha_block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
-    let words = chacha_core(&build_state(key, counter, nonce));
-    let mut out = [0u8; 64];
-    for (i, w) in words.iter().enumerate() {
-        out[i * 4..i * 4 + 4].copy_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
 /// AVX2 batch path: eight keystream blocks computed side by side, one
 /// word per 256-bit register lane, XORed into 512 bytes of data without
 /// ever serializing the keystream through memory. Selected at runtime via
@@ -314,6 +305,16 @@ impl ChaCha20 {
 mod tests {
     use super::*;
     use crate::encode::hex_encode;
+
+    /// The scalar reference: one keystream block serialized to bytes.
+    fn chacha_block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
+        let words = chacha_core(&build_state(key, counter, nonce));
+        let mut out = [0u8; 64];
+        for (i, w) in words.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
 
     /// RFC 8439 §2.3.2 block function test vector.
     #[test]

@@ -55,7 +55,8 @@ mod tests {
         record_seal(Duration::from_nanos(500));
         record_open(Duration::from_nanos(700));
         record_handshake_step("initiator", Duration::from_nanos(900));
-        let m = Obs::global().metrics();
+        let obs = Obs::global();
+        let m = obs.metrics();
         assert!(m.histogram("gsi.seal_ns").count() >= 1);
         assert!(m.histogram("gsi.open_ns").count() >= 1);
         assert!(m.counter_value("gsi.handshake_initiator_steps") >= 1);

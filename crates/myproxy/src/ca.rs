@@ -79,7 +79,8 @@ impl OnlineCa {
     ) -> Result<Certificate> {
         let t0 = std::time::Instant::now();
         let out = self.issue_inner(username, csr, requested_lifetime);
-        let metrics = ig_obs::Obs::global().metrics();
+        let obs = ig_obs::Obs::global();
+        let metrics = obs.metrics();
         metrics.observe("myproxy.issue_ns", t0.elapsed().as_nanos() as u64);
         metrics.add(
             if out.is_ok() { "myproxy.issued" } else { "myproxy.issue_refused" },

@@ -49,7 +49,8 @@ pub fn myproxy_logon<R: Rng + ?Sized>(
 ) -> Result<LogonOutput> {
     let t0 = std::time::Instant::now();
     let out = logon_inner(addr, username, password, lifetime, trust, bootstrap, clock, key_bits, rng);
-    let metrics = ig_obs::Obs::global().metrics();
+    let obs = ig_obs::Obs::global();
+    let metrics = obs.metrics();
     metrics.observe("myproxy.logon_ns", t0.elapsed().as_nanos() as u64);
     metrics.add(if out.is_ok() { "myproxy.logons_ok" } else { "myproxy.logons_err" }, 1);
     out

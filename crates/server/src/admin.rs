@@ -344,7 +344,7 @@ pub use plane::spawn_admin;
 #[cfg(target_os = "linux")]
 mod plane {
     use super::wire::{self, Json};
-    use super::{SchedulerControl, ADMIN_MAX_FRAME, ADMIN_PROTO_VERSION};
+    use super::{ADMIN_MAX_FRAME, ADMIN_PROTO_VERSION};
     use crate::config::ServerConfig;
     use crate::error::{Result, ServerError};
     use crate::listener::GridFtpServer;

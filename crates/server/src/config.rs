@@ -66,8 +66,6 @@ pub struct ServerConfig {
     pub stripe_rate: Option<f64>,
     /// MODE E block size in bytes.
     pub block_size: usize,
-    /// Blocks between restart/perf markers on the control channel.
-    pub marker_interval: usize,
     /// Usage reporting sink (Fig 1).
     pub usage: Arc<UsageReporter>,
     /// 220 banner text.
@@ -76,9 +74,6 @@ pub struct ServerConfig {
     pub data_ip: Ipv4Addr,
     /// RSA key size for delegation handshakes (small in tests).
     pub key_bits: usize,
-    /// Optional one-shot fault injector applied to outgoing data streams
-    /// (experiment E9's mid-transfer crash).
-    pub fault: Option<std::sync::Arc<crate::fault::FaultInjector>>,
     /// How long a data transfer may sit with no progress before the
     /// server abandons it (both directions).
     pub stall_timeout: std::time::Duration,
@@ -151,12 +146,10 @@ impl ServerConfig {
             stripes: 1,
             stripe_rate: None,
             block_size: 64 * 1024,
-            marker_interval: 16,
             usage: UsageReporter::new(),
             banner: format!("{name} GridFTP Server (ig-server) ready."),
             data_ip: Ipv4Addr::LOCALHOST,
             key_bits: 512,
-            fault: None,
             stall_timeout: std::time::Duration::from_secs(30),
             control_idle_timeout: None,
             data_chaos: None,
@@ -231,7 +224,6 @@ impl ServerConfig {
             stall_timeout: self.stall_timeout,
             control_idle_timeout: self.control_idle_timeout,
             block_size: self.block_size,
-            marker_interval: self.marker_interval,
             stripe_rate: self.stripe_rate,
         }
     }
@@ -253,12 +245,6 @@ impl ServerConfig {
         assert!(stripes >= 1, "need at least one stripe");
         self.stripes = stripes;
         self.stripe_rate = per_stripe_rate;
-        self
-    }
-
-    /// Builder: install a one-shot fault injector on outgoing data.
-    pub fn with_fault(mut self, fault: std::sync::Arc<crate::fault::FaultInjector>) -> Self {
-        self.fault = Some(fault);
         self
     }
 

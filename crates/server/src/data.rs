@@ -1,4 +1,5 @@
-//! Data-channel establishment: listeners, connectors, and DCAU wrapping.
+//! Data-channel establishment: listeners, and the one [`DataStack`]
+//! every data stream — server or client side — is assembled by.
 //!
 //! The GridFTP rule (§IIC): "the receiver [is] the listener and the
 //! sender issue[s] the TCP connect". The connector therefore plays GSI
@@ -11,9 +12,10 @@ use ig_pki::time::Clock;
 use ig_pki::{Credential, DistinguishedName, TrustStore};
 use ig_protocol::command::DcauMode;
 use ig_protocol::HostPort;
+use ig_obs::Obs;
 use ig_xio::{
-    secure_accept, secure_connect, DataTransport, Link, TcpLink, Throttle, UdpConfig, UdpLink,
-    UdpListener,
+    secure_accept, secure_connect, ChaosHook, DataTransport, Link, ObsLink, TcpLink, Throttle,
+    UdpConfig, UdpLink, UdpListener,
 };
 use rand::Rng;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
@@ -91,49 +93,103 @@ fn check_peer<L: Link>(link: &ig_xio::SecureLink<L>, expected: &Option<Distingui
     Ok(())
 }
 
-/// Wrap an *outgoing* (connector/sender) data connection per `sec`.
-pub fn wrap_connect<L: Link + 'static, R: Rng + ?Sized>(
-    link: L,
-    sec: &DataSecurity,
-    rng: &mut R,
-) -> Result<Box<dyn Link>> {
-    match sec.dcau {
-        DcauMode::None => Ok(Box::new(link)),
-        _ => {
-            let cfg = sec.gsi_config()?;
-            let mut secured = secure_connect(link, cfg, sec.prot, rng)
-                .map_err(|e| ServerError::Data(format!("data-channel handshake: {e}")))?;
-            check_peer(&secured, &sec.expected_identity())?;
-            secured.require_recv_level(sec.prot);
-            Ok(Box::new(secured))
-        }
-    }
+/// Which end of the data connection this endpoint is (§IIC: the sender
+/// connects and plays GSI initiator, the receiver listens and accepts).
+enum Role {
+    Connector,
+    Listener,
 }
 
-/// Wrap an *incoming* (listener/receiver) data connection per `sec`.
-pub fn wrap_accept<L: Link + 'static, R: Rng + ?Sized>(
-    link: L,
-    sec: &DataSecurity,
-    rng: &mut R,
-) -> Result<Box<dyn Link>> {
-    match sec.dcau {
-        DcauMode::None => Ok(Box::new(link)),
-        _ => {
-            let cfg = sec.gsi_config()?;
-            let mut secured = secure_accept(link, cfg, sec.prot, rng)
-                .map_err(|e| ServerError::Data(format!("data-channel handshake: {e}")))?;
-            check_peer(&secured, &sec.expected_identity())?;
-            secured.require_recv_level(sec.prot);
-            Ok(Box::new(secured))
-        }
-    }
+/// How one endpoint builds its data streams. This is the only place that
+/// knows the driver order — a transport with drivers pushed on top, as in
+/// XIO (§II-A), always bottom to top:
+///
+/// transport → throttle → GSI handshake → recv deadline → chaos → meter
+///
+/// Chaos sits above the handshake (faults hit post-handshake traffic; the
+/// handshake itself runs clean) and below the meter, so recorded block
+/// latencies include chaos-injected delays and the byte counters see only
+/// frames that were actually delivered. Absent layers are skipped; the
+/// order of the rest never changes, so [`ChaosHook`] link indices follow
+/// stream-opening order.
+pub struct DataStack {
+    /// DCAU/`PROT` posture; `DCAU N` pushes no security driver.
+    pub security: DataSecurity,
+    /// Per-stripe NIC model in bytes/second.
+    pub stripe_rate: Option<f64>,
+    /// Read deadline on the established stream (a silent peer yields a
+    /// typed timeout instead of a hang).
+    pub recv_deadline: Option<Duration>,
+    /// Seeded fault injection.
+    pub chaos: Option<Arc<ChaosHook>>,
+    /// Hub and metric label for the per-block [`ObsLink`] meter.
+    pub meter: Option<(Arc<Obs>, &'static str)>,
 }
 
-/// Optionally throttle a link (per-stripe NIC model).
-pub fn maybe_throttle(link: Box<dyn Link>, rate: Option<f64>) -> Box<dyn Link> {
-    match rate {
-        Some(bps) => Box::new(Throttle::new(link, bps, (bps / 20.0).max(16.0 * 1024.0))),
-        None => link,
+impl DataStack {
+    /// Dial `target` over `transport` and push the drivers (we are the
+    /// sender, the canonical case).
+    pub fn connect<R: Rng + ?Sized>(
+        &self,
+        target: HostPort,
+        transport: DataTransport,
+        udp: &UdpConfig,
+        rng: &mut R,
+    ) -> Result<Box<dyn Link>> {
+        let raw: Box<dyn Link> = match transport {
+            DataTransport::Tcp => Box::new(
+                TcpLink::connect(target.to_socket_addr())
+                    .map_err(|e| ServerError::Data(format!("connect {target}: {e}")))?,
+            ),
+            DataTransport::Udp => Box::new(
+                UdpLink::connect(target.to_socket_addr(), udp.clone())
+                    .map_err(|e| ServerError::Data(format!("udp connect {target}: {e}")))?,
+            ),
+        };
+        self.push_drivers(raw, Role::Connector, rng)
+    }
+
+    /// Push the drivers onto a connection a data listener accepted.
+    pub fn accept<R: Rng + ?Sized>(
+        &self,
+        raw: Box<dyn Link>,
+        rng: &mut R,
+    ) -> Result<Box<dyn Link>> {
+        self.push_drivers(raw, Role::Listener, rng)
+    }
+
+    fn push_drivers<R: Rng + ?Sized>(
+        &self,
+        raw: Box<dyn Link>,
+        role: Role,
+        rng: &mut R,
+    ) -> Result<Box<dyn Link>> {
+        let sec = &self.security;
+        let mut stream: Box<dyn Link> = match self.stripe_rate {
+            Some(bps) => Box::new(Throttle::new(raw, bps, (bps / 20.0).max(16.0 * 1024.0))),
+            None => raw,
+        };
+        if sec.dcau != DcauMode::None {
+            let cfg = sec.gsi_config()?;
+            let mut secured = match role {
+                Role::Connector => secure_connect(stream, cfg, sec.prot, rng),
+                Role::Listener => secure_accept(stream, cfg, sec.prot, rng),
+            }
+            .map_err(|e| ServerError::Data(format!("data-channel handshake: {e}")))?;
+            check_peer(&secured, &sec.expected_identity())?;
+            secured.require_recv_level(sec.prot);
+            stream = Box::new(secured);
+        }
+        if self.recv_deadline.is_some() {
+            let _ = stream.set_recv_timeout(self.recv_deadline);
+        }
+        if let Some(hook) = &self.chaos {
+            stream = hook.wrap(stream);
+        }
+        if let Some((obs, label)) = &self.meter {
+            stream = Box::new(ObsLink::new(stream, Arc::clone(obs), label));
+        }
+        Ok(stream)
     }
 }
 
@@ -263,31 +319,17 @@ impl AnyDataListener {
     }
 }
 
-/// Dial a data connection to `target` over `transport`.
-pub fn connect_transport(
-    target: HostPort,
-    transport: DataTransport,
-    udp: &UdpConfig,
-) -> Result<Box<dyn Link>> {
-    match transport {
-        DataTransport::Tcp => {
-            let tcp = TcpLink::connect(target.to_socket_addr())
-                .map_err(|e| ServerError::Data(format!("connect {target}: {e}")))?;
-            Ok(Box::new(tcp))
-        }
-        DataTransport::Udp => {
-            let link = UdpLink::connect(target.to_socket_addr(), udp.clone())
-                .map_err(|e| ServerError::Data(format!("udp connect {target}: {e}")))?;
-            Ok(Box::new(link))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ig_crypto::rng::seeded;
     use ig_gsi::context::test_support::ca_and_credential;
+    use ig_xio::{ChaosConfig, FaultKind, FaultSpec, Trigger};
+
+    /// A stack with only the security layer configured.
+    fn bare(security: DataSecurity) -> DataStack {
+        DataStack { security, stripe_rate: None, recv_deadline: None, chaos: None, meter: None }
+    }
 
     #[test]
     fn listener_accepts_connections() {
@@ -314,7 +356,7 @@ mod tests {
     fn dcau_none_passthrough() {
         let (a, mut b) = ig_xio::pipe();
         let mut rng = seeded(1);
-        let mut wrapped = wrap_connect(a, &DataSecurity::open(), &mut rng).unwrap();
+        let mut wrapped = bare(DataSecurity::open()).accept(Box::new(a), &mut rng).unwrap();
         wrapped.send(b"raw").unwrap();
         assert_eq!(b.recv().unwrap(), b"raw");
     }
@@ -336,11 +378,11 @@ mod tests {
         let sec2 = sec.clone();
         let acceptor = std::thread::spawn(move || {
             let mut rng = seeded(3);
-            let mut l = wrap_accept(b, &sec2, &mut rng).unwrap();
+            let mut l = bare(sec2).accept(Box::new(b), &mut rng).unwrap();
             assert_eq!(l.recv().unwrap(), b"sealed payload");
             l.send(b"ack").unwrap();
         });
-        let mut c = wrap_connect(a, &sec, &mut rng).unwrap();
+        let mut c = bare(sec).push_drivers(Box::new(a), Role::Connector, &mut rng).unwrap();
         c.send(b"sealed payload").unwrap();
         assert_eq!(c.recv().unwrap(), b"ack");
         acceptor.join().unwrap();
@@ -386,10 +428,10 @@ mod tests {
         let (a, b) = ig_xio::pipe();
         let t = std::thread::spawn(move || {
             let mut rng = seeded(6);
-            wrap_accept(b, &sec_server, &mut rng)
+            bare(sec_server).accept(Box::new(b), &mut rng)
         });
         let mut rng2 = seeded(7);
-        let client_res = wrap_connect(a, &sec_client, &mut rng2);
+        let client_res = bare(sec_client).push_drivers(Box::new(a), Role::Connector, &mut rng2);
         // Client expects alice on the far end but gets mallory.
         assert!(client_res.is_err());
         let _ = t.join().unwrap();
@@ -400,6 +442,59 @@ mod tests {
         let sec = DataSecurity { dcau: DcauMode::Self_, ..DataSecurity::open() };
         let (a, _b) = ig_xio::pipe();
         let mut rng = seeded(8);
-        assert!(wrap_connect(a, &sec, &mut rng).is_err());
+        assert!(bare(sec).push_drivers(Box::new(a), Role::Connector, &mut rng).is_err());
+    }
+
+    #[test]
+    fn full_stack_order_shows_in_its_effects() {
+        // PROT P + a one-shot Reset after 64 sent bytes + a meter, over a
+        // pipe. The order is asserted through what each layer observes.
+        let mut rng = seeded(9);
+        let (ca, cred) = ca_and_credential(&mut rng, "/O=CA", "/O=Grid/CN=alice");
+        let mut trust = TrustStore::new();
+        trust.add_root(ca.root_cert().clone());
+        let security = DataSecurity {
+            dcau: DcauMode::Self_,
+            prot: ProtectionLevel::Private,
+            credential: Some(cred),
+            trust,
+            clock: Clock::Fixed(1000),
+        };
+        let obs = Obs::new("data-stack-test");
+        let spec = FaultSpec::send(FaultKind::Reset, Trigger::AfterBytes(64));
+        let hook = ChaosHook::new(ChaosConfig::single(9, spec));
+        hook.set_obs(&obs);
+        let sender = DataStack {
+            security: security.clone(),
+            stripe_rate: Some(1e9),
+            recv_deadline: Some(Duration::from_secs(5)),
+            chaos: Some(Arc::clone(&hook)),
+            meter: Some((Arc::clone(&obs), "stack")),
+        };
+        let (a, b) = ig_xio::pipe();
+        let receiver = std::thread::spawn(move || {
+            let mut rng = seeded(10);
+            let mut l = bare(security).accept(Box::new(b), &mut rng).unwrap();
+            let first = l.recv().unwrap();
+            (first, l.recv().is_err())
+        });
+        // Chaos is armed from the start, yet the multi-message handshake
+        // (far more than 64 bytes) completes: it runs below the hook.
+        let mut s = sender.push_drivers(Box::new(a), Role::Connector, &mut rng).unwrap();
+        assert_eq!(hook.total_fires(), 0);
+        // ...and above the meter, which has seen none of it.
+        assert_eq!(obs.metrics().counter_value("stack.bytes_sent"), 0);
+        s.send(&[7u8; 48]).unwrap();
+        let err = s.send(&[8u8; 48]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::ConnectionReset);
+        assert_eq!(hook.total_fires(), 1);
+        assert_eq!(obs.count_events("chaos.fault"), 1);
+        // Chaos counted plaintext bytes (above the sealing layer: 48 + 48
+        // crosses 64), and the meter, above chaos, counted only the frame
+        // that was delivered.
+        assert_eq!(obs.metrics().counter_value("stack.bytes_sent"), 48);
+        let (first, closed) = receiver.join().unwrap();
+        assert_eq!(first, vec![7u8; 48], "the delivered frame opened clean under PROT P");
+        assert!(closed, "the reset tore the connection down under the receiver");
     }
 }

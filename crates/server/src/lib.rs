@@ -35,7 +35,6 @@ pub mod data;
 pub mod dsi;
 pub mod dtp;
 pub mod error;
-pub mod fault;
 pub mod introspect;
 pub mod listener;
 mod pool;
@@ -53,7 +52,6 @@ pub use config::{ServerConfig, ServerCore};
 pub use dsi::{expand_stream, memory::MemDsi, posix::PosixDsi, read_all, walk, Dsi, ExpandOutcome, WalkEntry};
 pub use dtp::RecvFault;
 pub use error::ServerError;
-pub use fault::FaultInjector;
 pub use introspect::{SessionIndex, SessionState, SessionTicket, TransferScope};
 pub use listener::{DrainReport, GridFtpServer};
 pub use tunables::{ReloadError, TunableSlot, TunableValue, Tunables};

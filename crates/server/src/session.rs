@@ -7,9 +7,7 @@
 //! channel protected by default).
 
 use crate::config::ServerConfig;
-use crate::data::{
-    connect_transport, maybe_throttle, wrap_accept, wrap_connect, AnyDataListener, DataSecurity,
-};
+use crate::data::{AnyDataListener, DataSecurity, DataStack};
 use crate::dtp::{send_dir, send_ranges, Progress, Receiver};
 use crate::error::{Result, ServerError};
 use crate::usage::TransferRecord;
@@ -81,7 +79,7 @@ pub struct Session<R: Rng> {
     /// after `span` on purpose: fields drop in declaration order, so
     /// the span's `span.end` is already in the trace by the time the
     /// gauge reads zero (tests poll the gauge, then export).
-    sessions_active: ActiveSessionGuard,
+    _sessions_active: ActiveSessionGuard,
 }
 
 /// Decrements `server.sessions_active` when the session is dropped.
@@ -206,7 +204,7 @@ impl<R: Rng> Session<R> {
             span,
             cmd_rtt,
             ticket,
-            sessions_active,
+            _sessions_active: sessions_active,
         }
     }
 
@@ -313,11 +311,12 @@ impl<R: Rng> Session<R> {
         }
     }
 
-    /// Assemble the data-channel security posture. §V: a DCSC context
-    /// replaces both the presented credential and (via its self-signed
-    /// chain certs) the accepted trust anchors; `DCSC D` has cleared
-    /// `self.dcsc`, falling back to the login (delegated) credential.
-    fn data_security(&self) -> DataSecurity {
+    /// Assemble how this session's data streams are built. §V: a DCSC
+    /// context replaces both the presented credential and (via its
+    /// self-signed chain certs) the accepted trust anchors; `DCSC D` has
+    /// cleared `self.dcsc`, falling back to the login (delegated)
+    /// credential. Every stream is metered as `server.dtp.*`.
+    fn data_stack(&self) -> DataStack {
         let (credential, trust) = match &self.dcsc {
             Some(cred) => (
                 Some(cred.clone()),
@@ -325,12 +324,18 @@ impl<R: Rng> Session<R> {
             ),
             None => (self.delegated.clone(), self.config.trust.clone()),
         };
-        DataSecurity {
-            dcau: self.dcau.clone(),
-            prot: self.prot,
-            credential,
-            trust,
-            clock: self.config.clock,
+        DataStack {
+            security: DataSecurity {
+                dcau: self.dcau.clone(),
+                prot: self.prot,
+                credential,
+                trust,
+                clock: self.config.clock,
+            },
+            stripe_rate: self.config.live().stripe_rate,
+            recv_deadline: None,
+            chaos: self.config.data_chaos.clone(),
+            meter: Some((Arc::clone(&self.config.obs), "server.dtp")),
         }
     }
 
@@ -985,50 +990,74 @@ impl<R: Rng> Session<R> {
         (ActiveTransferGuard(gauge), self.ticket.transfer_scope())
     }
 
-    /// Wrap a fully-established data stream in the configured chaos
-    /// hook, if any, then in an [`ig_xio::ObsLink`] recording per-block
-    /// DTP latency. Chaos sits above the handshake (faults hit
-    /// post-handshake wire traffic; the handshake itself runs clean) and
-    /// below the observer, so recorded block latencies include any
-    /// chaos-injected delays.
-    fn chaosify(&self, stream: Box<dyn Link>) -> Box<dyn Link> {
-        let stream = match &self.config.data_chaos {
-            Some(hook) => hook.wrap(stream),
-            None => stream,
-        };
-        Box::new(ig_xio::ObsLink::new(stream, Arc::clone(&self.config.obs), "server.dtp"))
-    }
-
     /// Build the data streams for an outgoing (sending) transfer.
-    fn open_send_streams(&mut self, sec: &DataSecurity) -> Result<Vec<Box<dyn Link>>> {
-        let live = self.config.live();
+    fn open_send_streams(&mut self, stack: &DataStack) -> Result<Vec<Box<dyn Link>>> {
         let mut streams: Vec<Box<dyn Link>> = Vec::new();
         if !self.port_targets.is_empty() {
             // Active: connect out (we are the sender, the canonical case).
             let udp = self.udp_config();
             for target in self.port_targets.clone() {
                 for _ in 0..self.parallelism {
-                    let conn = connect_transport(target, self.data_transport, &udp)?;
-                    let throttled = maybe_throttle(conn, live.stripe_rate);
-                    let secured = wrap_connect(throttled, sec, &mut self.rng)?;
-                    streams.push(self.chaosify(secured));
+                    streams.push(stack.connect(target, self.data_transport, &udp, &mut self.rng)?);
                 }
             }
         } else if !self.listeners.is_empty() {
             // Passive sender (two-party GET): accept `parallelism`
             // connections per listener.
+            let stall = self.config.live().stall_timeout;
             for l in &self.listeners {
                 for _ in 0..self.parallelism {
-                    let conn = l.accept_link(live.stall_timeout)?;
-                    let throttled = maybe_throttle(conn, live.stripe_rate);
-                    let secured = wrap_accept(throttled, sec, &mut self.rng)?;
-                    streams.push(self.chaosify(secured));
+                    streams.push(stack.accept(l.accept_link(stall)?, &mut self.rng)?);
                 }
             }
         } else {
             return Err(ServerError::Data("no data channel established (use PASV/PORT)".into()));
         }
         Ok(streams)
+    }
+
+    /// Close one transfer's books and send its terminal reply. The only
+    /// place `usage.record` and the `server.transfers_*`/`bytes_*`
+    /// counters move, side by side, so SITE STATS can never drift from
+    /// usage.rs.
+    fn finish_transfer(
+        &mut self,
+        link: &mut Box<dyn Link>,
+        wrap: bool,
+        tspan: ig_obs::Span,
+        end: TransferEnd,
+    ) -> Result<()> {
+        self.port_targets.clear();
+        self.listeners.clear();
+        let metrics = self.config.obs.metrics();
+        match end {
+            TransferEnd::Complete { inbound, streams, bytes, reply } => {
+                self.config.usage.record(TransferRecord {
+                    timestamp: self.config.clock.now(),
+                    bytes,
+                    user: self.user.as_ref().expect("authed").username.clone(),
+                    inbound,
+                    streams,
+                });
+                let (transfers, volume) = if inbound {
+                    ("server.transfers_in", "server.bytes_in")
+                } else {
+                    ("server.transfers_out", "server.bytes_out")
+                };
+                metrics.add(transfers, 1);
+                metrics.add(volume, bytes);
+                self.ticket.add_bytes(inbound, bytes);
+                tspan.end_with(vec![kv("outcome", "ok"), kv("bytes", bytes)]);
+                self.reply(link, wrap, reply)
+            }
+            TransferEnd::Failed { counter, outcome, reply } => {
+                if let Some(counter) = counter {
+                    metrics.add(counter, 1);
+                }
+                tspan.end_with(outcome);
+                self.reply(link, wrap, reply)
+            }
+        }
     }
 
     fn run_send_transfer(
@@ -1038,7 +1067,7 @@ impl<R: Rng> Session<R> {
         source: TransferSource,
     ) -> Result<()> {
         let user = self.user.clone().expect("authed");
-        let sec = self.data_security();
+        let stack = self.data_stack();
         // Determine ranges before opening data channels.
         let (ranges, total_len) = match &source {
             TransferSource::File(path) => {
@@ -1096,17 +1125,8 @@ impl<R: Rng> Session<R> {
                 (Vec::new(), entries.iter().map(|e| e.size).sum())
             }
         };
-        let streams = match self.open_send_streams(&sec) {
-            Ok(s) => match &self.config.fault {
-                Some(inj) => s
-                    .into_iter()
-                    .map(|l| {
-                        Box::new(crate::fault::FaultLink::new(l, std::sync::Arc::clone(inj)))
-                            as Box<dyn Link>
-                    })
-                    .collect(),
-                None => s,
-            },
+        let streams = match self.open_send_streams(&stack) {
+            Ok(s) => s,
             Err(e) => {
                 self.reply(link, wrap, Reply::new(425, format!("Cannot open data channel: {e}")))?;
                 return Ok(());
@@ -1153,15 +1173,8 @@ impl<R: Rng> Session<R> {
                 // Thread exhaustion is an operational signal, not a
                 // session-fatal bug: count it, fail this transfer, keep
                 // the control channel up.
-                self.config.obs.metrics().add("server.spawn_failures", 1);
-                self.port_targets.clear();
-                self.listeners.clear();
-                tspan.end_with(vec![kv("outcome", "spawn-error")]);
-                return self.reply(
-                    link,
-                    wrap,
-                    Reply::new(426, format!("Transfer failed: cannot spawn sender: {e}")),
-                );
+                let failed = TransferEnd::spawn_error(format!("cannot spawn sender: {e}"));
+                return self.finish_transfer(link, wrap, tspan, failed);
             }
         };
         // Poll progress, emitting 112 perf markers.
@@ -1193,32 +1206,16 @@ impl<R: Rng> Session<R> {
         let outcome = worker
             .join()
             .map_err(|_| ServerError::Data("sender worker panicked".into()))?;
-        self.port_targets.clear();
-        self.listeners.clear();
-        match outcome {
-            Ok(bytes) => {
-                self.config.usage.record(TransferRecord {
-                    timestamp: self.config.clock.now(),
-                    bytes,
-                    user: user.username.clone(),
-                    inbound: false,
-                    streams: stream_count,
-                });
-                // Mirrored at the same call site as `usage.record` so the
-                // SITE STATS counters can never drift from usage.rs.
-                let metrics = self.config.obs.metrics();
-                metrics.add("server.transfers_out", 1);
-                metrics.add("server.bytes_out", bytes);
-                self.ticket.add_bytes(false, bytes);
-                tspan.end_with(vec![kv("outcome", "ok"), kv("bytes", bytes)]);
-                self.reply(link, wrap, Reply::transfer_complete())
-            }
-            Err(e) => {
-                self.config.obs.metrics().add("server.transfer_errors", 1);
-                tspan.end_with(vec![kv("outcome", "error")]);
-                self.reply(link, wrap, Reply::new(426, format!("Transfer failed: {e}")))
-            }
-        }
+        let end = match outcome {
+            Ok(bytes) => TransferEnd::Complete {
+                inbound: false,
+                streams: stream_count,
+                bytes,
+                reply: Reply::transfer_complete(),
+            },
+            Err(e) => TransferEnd::error(Reply::new(426, format!("Transfer failed: {e}"))),
+        };
+        self.finish_transfer(link, wrap, tspan, end)
     }
 
     fn run_receive_transfer(
@@ -1228,7 +1225,7 @@ impl<R: Rng> Session<R> {
         path: &str,
     ) -> Result<()> {
         let user = self.user.clone().expect("authed");
-        let sec = self.data_security();
+        let stack = self.data_stack();
         let resuming = self.restart.take();
         if resuming.is_none() {
             // Fresh upload: start from scratch.
@@ -1255,68 +1252,39 @@ impl<R: Rng> Session<R> {
             Arc::clone(&progress),
         )
         .with_idle(self.config.live().stall_timeout);
-        let end = self.pump_receiver(link, wrap, &sec, &receiver, &progress)?;
-        self.listeners.clear();
-        self.port_targets.clear();
-        let connected = match end {
-            PumpEnd::SpawnError(e) => {
-                self.config.obs.metrics().add("server.spawn_failures", 1);
-                tspan.end_with(vec![kv("outcome", "spawn-error")]);
-                return self.reply(link, wrap, Reply::new(426, format!("Transfer failed: {e}")));
-            }
-            PumpEnd::AuthError(e) => {
-                // Failed DCAU on one connection fails the transfer.
-                tspan.end_with(vec![kv("outcome", "auth-error")]);
-                return self.reply(
-                    link,
-                    wrap,
-                    Reply::new(425, format!("Data channel authentication failed: {e}")),
-                );
-            }
-            PumpEnd::Drained { connected } => connected,
+        let streams = match self.pump_receiver(link, wrap, &stack, &receiver, &progress)? {
+            Ok(connected) => connected,
+            Err(failed) => return self.finish_transfer(link, wrap, tspan, failed),
         };
-        match receiver.finish() {
-            Ok(bytes) => {
-                self.config.usage.record(TransferRecord {
-                    timestamp: self.config.clock.now(),
-                    bytes,
-                    user: user.username.clone(),
-                    inbound: true,
-                    streams: connected as u32,
-                });
-                // Same call site as `usage.record`: SITE STATS stays in
-                // lock-step with usage.rs.
-                let metrics = self.config.obs.metrics();
-                metrics.add("server.transfers_in", 1);
-                metrics.add("server.bytes_in", bytes);
-                self.ticket.add_bytes(true, bytes);
-                tspan.end_with(vec![kv("outcome", "ok"), kv("bytes", bytes)]);
-                self.reply(link, wrap, Reply::transfer_complete())
-            }
-            Err(e) => {
-                self.config.obs.metrics().add("server.transfer_errors", 1);
-                tspan.end_with(vec![kv("outcome", "error")]);
-                self.reply(link, wrap, Reply::new(426, format!("Transfer failed: {e}")))
-            }
-        }
+        let end = match receiver.finish() {
+            Ok(bytes) => TransferEnd::Complete {
+                inbound: true,
+                streams,
+                bytes,
+                reply: Reply::transfer_complete(),
+            },
+            Err(e) => TransferEnd::error(Reply::new(426, format!("Transfer failed: {e}"))),
+        };
+        self.finish_transfer(link, wrap, tspan, end)
     }
 
     /// Drive the accept/connect + 111-marker loop for an inbound
-    /// transfer until the receiver drains, errors, or stalls. Emits only
-    /// in-transfer markers; terminal replies are the caller's job, keyed
-    /// off the returned [`PumpEnd`]. Shared by plain `STOR` and
-    /// `ESTO DIR` so both directions of pipelined sessions exercise one
-    /// code path.
+    /// transfer until the receiver drains, errors, or stalls, returning
+    /// how many streams connected. Emits only in-transfer markers; the
+    /// terminal reply is the caller's job — an inner `Err` is the
+    /// ready-made [`TransferEnd::Failed`] for a stream that could not be
+    /// added. Shared by plain `STOR` and `ESTO DIR` so both directions of
+    /// pipelined sessions exercise one code path.
     fn pump_receiver(
         &mut self,
         link: &mut Box<dyn Link>,
         wrap: bool,
-        sec: &DataSecurity,
+        stack: &DataStack,
         receiver: &Receiver,
         progress: &Arc<Progress>,
-    ) -> Result<PumpEnd> {
+    ) -> Result<std::result::Result<u32, TransferEnd>> {
         let live = self.config.live();
-        let mut connected = 0usize;
+        let mut connected = 0u32;
         let mut last_marker = ByteRanges::new();
         let mut last_progress = Instant::now();
         loop {
@@ -1328,11 +1296,10 @@ impl<R: Rng> Session<R> {
                 let udp = self.udp_config();
                 for target in self.port_targets.clone() {
                     for _ in 0..self.parallelism {
-                        let conn = connect_transport(target, self.data_transport, &udp)?;
-                        let throttled = maybe_throttle(conn, live.stripe_rate);
-                        let secured = wrap_connect(throttled, sec, &mut self.rng)?;
-                        if let Err(e) = receiver.add_stream(self.chaosify(secured)) {
-                            return Ok(PumpEnd::SpawnError(e.to_string()));
+                        let stream =
+                            stack.connect(target, self.data_transport, &udp, &mut self.rng)?;
+                        if let Err(e) = receiver.add_stream(stream) {
+                            return Ok(Err(TransferEnd::spawn_error(e.to_string())));
                         }
                         connected += 1;
                     }
@@ -1340,16 +1307,25 @@ impl<R: Rng> Session<R> {
             }
             for l in &self.listeners {
                 if let Some(conn) = l.try_accept_link() {
-                    let throttled = maybe_throttle(conn, live.stripe_rate);
-                    match wrap_accept(throttled, sec, &mut self.rng) {
+                    match stack.accept(conn, &mut self.rng) {
                         Ok(s) => {
-                            if let Err(e) = receiver.add_stream(self.chaosify(s)) {
-                                return Ok(PumpEnd::SpawnError(e.to_string()));
+                            if let Err(e) = receiver.add_stream(s) {
+                                return Ok(Err(TransferEnd::spawn_error(e.to_string())));
                             }
                             connected += 1;
                             last_progress = Instant::now();
                         }
-                        Err(e) => return Ok(PumpEnd::AuthError(e.to_string())),
+                        // Failed DCAU on one connection fails the transfer.
+                        Err(e) => {
+                            return Ok(Err(TransferEnd::Failed {
+                                counter: None,
+                                outcome: vec![kv("outcome", "auth-error")],
+                                reply: Reply::new(
+                                    425,
+                                    format!("Data channel authentication failed: {e}"),
+                                ),
+                            }))
+                        }
                     }
                 }
             }
@@ -1364,7 +1340,7 @@ impl<R: Rng> Session<R> {
                 break;
             }
         }
-        Ok(PumpEnd::Drained { connected })
+        Ok(Ok(connected))
     }
 
     /// `ESTO DIR <root>`: receive one directory stream into staging
@@ -1381,7 +1357,7 @@ impl<R: Rng> Session<R> {
         root: &str,
     ) -> Result<()> {
         let user = self.user.clone().expect("authed");
-        let sec = self.data_security();
+        let stack = self.data_stack();
         // REST does not apply here; resume is entry-granular via the
         // count in the terminal reply. Drop any stale marker so it
         // cannot leak into this transfer.
@@ -1401,24 +1377,9 @@ impl<R: Rng> Session<R> {
         let receiver =
             Receiver::new(Arc::clone(&staging), su.clone(), "/stream", Arc::clone(&progress))
                 .with_idle(self.config.live().stall_timeout);
-        let end = self.pump_receiver(link, wrap, &sec, &receiver, &progress)?;
-        self.listeners.clear();
-        self.port_targets.clear();
-        let connected = match end {
-            PumpEnd::SpawnError(e) => {
-                self.config.obs.metrics().add("server.spawn_failures", 1);
-                tspan.end_with(vec![kv("outcome", "spawn-error")]);
-                return self.reply(link, wrap, Reply::new(426, format!("Transfer failed: {e}")));
-            }
-            PumpEnd::AuthError(e) => {
-                tspan.end_with(vec![kv("outcome", "auth-error")]);
-                return self.reply(
-                    link,
-                    wrap,
-                    Reply::new(425, format!("Data channel authentication failed: {e}")),
-                );
-            }
-            PumpEnd::Drained { connected } => connected,
+        let streams = match self.pump_receiver(link, wrap, &stack, &receiver, &progress)? {
+            Ok(connected) => connected,
+            Err(failed) => return self.finish_transfer(link, wrap, tspan, failed),
         };
         let fin = receiver.finish();
         // Expand whatever complete prefix landed — holes left by lost
@@ -1426,73 +1387,74 @@ impl<R: Rng> Session<R> {
         // decoder at the last complete entry, never mid-file.
         let staged = crate::dsi::read_all(staging.as_ref(), &su, "/stream", 256 * 1024)
             .unwrap_or_default();
-        let outcome =
-            crate::dsi::expand_stream(self.config.dsi.as_ref(), &user, root, &staged);
-        match outcome {
-            Err(e) => {
-                self.config.obs.metrics().add("server.transfer_errors", 1);
-                tspan.end_with(vec![kv("outcome", "error")]);
-                self.reply(
-                    link,
-                    wrap,
-                    Reply::new(426, format!("Directory stream failed after 0 entries: {e}")),
-                )
-            }
-            Ok(out) if out.finished && out.error.is_none() => {
-                // Every entry decoded, every checksum passed, count
-                // matched: the tree is complete even if the transport
-                // died after the final block.
-                let bytes = staged.len() as u64;
-                self.config.usage.record(TransferRecord {
-                    timestamp: self.config.clock.now(),
-                    bytes,
-                    user: user.username.clone(),
-                    inbound: true,
-                    streams: connected as u32,
-                });
-                let metrics = self.config.obs.metrics();
-                metrics.add("server.transfers_in", 1);
-                metrics.add("server.bytes_in", bytes);
-                self.ticket.add_bytes(true, bytes);
-                tspan.end_with(vec![kv("outcome", "ok"), kv("bytes", bytes)]);
-                self.reply(
-                    link,
-                    wrap,
-                    Reply::new(
-                        226,
-                        format!("Directory stream complete ({} entries).", out.entries),
-                    ),
-                )
-            }
+        let end = match crate::dsi::expand_stream(self.config.dsi.as_ref(), &user, root, &staged) {
+            Err(e) => TransferEnd::error(Reply::new(
+                426,
+                format!("Directory stream failed after 0 entries: {e}"),
+            )),
+            // Every entry decoded, every checksum passed, count matched:
+            // the tree is complete even if the transport died after the
+            // final block.
+            Ok(out) if out.finished && out.error.is_none() => TransferEnd::Complete {
+                inbound: true,
+                streams,
+                bytes: staged.len() as u64,
+                reply: Reply::new(
+                    226,
+                    format!("Directory stream complete ({} entries).", out.entries),
+                ),
+            },
             Ok(out) => {
                 let reason = out
                     .error
                     .clone()
                     .or_else(|| fin.err().map(|e| e.to_string()))
                     .unwrap_or_else(|| "stream ended before the end marker".to_string());
-                self.config.obs.metrics().add("server.transfer_errors", 1);
-                tspan.end_with(vec![kv("outcome", "error"), kv("entries", out.entries)]);
-                self.reply(
-                    link,
-                    wrap,
-                    Reply::new(
+                TransferEnd::Failed {
+                    counter: Some("server.transfer_errors"),
+                    outcome: vec![kv("outcome", "error"), kv("entries", out.entries)],
+                    reply: Reply::new(
                         426,
                         format!("Directory stream failed after {} entries: {reason}", out.entries),
                     ),
-                )
+                }
             }
-        }
+        };
+        self.finish_transfer(link, wrap, tspan, end)
     }
 }
 
-/// How [`Session::pump_receiver`] ended.
-enum PumpEnd {
-    /// Receiver drained or stalled; the caller should `finish()`.
-    Drained { connected: usize },
-    /// A data stream's worker thread failed to spawn.
-    SpawnError(String),
-    /// A data connection failed DCAU authentication.
-    AuthError(String),
+/// How a transfer ended after its 150, for [`Session::finish_transfer`].
+enum TransferEnd {
+    /// Everything landed: book it, then send `reply` (a 226).
+    Complete { inbound: bool, streams: u32, bytes: u64, reply: Reply },
+    /// It did not: bump `counter` if this kind of failure has one, close
+    /// the span with `outcome`, then send `reply` (a 425/426).
+    Failed {
+        counter: Option<&'static str>,
+        outcome: Vec<(String, ig_obs::Value)>,
+        reply: Reply,
+    },
+}
+
+impl TransferEnd {
+    /// A transfer that broke mid-flight.
+    fn error(reply: Reply) -> Self {
+        TransferEnd::Failed {
+            counter: Some("server.transfer_errors"),
+            outcome: vec![kv("outcome", "error")],
+            reply,
+        }
+    }
+
+    /// A stream worker thread could not be spawned.
+    fn spawn_error(why: String) -> Self {
+        TransferEnd::Failed {
+            counter: Some("server.spawn_failures"),
+            outcome: vec![kv("outcome", "spawn-error")],
+            reply: Reply::new(426, format!("Transfer failed: {why}")),
+        }
+    }
 }
 
 enum TransferSource {

@@ -36,8 +36,6 @@ pub struct Tunables {
     pub control_idle_timeout: Option<Duration>,
     /// MODE E block size in bytes.
     pub block_size: usize,
-    /// Blocks between restart/perf markers.
-    pub marker_interval: usize,
     /// Per-stripe bandwidth cap in bytes/second (`None` = unthrottled).
     pub stripe_rate: Option<f64>,
 }
@@ -235,10 +233,6 @@ fn apply_one(t: &mut Tunables, field: &str, v: &TunableValue) -> Result<(), Relo
             Some(b) if b >= 1 && b as usize <= MAX_BLOCK_SIZE => t.block_size = b as usize,
             _ => return Err(invalid("expected 1 <= bytes <= 8388608")),
         },
-        "marker_interval" => match v.as_u64() {
-            Some(n) if n >= 1 => t.marker_interval = n as usize,
-            _ => return Err(invalid("expected integer blocks >= 1")),
-        },
         "stripe_rate" => match v {
             TunableValue::Null => t.stripe_rate = None,
             _ => match v.as_f64() {
@@ -267,8 +261,6 @@ pub fn tunables_json(t: &Tunables) -> String {
     }
     out.push_str(",\"block_size\":");
     out.push_str(&t.block_size.to_string());
-    out.push_str(",\"marker_interval\":");
-    out.push_str(&t.marker_interval.to_string());
     out.push_str(",\"stripe_rate\":");
     match t.stripe_rate {
         Some(r) => out.push_str(&format!("{r}")),
@@ -287,7 +279,6 @@ mod tests {
             stall_timeout: Duration::from_secs(30),
             control_idle_timeout: None,
             block_size: 64 * 1024,
-            marker_interval: 16,
             stripe_rate: None,
         }
     }
@@ -319,13 +310,13 @@ mod tests {
             .reload(
                 base,
                 &[
-                    ("block_size".into(), TunableValue::U64(4096)), // valid...
-                    ("marker_interval".into(), TunableValue::U64(0)), // ...then invalid
+                    ("stripe_rate".into(), TunableValue::F64(1e6)), // valid...
+                    ("block_size".into(), TunableValue::U64(0)), // ...then invalid
                 ],
             )
             .unwrap_err();
         assert_eq!(err.code(), "invalid-value");
-        assert_eq!(err.field(), "marker_interval");
+        assert_eq!(err.field(), "block_size");
         assert_eq!(*slot.get_or_seed(base), *before, "old config must stay live");
     }
 
@@ -374,7 +365,7 @@ mod tests {
         assert_eq!(
             tunables_json(&t),
             "{\"stall_timeout_ms\":30000,\"control_idle_timeout_ms\":null,\
-             \"block_size\":65536,\"marker_interval\":16,\"stripe_rate\":null}"
+             \"block_size\":65536,\"stripe_rate\":null}"
         );
     }
 }

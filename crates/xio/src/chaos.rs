@@ -231,7 +231,7 @@ impl ChaosHook {
     }
 
     /// Claim one fire of spec `index`; `false` means its budget is spent
-    /// (first-crosser semantics under contention, like `FaultInjector`).
+    /// (first-crosser semantics under contention).
     fn try_fire(&self, index: usize) -> bool {
         let max = self.config.faults[index].max_fires;
         if max == 0 {
@@ -303,7 +303,9 @@ impl<L: Link> ChaosLink<L> {
         let record = state.records;
         let bytes_before = state.bytes;
         state.records += 1;
-        state.bytes += len as u64;
+        // Saturate: a counter that wrapped would re-cross `AfterBytes`.
+        let bytes_after = bytes_before.saturating_add(len as u64);
+        state.bytes = bytes_after;
 
         let mut fired = Vec::new();
         if !self.hook.is_armed() {
@@ -317,9 +319,7 @@ impl<L: Link> ChaosLink<L> {
             let kind = spec.kind;
             let hit = match spec.trigger {
                 Trigger::OnRecord(n) => record == n,
-                Trigger::AfterBytes(n) => {
-                    bytes_before <= n && bytes_before + len as u64 > n
-                }
+                Trigger::AfterBytes(n) => bytes_before <= n && bytes_after > n,
                 // Always draw, so the RNG stream depends only on traffic,
                 // not on which earlier faults happened to fire.
                 Trigger::Probability(p) => self.rng.gen::<f64>() < p,
@@ -653,6 +653,27 @@ mod tests {
         l1.send(b"now clean").unwrap();
         assert_eq!(b1.recv().unwrap(), b"now clean");
         assert_eq!(hook.total_fires(), 1);
+        // The same budget under contention: eight links race across the
+        // trigger at once and exactly one of them takes the fault.
+        let spec = FaultSpec::send(FaultKind::Reset, Trigger::AfterBytes(0));
+        let hook = ChaosHook::new(ChaosConfig::single(7, spec));
+        let start = Arc::new(std::sync::Barrier::new(8));
+        let racers: Vec<_> = (0..8)
+            .map(|_| {
+                let (a, peer) = pipe();
+                let mut l = hook.wrap(Box::new(a));
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    let failed = l.send(&[0u8; 64]).is_err();
+                    drop(peer);
+                    failed
+                })
+            })
+            .collect();
+        let failed = racers.into_iter().map(|h| h.join().unwrap());
+        assert_eq!(failed.filter(|f| *f).count(), 1, "exactly one send should fail");
+        assert_eq!(hook.total_fires(), 1);
     }
 
     #[test]
@@ -720,6 +741,19 @@ mod tests {
         assert_eq!(b.recv().unwrap().len(), 100);
         assert_eq!(b.recv().unwrap(), &[3u8]);
         assert_eq!(hook.total_fires(), 1);
+        // A spent budget stays spent however absurd the sizes charged
+        // afterwards: the byte counter saturates instead of wrapping
+        // back across the trigger.
+        let spec = FaultSpec::send(FaultKind::Reset, Trigger::AfterBytes(1));
+        let hook = ChaosHook::new(ChaosConfig::single(7, spec));
+        let (a, _b) = pipe();
+        let mut l = ChaosLink::new(a, Arc::clone(&hook));
+        assert!(l.firing(Direction::Send, 1).is_empty()); // exactly at the boundary
+        assert_eq!(l.firing(Direction::Send, usize::MAX), vec![FaultKind::Reset]);
+        for _ in 0..64 {
+            assert!(l.firing(Direction::Send, usize::MAX).is_empty());
+        }
+        assert_eq!(hook.total_fires(), 1);
     }
 
     #[test]
@@ -766,7 +800,7 @@ mod tests {
 
     #[test]
     fn zero_byte_budget_fires_immediately() {
-        // Regression twin of the FaultInjector after_bytes == 0 case.
+        // A zero budget means the very first byte crosses it.
         let spec = FaultSpec::send(FaultKind::Reset, Trigger::AfterBytes(0));
         let (mut a, _b, _hook) = wrapped(spec, 7);
         assert_eq!(a.send(&[1]).unwrap_err().kind(), io::ErrorKind::ConnectionReset);

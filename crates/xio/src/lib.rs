@@ -10,8 +10,6 @@
 //! * [`link::TcpLink`] — length-framed TCP (real data channels);
 //! * [`throttle::Throttle`] — token-bucket rate limiting (models per-NIC
 //!   limits in the striping experiment E5);
-//! * [`telemetry::Telemetry`] — byte/message counters and throughput
-//!   (the usage-reporting hooks behind Fig 1);
 //! * [`obs::ObsLink`] — per-message latency histograms and byte counters
 //!   into an `ig-obs` registry (DTP block latency for `SITE STATS`);
 //! * [`secure::SecureLink`] — a GSI security context as a driver, so a
@@ -40,7 +38,6 @@ pub mod nb;
 pub mod obs;
 pub mod retry;
 pub mod secure;
-pub mod telemetry;
 pub mod test_support;
 pub mod udp;
 #[cfg(target_os = "linux")]
@@ -57,7 +54,6 @@ pub use wheel::DeadlineWheel;
 pub use obs::ObsLink;
 pub use retry::{splitmix64, RetryError, RetryPolicy};
 pub use secure::{secure_accept, secure_connect, SecureLink};
-pub use telemetry::{Counters, Telemetry};
 pub use throttle::Throttle;
 pub use udp::{ChaosFault, DataTransport, DatagramChaos, UdpConfig, UdpLink, UdpListener};
 #[cfg(target_os = "linux")]

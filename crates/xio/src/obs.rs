@@ -1,10 +1,11 @@
 //! Observability driver: per-message latency histograms for any link.
 //!
-//! Where [`crate::telemetry::Telemetry`] counts bytes, [`ObsLink`] times
-//! them: every `send`/`recv` records its duration into log-linear
-//! histograms in an [`ig_obs::Obs`] registry (`{label}.send_ns`,
-//! `{label}.recv_ns`) plus byte counters — this is how DTP block latency
-//! reaches `SITE STATS` without threading timing code through the
+//! The one link meter: every `send`/`recv` records its duration into
+//! log-linear histograms in an [`ig_obs::Obs`] registry
+//! (`{label}.send_ns`, `{label}.recv_ns`; their counts are the message
+//! counts) plus byte counters (`{label}.bytes_sent`,
+//! `{label}.bytes_received`) — this is how DTP block latency reaches
+//! `SITE STATS` without threading timing code through the
 //! sender/receiver. Push it onto the stack like any other XIO driver.
 //!
 //! Link open/close emit *unstable* trace events (they happen on worker

@@ -255,16 +255,15 @@ mod tests {
     }
 
     #[test]
-    fn stacks_compose_secure_over_telemetry() {
-        use crate::telemetry::{Counters, Telemetry};
-        use std::sync::atomic::Ordering;
+    fn stacks_compose_secure_over_meter() {
+        use crate::obs::ObsLink;
         let mut rng = seeded(105);
         let (ca, server_cred) = ca_and_credential(&mut rng, "/O=CA", "/CN=server");
         let server_cfg = config_with(Some(server_cred), &[&ca], false);
         let client_cfg = config_with(None, &[&ca], false);
         let (a, b) = pipe();
-        let counters = Counters::new();
-        let counted = Telemetry::new(a, std::sync::Arc::clone(&counters));
+        let obs = ig_obs::Obs::new("secure-test");
+        let counted = ObsLink::new(a, std::sync::Arc::clone(&obs), "wire");
         let server = std::thread::spawn(move || {
             let mut rng = seeded(106);
             let mut s = secure_accept(b, server_cfg, ProtectionLevel::Private, &mut rng).unwrap();
@@ -275,8 +274,8 @@ mod tests {
         let mut c = secure_connect(counted, client_cfg, ProtectionLevel::Private, &mut rng2).unwrap();
         c.send(b"counted and sealed").unwrap();
         server.join().unwrap();
-        // Telemetry saw the handshake + the sealed record (> plaintext).
-        assert!(counters.bytes_sent.load(Ordering::Relaxed) > 18);
-        assert!(counters.msgs_sent.load(Ordering::Relaxed) >= 3);
+        // The meter saw the handshake + the sealed record (> plaintext).
+        assert!(obs.metrics().counter_value("wire.bytes_sent") > 18);
+        assert!(obs.metrics().histogram("wire.send_ns").count() >= 3);
     }
 }

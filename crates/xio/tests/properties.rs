@@ -1,9 +1,9 @@
 //! Property tests for the XIO driver stack: message integrity and
 //! ordering through arbitrary driver compositions.
 
-use ig_xio::{pipe, Counters, Link, Telemetry, Throttle};
+use ig_obs::Obs;
+use ig_xio::{pipe, Link, ObsLink, Throttle};
 use proptest::prelude::*;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 proptest! {
@@ -30,12 +30,12 @@ proptest! {
     }
 
     #[test]
-    fn telemetry_counts_exactly(
+    fn meter_counts_exactly(
         msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..100), 1..15),
     ) {
         let (a, mut b) = pipe();
-        let counters = Counters::new();
-        let mut t = Telemetry::new(a, Arc::clone(&counters));
+        let obs = Obs::new("xio-prop");
+        let mut t = ObsLink::new(a, Arc::clone(&obs), "link");
         let total: u64 = msgs.iter().map(|m| m.len() as u64).sum();
         let reader = std::thread::spawn(move || {
             let mut n = 0u64;
@@ -49,8 +49,8 @@ proptest! {
         }
         t.close().unwrap();
         prop_assert_eq!(reader.join().unwrap(), total);
-        prop_assert_eq!(counters.bytes_sent.load(Ordering::Relaxed), total);
-        prop_assert_eq!(counters.msgs_sent.load(Ordering::Relaxed), msgs.len() as u64);
+        prop_assert_eq!(obs.metrics().counter_value("link.bytes_sent"), total);
+        prop_assert_eq!(obs.metrics().histogram("link.send_ns").count(), msgs.len() as u64);
     }
 
     #[test]
@@ -79,11 +79,11 @@ proptest! {
     fn stacked_drivers_compose(
         msgs in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..150), 1..10),
     ) {
-        // Telemetry over throttle over pipe — arbitrary stacking is the
+        // Meter over throttle over pipe — arbitrary stacking is the
         // whole point of the XIO model.
         let (a, mut b) = pipe();
-        let counters = Counters::new();
-        let mut stack = Telemetry::new(Throttle::new(a, 100e6, 1e6), Arc::clone(&counters));
+        let obs = Obs::new("xio-prop");
+        let mut stack = ObsLink::new(Throttle::new(a, 100e6, 1e6), Arc::clone(&obs), "link");
         let sent = msgs.clone();
         let writer = std::thread::spawn(move || {
             for m in &sent {
@@ -98,7 +98,7 @@ proptest! {
         writer.join().unwrap();
         prop_assert_eq!(&got, &msgs);
         prop_assert_eq!(
-            counters.msgs_sent.load(Ordering::Relaxed),
+            obs.metrics().histogram("link.send_ns").count(),
             msgs.len() as u64
         );
     }

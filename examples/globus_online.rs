@@ -13,16 +13,19 @@
 use instant_gridftp::gcmu::InstallOptions;
 use instant_gridftp::gol::{GlobusOnline, TransferRequest};
 use instant_gridftp::pki::time::Clock;
-use instant_gridftp::server::{FaultInjector, UserContext};
-use std::sync::Arc;
+use instant_gridftp::server::UserContext;
+use instant_gridftp::xio::{ChaosConfig, ChaosHook, FaultKind, FaultSpec, Trigger};
 
 fn main() {
     println!("== Globus Online + GCMU (Figs 6-7) ==\n");
-    let fault = FaultInjector::after_bytes(400_000); // crash mid-transfer
+    // Crash mid-transfer: one connection reset after 400 kB have left the
+    // source (the 800 kB file is auto-tuned to a single stream).
+    let crash = FaultSpec::send(FaultKind::Reset, Trigger::AfterBytes(400_000));
+    let fault = ChaosHook::new(ChaosConfig::single(300, crash));
     let src = InstallOptions::new("lab-cluster.example.org")
         .account("alice", "cluster pw")
         .seed(300)
-        .fault(Arc::clone(&fault))
+        .data_chaos(fault)
         .install()
         .expect("install src");
     let dst = InstallOptions::new("campus-store.example.org")

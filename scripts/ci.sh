@@ -17,6 +17,24 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+# The repository's benchmark (BENCHMARK.json, benchmark/) is a package of
+# its own that builds against ig-server/ig-client/ig-gcmu by path, and a
+# PR that is not a benchmark PR may not edit it. An API change that
+# breaks it must therefore fail here, not in the pipeline. Build output
+# goes under ./target; the only thing written into benchmark/ is its
+# git-ignored Cargo.lock. Where no registry answers, fall back to the
+# offline stand-ins exactly as benchmark/run.sh does.
+echo "==> benchmark package (release build + contract and workloads tests)"
+bench_args=(--manifest-path benchmark/Cargo.toml)
+if ! CARGO_NET_RETRY=1 CARGO_HTTP_TIMEOUT=15 cargo fetch -q "${bench_args[@]}" 2>/dev/null; then
+  rm -f benchmark/Cargo.lock
+  bench_args+=(--offline --config benchmark/shims/offline.toml)
+fi
+bench_target="${CARGO_TARGET_DIR:-$PWD/target}/benchmark"
+CARGO_TARGET_DIR="${bench_target}" cargo build -q --release "${bench_args[@]}"
+CARGO_TARGET_DIR="${bench_target}" timeout 900 \
+  cargo test -q "${bench_args[@]}" --test contract --test workloads
+
 # Chaos matrix under two distinct seeds: the transfer-survival matrix
 # (48 single-file cells + 16 mid-directory-stream cells, both cores)
 # must recover (or fail typed) and replay byte-identically under each

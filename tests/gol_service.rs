@@ -5,11 +5,21 @@ use ig_gcmu::InstallOptions;
 use ig_gol::{GlobusOnline, TransferRequest};
 use ig_pki::time::Clock;
 use ig_server::dsi::read_all;
-use ig_server::{FaultInjector, UserContext};
+use ig_server::UserContext;
+use ig_xio::{ChaosConfig, ChaosHook, FaultKind, FaultSpec, Trigger};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 const NOW: u64 = 1_900_000_000;
+
+/// A one-shot mid-transfer crash on the source server: the connection
+/// resets once `after_bytes` have left it in total. `AfterBytes` counts
+/// per link and blocks are dealt round-robin, so each of the transfer's
+/// `streams` links is scheduled at its share.
+fn crash_after(after_bytes: u64, streams: u64) -> Arc<ChaosHook> {
+    let reset = FaultSpec::send(FaultKind::Reset, Trigger::AfterBytes(after_bytes / streams));
+    ChaosHook::new(ChaosConfig::single(0x601, reset))
+}
 
 fn payload(n: usize) -> Vec<u8> {
     (0..n as u32).map(|i| (i * 17 % 253) as u8).collect()
@@ -73,12 +83,12 @@ fn fault_mid_transfer_restarts_from_checkpoint() {
     // will use the short-term certificate to reauthenticate with the
     // endpoints on the user's behalf and restart the transfer from the
     // last checkpoint."
-    let fault = FaultInjector::after_bytes(100_000); // die halfway
+    let fault = crash_after(100_000, 2); // die halfway
     let a = InstallOptions::new("flaky-a.example.org")
         .account("alice", "pw-a")
         .clock(Clock::Fixed(NOW))
         .seed(21)
-        .fault(Arc::clone(&fault))
+        .data_chaos(Arc::clone(&fault))
         .install()
         .unwrap();
     let b = InstallOptions::new("flaky-b.example.org")
@@ -112,7 +122,7 @@ fn fault_mid_transfer_restarts_from_checkpoint() {
         .unwrap();
     assert!(result.completed);
     assert_eq!(result.attempts, 2, "one fault, one successful retry");
-    assert!(fault.fired());
+    assert_eq!(fault.total_fires(), 1);
     assert!(result.checkpoint.is_complete(data.len() as u64));
     let alice = UserContext::user("alice");
     let got = read_all(b.dsi.as_ref(), &alice, "/home/alice/big.bin", 1 << 16).unwrap();
@@ -127,12 +137,12 @@ fn fault_mid_transfer_restarts_from_checkpoint() {
 
 #[test]
 fn transfer_without_retry_fails_and_reports() {
-    let fault = FaultInjector::after_bytes(10_000);
+    let fault = crash_after(10_000, 1);
     let a = InstallOptions::new("once-a.example.org")
         .account("alice", "pw")
         .clock(Clock::Fixed(NOW))
         .seed(31)
-        .fault(fault)
+        .data_chaos(fault)
         .install()
         .unwrap();
     let b = InstallOptions::new("once-b.example.org")
@@ -177,12 +187,12 @@ fn expired_credential_reactivates_and_resumes_from_checkpoint() {
     // Clock arrangement: the endpoints sit at `NOW`, GO's clock runs two
     // hours ahead. A 1-hour credential is expired from GO's point of
     // view while a 3-hour credential still has an hour left.
-    let fault = FaultInjector::after_bytes(100_000);
+    let fault = crash_after(100_000, 2);
     let a = InstallOptions::new("stale-a.example.org")
         .account("alice", "pw-a")
         .clock(Clock::Fixed(NOW))
         .seed(61)
-        .fault(Arc::clone(&fault))
+        .data_chaos(Arc::clone(&fault))
         .install()
         .unwrap();
     let b = InstallOptions::new("stale-b.example.org")
@@ -250,7 +260,7 @@ fn expired_credential_reactivates_and_resumes_from_checkpoint() {
         .unwrap();
     assert!(result.completed);
     assert_eq!(result.attempts, 2, "one fault, one successful retry");
-    assert!(fault.fired());
+    assert_eq!(fault.total_fires(), 1);
     // Each endpoint reactivated exactly once (attempt 1); the fresh
     // credentials were stored, so the retry reused them.
     assert_eq!(react_a.load(Ordering::SeqCst), 1);
