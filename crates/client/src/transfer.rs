@@ -156,7 +156,7 @@ impl TransferOpts {
 
 /// How the *client's own* data streams are built. Security: with a DCSC
 /// context installed, present/accept that credential (§V); otherwise the
-/// user's own credential. `opts` contributes the read deadline and the
+/// user's own credential. `opts` contributes the I/O deadline and the
 /// chaos hook; listings (`None`) run without either. Client streams are
 /// unthrottled and unmetered.
 fn client_data_stack(session: &ClientSession, opts: Option<&TransferOpts>) -> DataStack {
@@ -176,7 +176,7 @@ fn client_data_stack(session: &ClientSession, opts: Option<&TransferOpts>) -> Da
             clock: session.config.clock,
         },
         stripe_rate: None,
-        recv_deadline: opts.and_then(|o| o.io_timeout),
+        deadline: opts.and_then(|o| o.io_timeout),
         chaos: opts.and_then(|o| o.chaos.clone()),
         meter: None,
     }
@@ -262,7 +262,9 @@ pub fn put_bytes_resume(
     session.set_mode_extended()?;
     ensure_transport(session, opts)?;
     let addr = session.pasv()?;
-    if let Some(have) = have {
+    // An empty checkpoint (the attempt died before a block landed) has no
+    // marker to send: the resumed transfer is a fresh one.
+    if let Some(have) = have.filter(|h| h.total() > 0) {
         session.command(&Command::Rest(have.to_marker()))?;
     }
     session.send_cmd(&Command::Stor(remote_path.into()))?;
@@ -495,7 +497,7 @@ pub fn third_party(
     if src.parallelism != opts.parallelism {
         src.set_parallelism(opts.parallelism)?;
     }
-    if let Some(have) = resume_from {
+    if let Some(have) = resume_from.filter(|h| h.total() > 0) {
         src.command(&Command::Rest(have.to_marker()))?;
         dst.command(&Command::Rest(have.to_marker()))?;
     }

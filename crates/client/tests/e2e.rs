@@ -206,6 +206,19 @@ fn put_resume_sends_only_missing() {
     let back =
         transfer::get_bytes(&mut s, "/home/alice/resume.bin", &TransferOpts::default()).unwrap();
     assert_eq!(back, payload);
+    // An attempt that died before its first block landed leaves an empty
+    // checkpoint. Resuming from it is a fresh transfer, not a `REST` with
+    // no marker (which the server refuses).
+    let nothing = ig_protocol::ByteRanges::new();
+    let sent = transfer::put_bytes_resume(
+        &mut s,
+        "/home/alice/fresh.bin",
+        &payload,
+        Some(&nothing),
+        &TransferOpts::default(),
+    )
+    .unwrap();
+    assert_eq!(sent, 64_000);
     s.quit().unwrap();
 }
 

@@ -19,9 +19,9 @@ use ig_xio::{
 };
 use rand::Rng;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Security posture of a data channel, assembled per transfer from the
 /// session state (DCAU mode, PROT level, DCSC override).
@@ -104,7 +104,7 @@ enum Role {
 /// knows the driver order — a transport with drivers pushed on top, as in
 /// XIO (§II-A), always bottom to top:
 ///
-/// transport → throttle → GSI handshake → recv deadline → chaos → meter
+/// transport → throttle → GSI handshake → I/O deadline → chaos → meter
 ///
 /// Chaos sits above the handshake (faults hit post-handshake traffic; the
 /// handshake itself runs clean) and below the meter, so recorded block
@@ -117,9 +117,10 @@ pub struct DataStack {
     pub security: DataSecurity,
     /// Per-stripe NIC model in bytes/second.
     pub stripe_rate: Option<f64>,
-    /// Read deadline on the established stream (a silent peer yields a
-    /// typed timeout instead of a hang).
-    pub recv_deadline: Option<Duration>,
+    /// Deadline on every single read and write of the established stream:
+    /// a peer that goes silent, or stops reading while it keeps the
+    /// connection open, yields a typed timeout instead of a hang.
+    pub deadline: Option<Duration>,
     /// Seeded fault injection.
     pub chaos: Option<Arc<ChaosHook>>,
     /// Hub and metric label for the per-block [`ObsLink`] meter.
@@ -180,8 +181,9 @@ impl DataStack {
             secured.require_recv_level(sec.prot);
             stream = Box::new(secured);
         }
-        if self.recv_deadline.is_some() {
-            let _ = stream.set_recv_timeout(self.recv_deadline);
+        if self.deadline.is_some() {
+            let _ = stream.set_recv_timeout(self.deadline);
+            let _ = stream.set_send_timeout(self.deadline);
         }
         if let Some(hook) = &self.chaos {
             stream = hook.wrap(stream);
@@ -193,38 +195,24 @@ impl DataStack {
     }
 }
 
-/// A passive-mode data listener: accepts raw TCP data connections on a
-/// background thread. One listener per stripe.
+/// A passive-mode data listener. No accept thread: the socket is
+/// nonblocking and whoever wants the next connection takes it on their own
+/// thread — [`DataListener::accept`] sleeps in `poll(2)` until one is
+/// queued, and a caller with more than the listener to wait for puts
+/// [`AsRawFd::as_raw_fd`] into its own `poll` set. Dropping the listener
+/// closes the port; there is nothing to stop. One listener per stripe.
 pub struct DataListener {
+    listener: TcpListener,
     addr: HostPort,
-    rx: crossbeam::channel::Receiver<TcpLink>,
-    stop: Arc<AtomicBool>,
 }
 
 impl DataListener {
-    /// Bind on `ip` with an OS-assigned port and start accepting.
+    /// Bind on `ip` with an OS-assigned port.
     pub fn bind(ip: Ipv4Addr) -> Result<Self> {
         let listener = TcpListener::bind((ip, 0))?;
+        listener.set_nonblocking(true)?;
         let addr = HostPort::from_socket_addr(listener.local_addr()?)?;
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if stop2.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(s) => {
-                        if tx.send(TcpLink::new(s)).is_err() {
-                            break;
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        Ok(DataListener { addr, rx, stop })
+        Ok(DataListener { listener, addr })
     }
 
     /// The advertised address (what `227`/`229` replies carry).
@@ -234,34 +222,37 @@ impl DataListener {
 
     /// Wait up to `timeout` for the next data connection.
     pub fn accept(&self, timeout: Duration) -> Result<TcpLink> {
-        self.rx
-            .recv_timeout(timeout)
-            .map_err(|_| ServerError::Data("timed out waiting for data connection".into()))
+        let deadline = Instant::now() + timeout;
+        loop {
+            if let Some(conn) = self.try_accept()? {
+                return Ok(conn);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || !ig_xio::wait_readable(&[self.listener.as_raw_fd()], left)? {
+                return Err(ServerError::Data("timed out waiting for data connection".into()));
+            }
+        }
     }
 
-    /// Try to get a connection without blocking.
-    pub fn try_accept(&self) -> Option<TcpLink> {
-        self.rx.try_recv().ok()
-    }
-
-    /// Stop accepting (the accept thread exits on its next wakeup).
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Poke the listener so the blocking accept returns.
-        let _ = std::net::TcpStream::connect(self.addr.to_socket_addr());
+    /// Take a queued connection without blocking; `None` when there is
+    /// none (or the one there was reset before we got to it). Any other
+    /// failure is returned: the socket would stay readable, and a caller
+    /// that ignored it would spin. (Linux does not hand the listener's
+    /// `O_NONBLOCK` down to the accepted socket.)
+    pub fn try_accept(&self) -> Result<Option<TcpLink>> {
+        use std::io::ErrorKind::{ConnectionAborted, Interrupted, WouldBlock};
+        match self.listener.accept() {
+            Ok((stream, _)) => Ok(Some(TcpLink::new(stream))),
+            Err(e) if matches!(e.kind(), WouldBlock | Interrupted | ConnectionAborted) => Ok(None),
+            Err(e) => Err(e.into()),
+        }
     }
 }
 
-impl Drop for DataListener {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// A data listener for either transport. TCP keeps the historical
-/// accept-thread [`DataListener`]; UDP listens on one well-known socket
-/// and hands each accepted connection its own socket (see
-/// [`ig_xio::udp`]). Both advertise a [`HostPort`] for `227`/`229`.
+/// A data listener for either transport: TCP is a [`DataListener`]; UDP
+/// listens on one well-known socket and hands each accepted connection
+/// its own socket (see [`ig_xio::udp`]). Both advertise a [`HostPort`]
+/// for `227`/`229` and expose their socket for a caller's `poll` set.
 pub enum AnyDataListener {
     /// Stream-mode TCP.
     Tcp(DataListener),
@@ -306,15 +297,25 @@ impl AnyDataListener {
         }
     }
 
-    /// Try to get a connection without blocking (UDP polls the socket
-    /// for ~1 ms — the pump loop's cadence, not a busy spin).
-    pub fn try_accept_link(&self) -> Option<Box<dyn Link>> {
+    /// Try to get a connection without blocking (UDP reads its socket for
+    /// up to ~1 ms, which is how a queued HELLO becomes a connection).
+    pub fn try_accept_link(&self) -> Result<Option<Box<dyn Link>>> {
         match self {
-            AnyDataListener::Tcp(l) => l.try_accept().map(|t| Box::new(t) as Box<dyn Link>),
-            AnyDataListener::Udp(l) => l
-                .accept(Duration::from_millis(1))
-                .ok()
-                .map(|link| Box::new(link) as Box<dyn Link>),
+            AnyDataListener::Tcp(l) => Ok(l.try_accept()?.map(|t| Box::new(t) as Box<dyn Link>)),
+            AnyDataListener::Udp(l) => match l.accept(Duration::from_millis(1)) {
+                Ok(link) => Ok(Some(Box::new(link))),
+                Err(e) if e.kind() == std::io::ErrorKind::TimedOut => Ok(None),
+                Err(e) => Err(ServerError::Data(format!("udp accept: {e}"))),
+            },
+        }
+    }
+}
+
+impl AsRawFd for AnyDataListener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            AnyDataListener::Tcp(l) => l.listener.as_raw_fd(),
+            AnyDataListener::Udp(l) => l.as_raw_fd(),
         }
     }
 }
@@ -328,7 +329,7 @@ mod tests {
 
     /// A stack with only the security layer configured.
     fn bare(security: DataSecurity) -> DataStack {
-        DataStack { security, stripe_rate: None, recv_deadline: None, chaos: None, meter: None }
+        DataStack { security, stripe_rate: None, deadline: None, chaos: None, meter: None }
     }
 
     #[test]
@@ -342,8 +343,11 @@ mod tests {
         let mut conn = l.accept(Duration::from_secs(5)).unwrap();
         assert_eq!(conn.recv().unwrap(), b"data hello");
         t.join().unwrap();
-        assert!(l.try_accept().is_none());
-        l.shutdown();
+        assert!(l.try_accept().unwrap().is_none());
+        // No accept thread holds the socket: dropping the listener is all
+        // it takes to close the port.
+        drop(l);
+        assert!(TcpLink::connect(addr.to_socket_addr()).is_err());
     }
 
     #[test]
@@ -467,7 +471,7 @@ mod tests {
         let sender = DataStack {
             security: security.clone(),
             stripe_rate: Some(1e9),
-            recv_deadline: Some(Duration::from_secs(5)),
+            deadline: Some(Duration::from_secs(5)),
             chaos: Some(Arc::clone(&hook)),
             meter: Some((Arc::clone(&obs), "stack")),
         };

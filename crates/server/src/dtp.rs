@@ -11,11 +11,13 @@ use crate::error::{Result, ServerError};
 use crate::users::UserContext;
 use ig_protocol::mode_e::{self, Block, BlockView};
 use ig_protocol::ByteRanges;
-use ig_xio::Link;
+use ig_xio::{Link, WakeFd};
 use parking_lot::Mutex;
 use std::io::IoSlice;
+use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// One queued piece of work for a stream worker: `(file_offset, chunk,
 /// start, end)` — the block payload is `chunk[start..end]`. The read
@@ -405,11 +407,62 @@ impl RecvShared {
     }
 }
 
+/// One data connection's receive loop: returns when the stream ends, by
+/// EOD or by a fault recorded in `shared`.
+fn receive_stream(shared: &RecvShared, mut link: Box<dyn Link>) {
+    // One receive buffer per connection, reused for every block;
+    // blocks are parsed as borrowed views straight out of it.
+    let mut msg = Vec::new();
+    loop {
+        if let Err(e) = link.recv_into(&mut msg) {
+            use std::io::ErrorKind;
+            let fault = match e.kind() {
+                // Deadline: the connection is open but silent.
+                ErrorKind::TimedOut | ErrorKind::WouldBlock => {
+                    RecvFault::TimedOut(format!("data connection idle: {e}"))
+                }
+                // EOF without EOD = abnormal close.
+                _ => RecvFault::Truncated(format!("data connection dropped: {e}")),
+            };
+            shared.fault(fault);
+            return;
+        }
+        let block = match BlockView::parse(&msg) {
+            Ok(b) => b,
+            Err(e) => {
+                shared.fault(RecvFault::Corrupt(format!("bad block: {e}")));
+                return;
+            }
+        };
+        if block.is_eof_count() {
+            shared.eof_expected.store(block.offset, Ordering::SeqCst);
+            continue;
+        }
+        if !block.payload.is_empty() && !block.is_restart() {
+            let end = block.offset + block.payload.len() as u64;
+            if let Err(e) =
+                shared.dsi.write(&shared.user, &shared.path, block.offset, block.payload)
+            {
+                shared.fault(RecvFault::Storage(format!("storage write: {e}")));
+                return;
+            }
+            shared.progress.bytes.fetch_add(block.payload.len() as u64, Ordering::Relaxed);
+            shared.progress.ranges.lock().add(block.offset, end);
+        }
+        if block.is_eod() {
+            shared.eods.fetch_add(1, Ordering::SeqCst);
+            let _ = link.close();
+            return;
+        }
+    }
+}
+
 /// Receiver for one transfer: feed it connections as they arrive.
 pub struct Receiver {
     shared: Arc<RecvShared>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    idle: Option<std::time::Duration>,
+    idle: Option<Duration>,
+    wake: Option<Arc<WakeFd>>,
 }
 
 impl Receiver {
@@ -436,6 +489,7 @@ impl Receiver {
             }),
             threads: Mutex::new(Vec::new()),
             idle: None,
+            wake: None,
         }
     }
 
@@ -443,9 +497,31 @@ impl Receiver {
     /// half-open peer parks a receive thread forever and
     /// [`Receiver::finish`] never returns; with it the stalled stream
     /// fails as [`RecvFault::TimedOut`]. Set before adding streams.
-    pub fn with_idle(mut self, idle: std::time::Duration) -> Self {
+    pub fn with_idle(mut self, idle: Duration) -> Self {
         self.idle = Some(idle);
         self
+    }
+
+    /// Builder: have every stream raise `wake` when it ends, cleanly (EOD)
+    /// or not, so an owner that has other things to wait for too can sleep
+    /// in [`Receiver::wait`] instead of polling [`Receiver::done`]. Set
+    /// before adding streams.
+    pub fn with_wake(mut self, wake: WakeFd) -> Self {
+        self.wake = Some(Arc::new(wake));
+        self
+    }
+
+    /// Sleep until a stream ends, one of `listeners` (sockets of the data
+    /// listeners still taking connections for this transfer) is readable,
+    /// or `tick` passes.
+    pub fn wait(&self, listeners: &[RawFd], tick: Duration) -> Result<()> {
+        let mut fds = listeners.to_vec();
+        fds.extend(self.wake.iter().map(|w| w.raw_fd()));
+        ig_xio::wait_readable(&fds, tick)?;
+        if let Some(wake) = &self.wake {
+            wake.drain();
+        }
+        Ok(())
     }
 
     /// Handle one data connection on a background thread.
@@ -457,51 +533,11 @@ impl Receiver {
             let _ = link.set_recv_timeout(Some(idle));
         }
         let shared = Arc::clone(&self.shared);
+        let wake = self.wake.clone();
         let spawned = std::thread::Builder::new().name("dtp-recv".into()).spawn(move || {
-            // One receive buffer per connection, reused for every block;
-            // blocks are parsed as borrowed views straight out of it.
-            let mut msg = Vec::new();
-            loop {
-                if let Err(e) = link.recv_into(&mut msg) {
-                    use std::io::ErrorKind;
-                    let fault = match e.kind() {
-                        // Deadline: the connection is open but silent.
-                        ErrorKind::TimedOut | ErrorKind::WouldBlock => {
-                            RecvFault::TimedOut(format!("data connection idle: {e}"))
-                        }
-                        // EOF without EOD = abnormal close.
-                        _ => RecvFault::Truncated(format!("data connection dropped: {e}")),
-                    };
-                    shared.fault(fault);
-                    return;
-                }
-                let block = match BlockView::parse(&msg) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        shared.fault(RecvFault::Corrupt(format!("bad block: {e}")));
-                        return;
-                    }
-                };
-                if block.is_eof_count() {
-                    shared.eof_expected.store(block.offset, Ordering::SeqCst);
-                    continue;
-                }
-                if !block.payload.is_empty() && !block.is_restart() {
-                    let end = block.offset + block.payload.len() as u64;
-                    if let Err(e) =
-                        shared.dsi.write(&shared.user, &shared.path, block.offset, block.payload)
-                    {
-                        shared.fault(RecvFault::Storage(format!("storage write: {e}")));
-                        return;
-                    }
-                    shared.progress.bytes.fetch_add(block.payload.len() as u64, Ordering::Relaxed);
-                    shared.progress.ranges.lock().add(block.offset, end);
-                }
-                if block.is_eod() {
-                    shared.eods.fetch_add(1, Ordering::SeqCst);
-                    let _ = link.close();
-                    return;
-                }
+            receive_stream(&shared, link);
+            if let Some(wake) = wake {
+                wake.wake();
             }
         });
         match spawned {

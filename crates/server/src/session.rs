@@ -25,13 +25,18 @@ use ig_protocol::secure_line;
 use ig_obs::kv;
 use ig_protocol::{dcsc, ByteRanges, HostPort, Reply};
 use ig_netsim::CcAlgo;
-use ig_xio::{DataTransport, Link, UdpConfig};
+use ig_xio::{DataTransport, Link, UdpConfig, WakeFd};
 use rand::Rng;
-use std::sync::Arc;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Marker emission period during transfers.
+/// 112 perf-marker period of a sending transfer: the timeout of the
+/// session's wait for its worker, never a sleep.
 const MARKER_PERIOD: Duration = Duration::from_millis(50);
+/// 111 restart-marker period of a receiving transfer, likewise the
+/// timeout of the pump's wait.
+const RESTART_MARKER_PERIOD: Duration = Duration::from_millis(5);
 
 pub(crate) enum LoopControl {
     Continue,
@@ -333,7 +338,7 @@ impl<R: Rng> Session<R> {
                 clock: self.config.clock,
             },
             stripe_rate: self.config.live().stripe_rate,
-            recv_deadline: None,
+            deadline: Some(self.config.live().stall_timeout),
             chaos: self.config.data_chaos.clone(),
             meter: Some((Arc::clone(&self.config.obs), "server.dtp")),
         }
@@ -1151,22 +1156,22 @@ impl<R: Rng> Session<R> {
         let dsi = Arc::clone(&self.config.dsi);
         let user2 = user.clone();
         let block_size = live.block_size;
-        let spawned = std::thread::Builder::new().name("dtp-send".into()).spawn(
-            move || -> Result<u64> {
-                match source {
-                    TransferSource::File(path)
-                    | TransferSource::Partial { path, .. } => {
-                        send_ranges(streams, &dsi, &user2, &path, &ranges, block_size, &progress2)
-                    }
-                    TransferSource::Buffer(buf) => {
-                        crate::dtp::send_buffer(streams, &buf, block_size, &progress2)
-                    }
-                    TransferSource::Dir { path, skip } => {
-                        send_dir(streams, &dsi, &user2, &path, skip, block_size, &progress2)
-                    }
+        // The worker reports its end over `done`, so the session sleeps in
+        // `recv_timeout` and completion costs no tick.
+        let (done_tx, done) = mpsc::channel();
+        let spawned = std::thread::Builder::new().name("dtp-send".into()).spawn(move || {
+            let _ = done_tx.send(match source {
+                TransferSource::File(path) | TransferSource::Partial { path, .. } => {
+                    send_ranges(streams, &dsi, &user2, &path, &ranges, block_size, &progress2)
                 }
-            },
-        );
+                TransferSource::Buffer(buf) => {
+                    crate::dtp::send_buffer(streams, &buf, block_size, &progress2)
+                }
+                TransferSource::Dir { path, skip } => {
+                    send_dir(streams, &dsi, &user2, &path, skip, block_size, &progress2)
+                }
+            });
+        });
         let worker = match spawned {
             Ok(w) => w,
             Err(e) => {
@@ -1177,35 +1182,41 @@ impl<R: Rng> Session<R> {
                 return self.finish_transfer(link, wrap, tspan, failed);
             }
         };
-        // Poll progress, emitting 112 perf markers.
+        // 112 perf markers at `MARKER_PERIOD` while the worker runs, and one
+        // closing marker when it ended past the last one sent: every
+        // non-empty transfer, however short, reports its final count. There
+        // is no stall check here: a peer that stops reading fails the
+        // worker's blocked send on the stack's write deadline (UDP: the
+        // driver's stall timer), and that arrives over `done` like any end.
         let start = Instant::now();
         let mut last_bytes = 0u64;
-        let mut last_progress = Instant::now();
-        while !worker.is_finished() {
-            std::thread::sleep(MARKER_PERIOD);
+        let outcome = loop {
+            let ended = match done.recv_timeout(MARKER_PERIOD) {
+                Ok(outcome) => Some(outcome),
+                Err(mpsc::RecvTimeoutError::Timeout) => None,
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    Some(Err(ServerError::Data("sender worker panicked".into())))
+                }
+            };
+            // The marker carries this transfer's own count; the gauge (the
+            // latest count of any session) is for `SITE STATS`.
             let bytes = progress.bytes();
             if bytes != last_bytes {
                 last_bytes = bytes;
-                last_progress = Instant::now();
-                // 112 markers are sourced from the registry: progress is
-                // published as a gauge first and the marker reads it back,
-                // so `SITE STATS` and the control channel cannot disagree.
-                let metrics = self.config.obs.metrics();
-                metrics.set_gauge("server.transfer_progress_bytes", bytes as f64);
+                self.config.obs.metrics().set_gauge("server.transfer_progress_bytes", bytes as f64);
                 let marker = PerfMarker {
                     timestamp: start.elapsed().as_secs_f64(),
                     stripe_index: 0,
                     total_stripes: self.config.stripes as u32,
-                    stripe_bytes: metrics.gauge_value("server.transfer_progress_bytes") as u64,
+                    stripe_bytes: bytes,
                 };
                 self.reply(link, wrap, marker.to_reply())?;
-            } else if last_progress.elapsed() > live.stall_timeout {
-                break;
             }
-        }
-        let outcome = worker
-            .join()
-            .map_err(|_| ServerError::Data("sender worker panicked".into()))?;
+            if let Some(outcome) = ended {
+                break outcome;
+            }
+        };
+        let _ = worker.join();
         let end = match outcome {
             Ok(bytes) => TransferEnd::Complete {
                 inbound: false,
@@ -1251,12 +1262,13 @@ impl<R: Rng> Session<R> {
             path,
             Arc::clone(&progress),
         )
-        .with_idle(self.config.live().stall_timeout);
-        let streams = match self.pump_receiver(link, wrap, &stack, &receiver, &progress)? {
-            Ok(connected) => connected,
+        .with_idle(self.config.live().stall_timeout)
+        .with_wake(WakeFd::new()?);
+        let (streams, fin) = match self.pump_receiver(link, wrap, &stack, receiver, &progress)? {
+            Ok(pumped) => pumped,
             Err(failed) => return self.finish_transfer(link, wrap, tspan, failed),
         };
-        let end = match receiver.finish() {
+        let end = match fin {
             Ok(bytes) => TransferEnd::Complete {
                 inbound: true,
                 streams,
@@ -1269,21 +1281,23 @@ impl<R: Rng> Session<R> {
     }
 
     /// Drive the accept/connect + 111-marker loop for an inbound
-    /// transfer until the receiver drains, errors, or stalls, returning
-    /// how many streams connected. Emits only in-transfer markers; the
-    /// terminal reply is the caller's job — an inner `Err` is the
-    /// ready-made [`TransferEnd::Failed`] for a stream that could not be
-    /// added. Shared by plain `STOR` and `ESTO DIR` so both directions of
-    /// pipelined sessions exercise one code path.
+    /// transfer until the receiver drains, errors, or stalls, then join
+    /// its streams: returns how many connected and what they received.
+    /// Emits only in-transfer markers; the terminal reply is the caller's
+    /// job — an inner `Err` is the ready-made [`TransferEnd::Failed`] for
+    /// a stream that could not be added. Shared by plain `STOR` and
+    /// `ESTO DIR` so both directions of pipelined sessions exercise one
+    /// code path.
     fn pump_receiver(
         &mut self,
         link: &mut Box<dyn Link>,
         wrap: bool,
         stack: &DataStack,
-        receiver: &Receiver,
+        receiver: Receiver,
         progress: &Arc<Progress>,
-    ) -> Result<std::result::Result<u32, TransferEnd>> {
+    ) -> Result<std::result::Result<(u32, Result<u64>), TransferEnd>> {
         let live = self.config.live();
+        let listening: Vec<RawFd> = self.listeners.iter().map(|l| l.as_raw_fd()).collect();
         let mut connected = 0u32;
         let mut last_marker = ByteRanges::new();
         let mut last_progress = Instant::now();
@@ -1306,7 +1320,7 @@ impl<R: Rng> Session<R> {
                 }
             }
             for l in &self.listeners {
-                if let Some(conn) = l.try_accept_link() {
+                while let Some(conn) = l.try_accept_link()? {
                     match stack.accept(conn, &mut self.rng) {
                         Ok(s) => {
                             if let Err(e) = receiver.add_stream(s) {
@@ -1329,7 +1343,10 @@ impl<R: Rng> Session<R> {
                     }
                 }
             }
-            std::thread::sleep(Duration::from_millis(5));
+            // The one wait of an inbound transfer: a stream's end (EOD or
+            // fault) or a queued connection wakes it; the marker period is
+            // only its timeout.
+            receiver.wait(&listening, RESTART_MARKER_PERIOD)?;
             // Emit 111 restart markers as new ranges land.
             let snapshot = progress.ranges_snapshot();
             if snapshot != last_marker {
@@ -1340,7 +1357,16 @@ impl<R: Rng> Session<R> {
                 break;
             }
         }
-        Ok(Ok(connected))
+        // The pump leaves at the first fault, while other streams may
+        // still be landing blocks. Once they are joined nothing more can
+        // land, so one closing 111 makes the checkpoint the client restarts
+        // from exactly what is on storage.
+        let fin = receiver.finish();
+        let landed = progress.ranges_snapshot();
+        if landed != last_marker {
+            self.reply(link, wrap, RestartMarker { ranges: landed }.to_reply())?;
+        }
+        Ok(Ok((connected, fin)))
     }
 
     /// `ESTO DIR <root>`: receive one directory stream into staging
@@ -1376,12 +1402,12 @@ impl<R: Rng> Session<R> {
         let su = UserContext::superuser();
         let receiver =
             Receiver::new(Arc::clone(&staging), su.clone(), "/stream", Arc::clone(&progress))
-                .with_idle(self.config.live().stall_timeout);
-        let streams = match self.pump_receiver(link, wrap, &stack, &receiver, &progress)? {
-            Ok(connected) => connected,
+                .with_idle(self.config.live().stall_timeout)
+                .with_wake(WakeFd::new()?);
+        let (streams, fin) = match self.pump_receiver(link, wrap, &stack, receiver, &progress)? {
+            Ok(pumped) => pumped,
             Err(failed) => return self.finish_transfer(link, wrap, tspan, failed),
         };
-        let fin = receiver.finish();
         // Expand whatever complete prefix landed — holes left by lost
         // blocks fail a header magic or trailer checksum and stop the
         // decoder at the last complete entry, never mid-file.

@@ -499,6 +499,10 @@ impl<L: Link> Link for ChaosLink<L> {
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         self.inner.set_recv_timeout(timeout)
     }
+
+    fn set_send_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        self.inner.set_send_timeout(timeout)
+    }
 }
 
 #[cfg(test)]

@@ -3,13 +3,13 @@
 //! GridFTP's event-driven frontends multiplex tens of thousands of
 //! mostly-idle control sessions over one thread; the enabling primitive
 //! is a readiness queue. This module wraps `epoll(7)` (plus `eventfd(2)`
-//! for cross-thread wakeups and `poll(2)` for one-shot writability
-//! waits) through minimal `extern "C"` declarations — libc is already
-//! linked into every Rust binary, so no new dependency is needed.
+//! for cross-thread wakeups and `poll(2)` for one-shot readiness waits)
+//! through minimal `extern "C"` declarations — libc is already linked
+//! into every Rust binary, so no new dependency is needed.
 //!
 //! Only compiled on Linux; the reactor server core is gated on the same
-//! cfg and the blocking thread-per-session core remains the portable
-//! fallback.
+//! cfg. The server's data plane blocks in [`wait_readable`] on its
+//! listeners and a [`WakeFd`] under either core, so it needs Linux too.
 
 #![cfg(target_os = "linux")]
 
@@ -68,6 +68,7 @@ const EPOLLRDHUP: u32 = 0x2000;
 const EFD_CLOEXEC: c_int = 0o2000000;
 const EFD_NONBLOCK: c_int = 0o4000;
 
+const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
 
 /// Which readiness kinds a registration asks for.
@@ -237,15 +238,30 @@ unsafe impl Sync for WakeFd {}
 ///
 /// Returns `true` if writable, `false` on timeout.
 pub fn wait_writable(fd: RawFd, timeout: Duration) -> io::Result<bool> {
-    let mut pfd = PollFd { fd, events: POLLOUT, revents: 0 };
-    let ms = timeout.as_millis().min(i32::MAX as u128) as c_int;
+    poll_ready(&mut [PollFd { fd, events: POLLOUT, revents: 0 }], timeout)
+}
+
+/// Block the *calling* thread until any of `fds` is readable (a listening
+/// socket with a connection queued, a raised [`WakeFd`]) or `timeout`
+/// elapses — the one wait of a transfer that has no reactor behind it.
+///
+/// Returns `true` if one is readable, `false` on timeout.
+pub fn wait_readable(fds: &[RawFd], timeout: Duration) -> io::Result<bool> {
+    let mut pfds: Vec<PollFd> =
+        fds.iter().map(|&fd| PollFd { fd, events: POLLIN, revents: 0 }).collect();
+    poll_ready(&mut pfds, timeout)
+}
+
+/// `poll(2)` with EINTR retried; sub-millisecond timeouts round up so a
+/// short remaining deadline still blocks instead of spinning.
+fn poll_ready(pfds: &mut [PollFd], timeout: Duration) -> io::Result<bool> {
+    let ms = timeout.as_micros().div_ceil(1000).min(i32::MAX as u128) as c_int;
     loop {
-        let rc = unsafe { poll(&mut pfd, 1, ms) };
-        if rc > 0 {
-            return Ok(true);
-        }
-        if rc == 0 {
-            return Ok(false);
+        // SAFETY: `pfds` is a live, exclusively borrowed slice of `repr(C)`
+        // pollfd records and its exact length is passed alongside.
+        let rc = unsafe { poll(pfds.as_mut_ptr(), pfds.len() as u64, ms) };
+        if rc >= 0 {
+            return Ok(rc > 0);
         }
         let err = io::Error::last_os_error();
         if err.kind() != io::ErrorKind::Interrupted {

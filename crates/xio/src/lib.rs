@@ -47,7 +47,7 @@ pub mod wheel;
 
 pub use chaos::{ChaosConfig, ChaosHook, ChaosLink, Direction, FaultKind, FaultSpec, Trigger};
 #[cfg(target_os = "linux")]
-pub use epoll::{wait_writable, Epoll, Event, Interest, WakeFd};
+pub use epoll::{wait_readable, wait_writable, Epoll, Event, Interest, WakeFd};
 pub use link::{pipe, Link, PipeLink, TcpLink};
 pub use nb::{FrameBuf, NbFramed};
 pub use wheel::DeadlineWheel;

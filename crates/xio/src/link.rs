@@ -65,6 +65,15 @@ pub trait Link: Send {
         let _ = timeout;
         Ok(())
     }
+
+    /// The same bound for a single `send`/`send_vectored`: a peer that
+    /// keeps the connection open without reading fails the blocked send
+    /// with [`io::ErrorKind::TimedOut`]. Same default and forwarding rule
+    /// as [`Link::set_recv_timeout`].
+    fn set_send_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        let _ = timeout;
+        Ok(())
+    }
 }
 
 impl<L: Link + ?Sized> Link for Box<L> {
@@ -85,6 +94,9 @@ impl<L: Link + ?Sized> Link for Box<L> {
     }
     fn set_recv_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         (**self).set_recv_timeout(timeout)
+    }
+    fn set_send_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        (**self).set_send_timeout(timeout)
     }
 }
 
@@ -159,6 +171,10 @@ impl Link for PipeLink {
 // TCP with length framing
 // ---------------------------------------------------------------------------
 
+/// Most segments one [`TcpLink`] frame is gathered from (MODE E sends
+/// two: block header and payload slice).
+const MAX_PARTS: usize = 3;
+
 /// A TCP stream carrying length-framed messages.
 pub struct TcpLink {
     stream: TcpStream,
@@ -184,11 +200,11 @@ impl TcpLink {
     }
 }
 
-/// Normalize a read-deadline failure: non-blocking sockets report
+/// Normalize a deadline failure: non-blocking sockets report
 /// `WouldBlock` on some platforms where others report `TimedOut`.
 fn map_timeout(e: io::Error) -> io::Error {
     if e.kind() == io::ErrorKind::WouldBlock {
-        io::Error::new(io::ErrorKind::TimedOut, "tcp recv timed out")
+        io::Error::new(io::ErrorKind::TimedOut, "tcp deadline passed")
     } else {
         e
     }
@@ -196,15 +212,7 @@ fn map_timeout(e: io::Error) -> io::Error {
 
 impl Link for TcpLink {
     fn send(&mut self, data: &[u8]) -> io::Result<()> {
-        if data.len() > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("frame of {} bytes exceeds maximum", data.len()),
-            ));
-        }
-        self.stream.write_all(&(data.len() as u32).to_be_bytes())?;
-        self.stream.write_all(data)?;
-        self.stream.flush()
+        self.send_vectored(&[IoSlice::new(data)])
     }
 
     fn recv(&mut self) -> io::Result<Vec<u8>> {
@@ -233,6 +241,10 @@ impl Link for TcpLink {
         self.stream.set_read_timeout(timeout)
     }
 
+    fn set_send_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        self.stream.set_write_timeout(timeout)
+    }
+
     fn send_vectored(&mut self, parts: &[IoSlice<'_>]) -> io::Result<()> {
         let total: usize = parts.iter().map(|p| p.len()).sum();
         if total > MAX_FRAME {
@@ -241,13 +253,29 @@ impl Link for TcpLink {
                 format!("frame of {total} bytes exceeds maximum"),
             ));
         }
-        // One frame on the wire: length prefix, then each segment in
-        // order, no intermediate concatenation buffer.
-        self.stream.write_all(&(total as u32).to_be_bytes())?;
-        for part in parts {
-            self.stream.write_all(part)?;
+        // One frame on the wire, and one `writev` to put it there: length
+        // prefix, then each segment in order, no concatenation buffer. A
+        // frame that goes out whole cannot have its tail refused by a peer
+        // that closed on reading its head, so whether a short transfer's
+        // sender sees the receiver give up does not depend on scheduling.
+        let prefix = (total as u32).to_be_bytes();
+        let mut frame = [IoSlice::new(&prefix); MAX_PARTS + 1];
+        if parts.len() > MAX_PARTS {
+            let mut joined = Vec::with_capacity(total);
+            parts.iter().for_each(|p| joined.extend_from_slice(p));
+            return self.send(&joined);
         }
-        self.stream.flush()
+        frame[1..=parts.len()].copy_from_slice(parts);
+        let mut left = &mut frame[..=parts.len()];
+        while !left.is_empty() {
+            match self.stream.write_vectored(left) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(map_timeout(e)),
+            }
+        }
+        Ok(())
     }
 
     fn close(&mut self) -> io::Result<()> {

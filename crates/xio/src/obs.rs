@@ -98,6 +98,10 @@ impl<L: Link> Link for ObsLink<L> {
     fn set_recv_timeout(&mut self, timeout: Option<std::time::Duration>) -> io::Result<()> {
         self.inner.set_recv_timeout(timeout)
     }
+
+    fn set_send_timeout(&mut self, timeout: Option<std::time::Duration>) -> io::Result<()> {
+        self.inner.set_send_timeout(timeout)
+    }
 }
 
 #[cfg(test)]

@@ -117,6 +117,10 @@ impl<L: Link> Link for SecureLink<L> {
     fn set_recv_timeout(&mut self, timeout: Option<std::time::Duration>) -> io::Result<()> {
         self.inner.set_recv_timeout(timeout)
     }
+
+    fn set_send_timeout(&mut self, timeout: Option<std::time::Duration>) -> io::Result<()> {
+        self.inner.set_send_timeout(timeout)
+    }
 }
 
 /// Run the initiator handshake over `link`.

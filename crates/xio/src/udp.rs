@@ -464,6 +464,14 @@ impl UdpListener {
     }
 }
 
+/// So a server pump can sleep in one `poll(2)` until a HELLO is queued.
+#[cfg(unix)]
+impl std::os::unix::io::AsRawFd for UdpListener {
+    fn as_raw_fd(&self) -> std::os::unix::io::RawFd {
+        self.sock.as_raw_fd()
+    }
+}
+
 impl std::fmt::Debug for UdpListener {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UdpListener")

@@ -6,6 +6,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A transfer's lifecycle blocks on events (DESIGN.md §8, "who wakes
+# whom"): the marker periods are timeouts of those waits. A sleep in the
+# three files that own the lifecycle is a poll creeping back, and every
+# short transfer would pay its period again. Test modules (everything from
+# the file's `#[cfg(test)]` on) may sleep.
+echo "==> no thread::sleep in the transfer lifecycle (server session/dtp/data)"
+for f in crates/server/src/{session,dtp,data}.rs; do
+  if sed '/^#\[cfg(test)\]/,$d' "${f}" | grep -n 'thread::sleep'; then
+    echo "${f}: thread::sleep in non-test code; block on the event instead" >&2
+    exit 1
+  fi
+done
+
 echo "==> cargo build --release"
 if [[ "${FAST:-0}" != "1" ]]; then
   cargo build --release
