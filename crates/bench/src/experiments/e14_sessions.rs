@@ -1,12 +1,12 @@
-//! E14 — session scalability: what one control-plane core costs per
+//! E14 — session scalability: what the server's reactor costs per
 //! *idle* session, and what command latency looks like once a herd of
 //! them sits on the server while real transfers run.
 //!
-//! The claim under test: the epoll reactor core holds an order of
-//! magnitude more idle control sessions than thread-per-session at a
-//! fraction of the resident memory, with p99 command RTT staying within
-//! 2x of a warm 100-session baseline. Each core variant is measured the
-//! same way:
+//! The claim under test: the epoll reactor holds an order of magnitude
+//! more idle control sessions than a thread per session did (the
+//! deleted core's last row is [`THREAD_PER_SESSION`]) at a fraction of
+//! the resident memory, with p99 command RTT staying within 2x of a warm
+//! 100-session baseline. The measurement:
 //!
 //! 1. warm p99 NOOP RTT with ~100 sessions held,
 //! 2. grow the herd to the target, reading `/proc/self/statm` before
@@ -20,8 +20,7 @@
 //! of its file-descriptor budget — that is what lets the full run reach
 //! 10k reactor sessions under a 20k `RLIMIT_NOFILE`. Without the
 //! helper (in-crate tests), the herd is held in-process at smaller
-//! counts and the RSS delta includes the client ends of the sockets —
-//! the same bias for both cores, so the ratio survives.
+//! counts and the RSS delta includes the client ends of the sockets.
 
 use crate::experiments::common;
 use crate::table;
@@ -30,7 +29,7 @@ use ig_pki::cert::Validity;
 use ig_pki::time::Clock;
 use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, TrustStore};
 use ig_protocol::command::DcauMode;
-use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, ServerCore};
+use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig};
 use ig_xio::{Link, TcpLink};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -44,9 +43,15 @@ const BASELINE_SESSIONS: usize = 100;
 const ACTIVE_TRANSFERS: usize = 50;
 const PUT_LEN: usize = 64 * 1024;
 
-/// One measured core variant.
+/// The last row measured on the thread-per-session core before PR 16
+/// deleted it (`report --exp e14`, full herd, 2 vCPUs, `deps=shims`;
+/// EXPERIMENTS.md, "PR 16 — last two-core measurement"): idle sessions
+/// held, resident bytes per idle session.
+pub const THREAD_PER_SESSION: (usize, f64) = (1_000, 14.8 * 1024.0);
+
+/// One measured herd.
 pub struct Row {
-    /// Core label (`threaded` / `reactor`).
+    /// Row label (`reactor`; `scripts/ci.sh` selects the row by it).
     pub label: &'static str,
     /// Idle sessions actually held at measurement time.
     pub held: usize,
@@ -70,7 +75,7 @@ fn dn(s: &str) -> DistinguishedName {
     DistinguishedName::parse(s).unwrap()
 }
 
-fn world(core: ServerCore, seed: u64) -> World {
+fn world(seed: u64) -> World {
     let server_obs = ig_obs::Obs::new("e14-server");
     let mut rng = ig_crypto::rng::seeded(seed);
     let mut ca = CertificateAuthority::create(&mut rng, dn("/O=E14 CA"), 512, 0, common::NOW * 10)
@@ -106,8 +111,7 @@ fn world(core: ServerCore, seed: u64) -> World {
     )
     .with_clock(Clock::Fixed(common::NOW))
     .with_stall_timeout(Duration::from_secs(10))
-    .with_obs(Arc::clone(&server_obs))
-    .with_core(core);
+    .with_obs(Arc::clone(&server_obs));
     World {
         server: GridFtpServer::start(cfg, seed).expect("server"),
         server_obs,
@@ -264,9 +268,9 @@ fn wait_sessions_zero(w: &World) {
     }
 }
 
-/// Measure one core at one herd size.
-fn measure(core: ServerCore, target: usize, actives: usize, probes: usize) -> Row {
-    let w = world(core, 0xE14 + target as u64);
+/// Measure the server at one herd size.
+fn measure(target: usize, actives: usize, probes: usize) -> Row {
+    let w = world(0xE14 + target as u64);
     let addr = w.server.addr().to_socket_addr();
 
     // Warm baseline: ~100 held sessions, quiet server.
@@ -325,33 +329,14 @@ fn measure(core: ServerCore, target: usize, actives: usize, probes: usize) -> Ro
     w.server.shutdown();
     wait_sessions_zero(&w);
 
-    Row { label: core.label(), held, rss_per_session, p99_warm, p99_loaded }
+    Row { label: "reactor", held, rss_per_session, p99_warm, p99_loaded }
 }
 
-/// Herd targets. The reactor's full target is the 10k claim; threaded
-/// is held an order of magnitude lower on purpose — ten thousand
-/// blocking threads on a small CI box is a machine-DoS, and the paper
-/// point is precisely that you should not need them.
-fn targets(fast: bool) -> (usize, usize, usize) {
-    if fast {
-        (2_000, 200, 150) // reactor herd, threaded herd, RTT probes
-    } else {
-        (10_000, 1_000, 400)
-    }
-}
-
-/// Run both cores; rows ordered threaded-first (baseline, then the
-/// tentpole). Linux-only servers mean this experiment is Linux-only in
-/// its reactor half; elsewhere it reports the threaded row alone.
-pub fn run(fast: bool) -> Vec<Row> {
+/// Measure the herd: the full target is the 10k claim.
+pub fn run(fast: bool) -> Row {
     let _guard = common::bench_lock();
-    let (reactor_target, threaded_target, probes) = targets(fast);
-    let mut rows =
-        vec![measure(ServerCore::Threaded, threaded_target, ACTIVE_TRANSFERS, probes)];
-    if cfg!(target_os = "linux") {
-        rows.push(measure(ServerCore::Reactor, reactor_target, ACTIVE_TRANSFERS, probes));
-    }
-    rows
+    let (target, probes) = if fast { (2_000, 150) } else { (10_000, 400) };
+    measure(target, ACTIVE_TRANSFERS, probes)
 }
 
 fn fmt_rss(r: Option<f64>) -> String {
@@ -367,37 +352,37 @@ fn fmt_ms(d: Duration) -> String {
 
 /// Render the table plus the claim note.
 pub fn table(fast: bool) -> String {
-    let rows = run(fast);
-    let mut t = vec![vec![
-        "core".to_string(),
-        "idle sessions held".to_string(),
-        "RSS per idle session".to_string(),
-        format!("p99 NOOP ({BASELINE_SESSIONS} held)"),
-        format!("p99 NOOP (herd + {ACTIVE_TRANSFERS} PUTs)"),
-    ]];
-    for r in &rows {
-        t.push(vec![
+    let r = run(fast);
+    let t = vec![
+        vec![
+            "core".to_string(),
+            "idle sessions held".to_string(),
+            "RSS per idle session".to_string(),
+            format!("p99 NOOP ({BASELINE_SESSIONS} held)"),
+            format!("p99 NOOP (herd + {ACTIVE_TRANSFERS} PUTs)"),
+        ],
+        vec![
             r.label.to_string(),
             r.held.to_string(),
             fmt_rss(r.rss_per_session),
             fmt_ms(r.p99_warm),
             fmt_ms(r.p99_loaded),
-        ]);
-    }
-    let ratio = match (rows.first(), rows.get(1)) {
-        (Some(th), Some(re)) => match (th.rss_per_session, re.rss_per_session) {
-            (Some(a), Some(b)) if b > 0.0 => format!("{:.1}x", a / b),
-            _ => "n/a".into(),
-        },
-        _ => "n/a (reactor core is Linux-only)".into(),
+        ],
+    ];
+    let (old_held, old_rss) = THREAD_PER_SESSION;
+    let ratio = match r.rss_per_session {
+        Some(b) if b > 0.0 => format!("{:.1}x", old_rss / b),
+        _ => "n/a".into(),
     };
     format!(
-        "{}(claim: the reactor core holds 10k+ idle control sessions on one \
+        "{}(claim: the reactor holds 10k+ idle control sessions on one \
          thread at kilobytes per session, p99 command RTT within 2x of the \
-         {BASELINE_SESSIONS}-session baseline; threaded/reactor memory ratio \
-         this run: {ratio}; herds: {})\n",
+         {BASELINE_SESSIONS}-session baseline; the thread-per-session core \
+         was last measured holding {old_held} at {}, memory ratio against \
+         that row: {ratio}; herd: {})\n",
         table::render(&t),
-        if fast { "fast (2k reactor / 200 threaded)" } else { "full (10k reactor / 1k threaded)" },
+        fmt_rss(Some(old_rss)),
+        if fast { "fast (2k)" } else { "full (10k)" },
     )
 }
 
@@ -405,33 +390,24 @@ pub fn table(fast: bool) -> String {
 mod tests {
     use super::*;
 
-    /// Small-herd structural check: both cores measured the same way,
-    /// the reactor holds its whole (reduced) herd, and the loaded p99
-    /// stays inside a deliberately loose absolute budget — re-measured
-    /// (bounded) so a transient CI load spike cannot flake tier-1. The
-    /// real sizes run from the `report` binary / `scripts/ci.sh`.
+    /// Small-herd structural check: the reactor holds its whole
+    /// (reduced) herd, and the loaded p99 stays inside a deliberately
+    /// loose absolute budget — re-measured (bounded) so a transient CI
+    /// load spike cannot flake tier-1. The real sizes run from the
+    /// `report` binary / `scripts/ci.sh`.
     #[test]
-    fn herd_measured_on_both_cores() {
+    fn small_herd_is_held_whole_and_answers() {
         let _guard = common::bench_lock();
-        let mut cores = vec![(ServerCore::Threaded, 60usize)];
-        if cfg!(target_os = "linux") {
-            cores.push((ServerCore::Reactor, 300));
-        }
-        for (core, target) in cores {
-            ig_xio::test_support::retry_measurement(2, core.label(), || {
-                let r = measure(core, target, 4, 50);
-                assert!(r.held > 0, "{} held nothing", r.label);
-                assert!(r.p99_warm > Duration::ZERO);
-                if r.label == "reactor" {
-                    assert_eq!(r.held, target, "reactor shed part of its herd");
-                }
-                if r.p99_loaded < Duration::from_secs(5) {
-                    Ok(())
-                } else {
-                    Err(format!("{} loaded p99 {:?} over the smoke budget", r.label, r.p99_loaded))
-                }
-            });
-        }
+        ig_xio::test_support::retry_measurement(2, "e14 small herd", || {
+            let r = measure(300, 4, 50);
+            assert_eq!(r.held, 300, "the reactor shed part of its herd");
+            assert!(r.p99_warm > Duration::ZERO);
+            if r.p99_loaded < Duration::from_secs(5) {
+                Ok(())
+            } else {
+                Err(format!("loaded p99 {:?} over the smoke budget", r.p99_loaded))
+            }
+        });
     }
 
     #[test]
@@ -448,9 +424,9 @@ mod tests {
         for r in &rows {
             t.push(vec![r.label.into(), r.held.to_string()]);
         }
-        let rendered = format!("{}(claim: the reactor core holds 10k+)\n", table::render(&t));
+        let rendered = format!("{}(claim: the reactor holds 10k+)\n", table::render(&t));
         let (_, parsed, notes) = table::parse_rendered(&rendered);
         assert_eq!(parsed.len(), 1);
-        assert!(notes.iter().any(|n| n.contains("claim: the reactor core holds 10k+")));
+        assert!(notes.iter().any(|n| n.contains("claim: the reactor holds 10k+")));
     }
 }

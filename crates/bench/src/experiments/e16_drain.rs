@@ -4,9 +4,9 @@
 //! Three rounds, driven through the *real* admin unix socket (the same
 //! wire an operator's tooling speaks):
 //!
-//! * **idle** — drain a server with no in-flight transfers, many times,
-//!   alternating cores; the request→reply RTT distribution is the pure
-//!   drain-path latency, and its p99 is budget-gated in CI.
+//! * **idle** — drain a server with no in-flight transfers, many times;
+//!   the request→reply RTT distribution is the pure drain-path latency,
+//!   and its p99 is budget-gated in CI.
 //! * **busy/clean** — drain with a generous deadline while a throttled
 //!   GET is mid-flight: the drain must wait for the transfer, report
 //!   `clean`, and the client's bytes must verify.
@@ -26,9 +26,7 @@ use ig_pki::time::Clock;
 use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, TrustStore};
 use ig_protocol::command::DcauMode;
 use ig_server::dsi::read_all;
-use ig_server::{
-    Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, ServerCore, UserContext,
-};
+use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, UserContext};
 use ig_xio::{ChaosConfig, ChaosHook, FaultKind, FaultSpec, Link, TcpLink, Trigger};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -56,17 +54,6 @@ fn payload() -> Vec<u8> {
 
 fn sock_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("ig-e16-{}-{}.sock", tag, std::process::id()))
-}
-
-fn cores() -> Vec<ServerCore> {
-    #[cfg(target_os = "linux")]
-    {
-        vec![ServerCore::Threaded, ServerCore::Reactor]
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        vec![ServerCore::Threaded]
-    }
 }
 
 /// Shared PKI world: one CA, host credentials minted per endpoint, one
@@ -129,7 +116,6 @@ impl World {
         &self,
         name: &str,
         tag: &str,
-        core: ServerCore,
         dsi: Arc<MemDsi>,
         obs: &Arc<ig_obs::Obs>,
         stripe_rate: Option<f64>,
@@ -148,7 +134,6 @@ impl World {
         .with_block_size(BLOCK)
         .with_stall_timeout(STALL)
         .with_obs(Arc::clone(obs))
-        .with_core(core)
         .with_admin_socket(sock.clone());
         if let Some(rate) = stripe_rate {
             cfg = cfg.with_stripes(1, Some(rate));
@@ -184,14 +169,8 @@ struct DrainOutcome {
 
 /// Drive `drain` the way an operator does: over the admin unix socket
 /// (hello handshake + one length-prefixed JSON frame each way). Returns
-/// the parsed report and the request→reply RTT in milliseconds. On
-/// platforms without the admin plane the handle is driven directly.
-#[cfg(target_os = "linux")]
-fn drive_drain(
-    _server: &GridFtpServer,
-    sock: &Path,
-    deadline_ms: u64,
-) -> (DrainOutcome, f64) {
+/// the parsed report and the request→reply RTT in milliseconds.
+fn drive_drain(sock: &Path, deadline_ms: u64) -> (DrainOutcome, f64) {
     use ig_server::admin::wire::{self, Json};
     use std::io::{Read, Write};
     use std::os::unix::net::UnixStream;
@@ -256,28 +235,8 @@ fn drive_drain(
     )
 }
 
-#[cfg(not(target_os = "linux"))]
-fn drive_drain(
-    server: &GridFtpServer,
-    _sock: &Path,
-    deadline_ms: u64,
-) -> (DrainOutcome, f64) {
-    let started = Instant::now();
-    let report = server.drain(Duration::from_millis(deadline_ms));
-    (
-        DrainOutcome {
-            clean: report.clean,
-            waited_ms: report.waited_ms,
-            interrupted: report.transfers_interrupted,
-        },
-        started.elapsed().as_secs_f64() * 1e3,
-    )
-}
-
 /// A busy/clean drain measurement.
 pub struct BusyRow {
-    /// Core label the server ran on.
-    pub core: &'static str,
     /// Drain reported clean (waited out the in-flight GET).
     pub clean: bool,
     /// Transfers interrupted at the deadline (must be 0).
@@ -290,8 +249,6 @@ pub struct BusyRow {
 
 /// A forced checkpoint-and-resume measurement.
 pub struct ForcedRow {
-    /// Core label both endpoints ran on.
-    pub core: &'static str,
     /// Transfers still in flight when the tiny deadline expired.
     pub interrupted: u64,
     /// Bytes the receiver had acknowledged (checkpoint total).
@@ -307,10 +264,10 @@ pub struct ForcedRow {
 
 /// Full E16 results.
 pub struct Results {
-    /// Idle-drain RTTs (ms), through the admin socket, across cores.
+    /// Idle-drain RTTs (ms), through the admin socket.
     pub idle_rtt_ms: Vec<f64>,
-    pub busy: Vec<BusyRow>,
-    pub forced: Vec<ForcedRow>,
+    pub busy: BusyRow,
+    pub forced: ForcedRow,
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -337,14 +294,13 @@ impl Results {
     }
 }
 
-fn idle_round(iteration: usize, core: ServerCore) -> f64 {
+fn idle_round(iteration: usize) -> f64 {
     let obs = ig_obs::Obs::new("e16-idle");
     let w = world(0xE16_000 + iteration as u64, &["e16.example.org"]);
     let dsi = Arc::new(MemDsi::new());
     let (server, sock) = w.start(
         "e16.example.org",
         &format!("idle{iteration}"),
-        core,
         Arc::clone(&dsi),
         &obs,
         None,
@@ -357,21 +313,20 @@ fn idle_round(iteration: usize, core: ServerCore) -> f64 {
     let opts = TransferOpts::default().block(BLOCK).timeout(Some(Duration::from_secs(2)));
     transfer::put_bytes(&mut s, "/home/alice/warm.bin", &small, &opts).unwrap();
 
-    let (outcome, rtt_ms) = drive_drain(&server, &sock, 2000);
+    let (outcome, rtt_ms) = drive_drain(&sock, 2000);
     assert!(outcome.clean, "idle drain must be clean");
     assert_eq!(outcome.interrupted, 0);
     drop(s); // session's QUIT no longer matters; server is retiring
     rtt_ms
 }
 
-fn busy_round(core: ServerCore, tag: &str) -> BusyRow {
+fn busy_round() -> BusyRow {
     let obs = ig_obs::Obs::new("e16-busy");
     let w = world(0xE16_100, &["e16.example.org"]);
     let dsi = Arc::new(MemDsi::new());
     let (server, sock) = w.start(
         "e16.example.org",
-        tag,
-        core,
+        "busy",
         Arc::clone(&dsi),
         &obs,
         Some(SLOW_RATE),
@@ -395,10 +350,9 @@ fn busy_round(core: ServerCore, tag: &str) -> BusyRow {
         assert!(Instant::now() < deadline, "GET never became active");
         std::thread::sleep(Duration::from_millis(2));
     }
-    let (outcome, _rtt) = drive_drain(&server, &sock, 5000);
+    let (outcome, _rtt) = drive_drain(&sock, 5000);
     let got = getter.join().unwrap();
     BusyRow {
-        core: core.label(),
         clean: outcome.clean,
         interrupted: outcome.interrupted,
         waited_ms: outcome.waited_ms,
@@ -406,7 +360,7 @@ fn busy_round(core: ServerCore, tag: &str) -> BusyRow {
     }
 }
 
-fn forced_round(core: ServerCore, tag: &str) -> ForcedRow {
+fn forced_round() -> ForcedRow {
     let w = world(0xE16_200, &["e16-src.example.org", "e16-dst.example.org"]);
     let data = payload();
 
@@ -421,8 +375,7 @@ fn forced_round(core: ServerCore, tag: &str) -> ForcedRow {
     ));
     let (src, _src_sock) = w.start(
         "e16-src.example.org",
-        &format!("{tag}-src"),
-        core,
+        "forced-src",
         Arc::clone(&src_dsi),
         &src_obs,
         Some(SLOW_RATE),
@@ -435,8 +388,7 @@ fn forced_round(core: ServerCore, tag: &str) -> ForcedRow {
     let dst_dsi = Arc::new(MemDsi::new());
     let (dst_a, dst_sock) = w.start(
         "e16-dst.example.org",
-        &format!("{tag}-dst"),
-        core,
+        "forced-dst",
         Arc::clone(&dst_dsi),
         &dst_obs,
         None,
@@ -470,7 +422,7 @@ fn forced_round(core: ServerCore, tag: &str) -> ForcedRow {
         std::thread::sleep(Duration::from_millis(2));
     }
     // Tiny deadline: the in-flight receive cannot finish in time.
-    let (outcome, _rtt) = drive_drain(&dst_a, &dst_sock, 40);
+    let (outcome, _rtt) = drive_drain(&dst_sock, 40);
     let attempt = mover.join().unwrap().expect("control channels survive the fault");
     hook.disarm();
     assert!(
@@ -502,8 +454,7 @@ fn forced_round(core: ServerCore, tag: &str) -> ForcedRow {
     // the resume, so only the missing ranges move again.
     let (dst_b, _b_sock) = w.start(
         "e16-dst.example.org",
-        &format!("{tag}-dst2"),
-        core,
+        "forced-dst2",
         Arc::clone(&dst_dsi),
         &ig_obs::Obs::new("e16-dst2"),
         None,
@@ -536,7 +487,6 @@ fn forced_round(core: ServerCore, tag: &str) -> ForcedRow {
     src.shutdown();
     dst_b.shutdown();
     ForcedRow {
-        core: core.label(),
         interrupted: outcome.interrupted,
         acked,
         resumed,
@@ -547,68 +497,54 @@ fn forced_round(core: ServerCore, tag: &str) -> ForcedRow {
 
 /// Run the sweep.
 pub fn run(fast: bool) -> Results {
-    let cores = cores();
     let idle_n = if fast { 6 } else { 20 };
-    let mut idle_rtt_ms = Vec::with_capacity(idle_n);
-    for i in 0..idle_n {
-        idle_rtt_ms.push(idle_round(i, cores[i % cores.len()]));
+    Results {
+        idle_rtt_ms: (0..idle_n).map(idle_round).collect(),
+        busy: busy_round(),
+        forced: forced_round(),
     }
-    let mut busy = Vec::new();
-    let mut forced = Vec::new();
-    for (i, &core) in cores.iter().enumerate() {
-        if fast && i > 0 {
-            // Fast mode covers the second core in the idle sweep only.
-            break;
-        }
-        busy.push(busy_round(core, &format!("busy{i}")));
-        forced.push(forced_round(core, &format!("forced{i}")));
-    }
-    Results { idle_rtt_ms, busy, forced }
 }
 
 /// Render the table.
 pub fn table(fast: bool) -> String {
     let r = run(fast);
-    let mut t = vec![vec![
-        "round".to_string(),
-        "core".to_string(),
-        "drain".to_string(),
-        "acked bytes".to_string(),
-        "resumed".to_string(),
-        "re-sent".to_string(),
-        "verified".to_string(),
-    ]];
-    t.push(vec![
-        format!("idle x{}", r.idle_rtt_ms.len()),
-        "both".to_string(),
-        format!("p50 {:.1} ms / p99 {:.1} ms", r.idle_p50_ms(), r.idle_p99_ms()),
-        "-".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        format!("p99 budget {DRAIN_P99_BUDGET_MS:.0} ms"),
-    ]);
-    for b in &r.busy {
-        t.push(vec![
+    let (b, f) = (&r.busy, &r.forced);
+    let verified = |ok: bool| if ok { "content ok" } else { "CONTENT MISMATCH" }.to_string();
+    let dash = || "-".to_string();
+    let t = vec![
+        vec![
+            "round".to_string(),
+            "drain".to_string(),
+            "acked bytes".to_string(),
+            "resumed".to_string(),
+            "re-sent".to_string(),
+            "verified".to_string(),
+        ],
+        vec![
+            format!("idle x{}", r.idle_rtt_ms.len()),
+            format!("p50 {:.1} ms / p99 {:.1} ms", r.idle_p50_ms(), r.idle_p99_ms()),
+            dash(),
+            dash(),
+            dash(),
+            format!("p99 budget {DRAIN_P99_BUDGET_MS:.0} ms"),
+        ],
+        vec![
             "busy (waits)".to_string(),
-            b.core.to_string(),
             format!("clean={} waited {} ms", b.clean, b.waited_ms),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            if b.content_ok { "content ok".into() } else { "CONTENT MISMATCH".into() },
-        ]);
-    }
-    for f in &r.forced {
-        t.push(vec![
+            dash(),
+            dash(),
+            dash(),
+            verified(b.content_ok),
+        ],
+        vec![
             "forced ckpt".to_string(),
-            f.core.to_string(),
             format!("interrupted={}", f.interrupted),
             table::fmt_bytes(f.acked),
             table::fmt_bytes(f.resumed),
             table::fmt_bytes(f.resent),
-            if f.content_ok { "content ok".into() } else { "CONTENT MISMATCH".into() },
-        ]);
-    }
+            verified(f.content_ok),
+        ],
+    ];
     format!(
         "{}(drain driven over the admin unix socket; forced round: seeded Drop fault + 40 ms deadline, then 111-checkpoint resume onto a replacement server sharing the DSI)\n",
         table::render(&t)
@@ -631,16 +567,13 @@ mod tests {
             r.idle_p99_ms(),
             DRAIN_P99_BUDGET_MS
         );
-        for b in &r.busy {
-            assert!(b.clean, "busy drain on {} must wait out the transfer", b.core);
-            assert_eq!(b.interrupted, 0, "generous deadline must interrupt nothing");
-            assert!(b.content_ok, "in-flight GET on {} lost bytes", b.core);
-        }
-        for f in &r.forced {
-            assert!(f.interrupted >= 1, "tiny deadline must report the in-flight transfer");
-            assert!(f.acked > 0, "receiver checkpointed nothing on {}", f.core);
-            assert_eq!(f.resent, 0, "resume on {} re-sent acknowledged bytes", f.core);
-            assert!(f.content_ok, "acknowledged bytes lost on {}", f.core);
-        }
+        let (b, f) = (&r.busy, &r.forced);
+        assert!(b.clean, "busy drain must wait out the transfer");
+        assert_eq!(b.interrupted, 0, "generous deadline must interrupt nothing");
+        assert!(b.content_ok, "in-flight GET lost bytes");
+        assert!(f.interrupted >= 1, "tiny deadline must report the in-flight transfer");
+        assert!(f.acked > 0, "receiver checkpointed nothing");
+        assert_eq!(f.resent, 0, "resume re-sent acknowledged bytes");
+        assert!(f.content_ok, "acknowledged bytes lost");
     }
 }

@@ -32,7 +32,7 @@ pub fn report_sections(fast: bool) -> Vec<(&'static str, &'static str, String)> 
         ("e11", "E11 MyProxy online CA issuance (measured)", experiments::e11_myproxy::table(fast)),
         ("e12", "E12 DCSC/control-channel overheads (measured)", experiments::e12_overheads::table()),
         ("e13", "E13 observability overhead: ObsLink vs bare link (measured)", experiments::e13_obs::table(fast)),
-        ("e14", "E14 session scalability: threaded vs epoll reactor core (measured)", experiments::e14_sessions::table(fast)),
+        ("e14", "E14 session scalability: idle sessions on the epoll reactor (measured)", experiments::e14_sessions::table(fast)),
         ("e15", "E15 fleet-scale hosted service: Fig 1 @ 10M transfers/day (simulated)", experiments::e15_fleet::table(fast)),
         ("e16", "E16 drain under load: admin-socket drain RTT + forced checkpoint resume (measured)", experiments::e16_drain::table(fast)),
     ]

@@ -224,7 +224,7 @@ impl ClientSession {
     /// Pipeline a window of commands: send them all before reading any
     /// reply, then collect one final reply per command, in order
     /// (preliminary 1xx replies are skipped). The server answers queued
-    /// commands strictly in order on both cores, so `replies[i]` is the
+    /// commands strictly in order, so `replies[i]` is the
     /// answer to `cmds[i]`. Error finals are returned in place, not
     /// raised — a pipelined 5xx must not desynchronise the remaining
     /// replies.

@@ -338,10 +338,8 @@ pub mod wire {
     }
 }
 
-#[cfg(target_os = "linux")]
 pub use plane::spawn_admin;
 
-#[cfg(target_os = "linux")]
 mod plane {
     use super::wire::{self, Json};
     use super::{ADMIN_MAX_FRAME, ADMIN_PROTO_VERSION};
@@ -549,7 +547,6 @@ mod plane {
                 let mut out = String::from("{\"ok\":true,\"stats\":");
                 out.push_str(&stats_json(
                     config.obs.component(),
-                    config.core.label(),
                     &config.usage,
                     config.obs.metrics(),
                 ));

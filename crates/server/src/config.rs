@@ -12,32 +12,6 @@ use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Which concurrency core drives control sessions.
-///
-/// Both cores run the identical protocol machine
-/// (`session::Session::process_message`); they differ only in how
-/// sessions are multiplexed onto OS resources.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ServerCore {
-    /// One blocking thread per control session (portable fallback).
-    #[default]
-    Threaded,
-    /// One epoll reactor thread holding every idle session, plus a
-    /// bounded sharded worker pool for command execution. Linux only;
-    /// `GridFtpServer::start` returns a typed error elsewhere.
-    Reactor,
-}
-
-impl ServerCore {
-    /// Stable lowercase label used in `SITE STATS` and metrics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServerCore::Threaded => "threaded",
-            ServerCore::Reactor => "reactor",
-        }
-    }
-}
-
 /// Everything a GridFTP server instance needs.
 #[derive(Clone)]
 pub struct ServerConfig {
@@ -88,17 +62,6 @@ pub struct ServerConfig {
     /// and the registry `SITE STATS` serves. Defaults to
     /// [`ig_obs::Obs::global`]; tests pass a private hub per server.
     pub obs: Arc<ig_obs::Obs>,
-    /// Concurrency core for control sessions.
-    pub core: ServerCore,
-    /// Reactor worker pool: number of shards (independent bounded
-    /// queues; a session always hashes to the same shard, preserving
-    /// per-session command order).
-    pub worker_shards: usize,
-    /// Reactor worker pool: threads per shard.
-    pub workers_per_shard: usize,
-    /// Reactor worker pool: queued jobs per shard before backpressure
-    /// (the reactor parks further frames in per-session buffers).
-    pub dispatch_queue: usize,
     /// Whether clients may select the reliable-UDP MODE E data driver
     /// (`OPTS DATA Transport=udp`). Off = the legacy TCP-only server.
     pub udp_enabled: bool,
@@ -110,14 +73,14 @@ pub struct ServerConfig {
     /// `data_chaos`, which faults whole link frames).
     pub udp_chaos: Option<ig_xio::DatagramChaos>,
     /// Path for the local admin-plane unix socket (`None` = no admin
-    /// surface). Linux only; ignored elsewhere.
+    /// surface).
     pub admin_socket: Option<PathBuf>,
     /// UID the admin socket trusts (`None` = this process's euid). The
     /// `SO_PEERCRED` check runs before any byte of a connection is read.
     pub admin_uid: Option<u32>,
     /// Hot-swap slot for the reloadable tunables (see
     /// [`crate::tunables`]). Shared by every clone of this config, so
-    /// an admin reload reaches sessions on both cores.
+    /// an admin reload reaches every session.
     pub tunables: Arc<TunableSlot>,
     /// Live-session registry behind the admin `sessions` command.
     pub sessions: Arc<SessionIndex>,
@@ -154,10 +117,6 @@ impl ServerConfig {
             control_idle_timeout: None,
             data_chaos: None,
             obs: ig_obs::Obs::global(),
-            core: ServerCore::default(),
-            worker_shards: 4,
-            workers_per_shard: 2,
-            dispatch_queue: 64,
             udp_enabled: true,
             udp_cc: ig_netsim::CcAlgo::Bbr,
             udp_chaos: None,
@@ -280,12 +239,6 @@ impl ServerConfig {
         self
     }
 
-    /// Builder: select the concurrency core.
-    pub fn with_core(mut self, core: ServerCore) -> Self {
-        self.core = core;
-        self
-    }
-
     /// Builder: forbid the UDP data driver (TCP-only legacy posture).
     pub fn without_udp(mut self) -> Self {
         self.udp_enabled = false;
@@ -320,20 +273,6 @@ impl ServerConfig {
     /// Builder: hand the admin plane a scheduler to adjust.
     pub fn with_scheduler(mut self, sched: Arc<dyn SchedulerControl>) -> Self {
         self.scheduler = Some(sched);
-        self
-    }
-
-    /// Builder: size the reactor worker pool.
-    pub fn with_worker_pool(
-        mut self,
-        shards: usize,
-        workers_per_shard: usize,
-        dispatch_queue: usize,
-    ) -> Self {
-        assert!(shards >= 1 && workers_per_shard >= 1 && dispatch_queue >= 1);
-        self.worker_shards = shards;
-        self.workers_per_shard = workers_per_shard;
-        self.dispatch_queue = dispatch_queue;
         self
     }
 }

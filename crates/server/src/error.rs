@@ -35,9 +35,6 @@ pub enum ServerError {
     /// failure; now they surface here and in the
     /// `server.spawn_failures` counter.
     Spawn(String),
-    /// The requested feature is unavailable on this platform (e.g. the
-    /// epoll reactor core off Linux).
-    Unsupported(String),
 }
 
 impl fmt::Display for ServerError {
@@ -56,7 +53,6 @@ impl fmt::Display for ServerError {
             ServerError::Pki(e) => write!(f, "pki: {e}"),
             ServerError::Io(e) => write!(f, "io: {e}"),
             ServerError::Spawn(m) => write!(f, "thread spawn: {m}"),
-            ServerError::Unsupported(m) => write!(f, "unsupported: {m}"),
         }
     }
 }

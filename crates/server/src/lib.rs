@@ -27,6 +27,13 @@
 //! the Globus Data Storage Interface that lets "any storage system that
 //! can implement its data storage interface" (§II-A) sit under a GridFTP
 //! server; in-memory and POSIX backends are provided.
+//!
+//! Control sessions are multiplexed by one epoll reactor ([`listener`]
+//! starts it), transfers block on `poll`/eventfd, and the admin plane
+//! checks `SO_PEERCRED`: the crate needs Linux, and says so once, here.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("ig-server needs Linux: epoll, eventfd and SO_PEERCRED (see ig_xio::epoll)");
 
 pub mod admin;
 pub mod authz;
@@ -38,7 +45,6 @@ pub mod error;
 pub mod introspect;
 pub mod listener;
 mod pool;
-#[cfg(target_os = "linux")]
 mod reactor;
 pub mod session;
 pub mod striped;
@@ -48,7 +54,7 @@ pub mod users;
 
 pub use admin::SchedulerControl;
 pub use authz::{AuthzCallout, ChainAuthz, GcmuAuthz, GridmapAuthz};
-pub use config::{ServerConfig, ServerCore};
+pub use config::ServerConfig;
 pub use dsi::{expand_stream, memory::MemDsi, posix::PosixDsi, read_all, walk, Dsi, ExpandOutcome, WalkEntry};
 pub use dtp::RecvFault;
 pub use error::ServerError;

@@ -1,17 +1,12 @@
-//! Server front door: binds the control port and starts the selected
-//! concurrency core — the portable thread-per-session accept loop, or
-//! (on Linux) the epoll reactor ([`crate::reactor`]).
+//! Server front door: binds the control port and starts the epoll
+//! reactor ([`crate::reactor`]) that serves it.
 
-use crate::config::{ServerConfig, ServerCore};
-use crate::error::{Result, ServerError};
-use crate::session::run_session;
+use crate::config::ServerConfig;
+use crate::error::Result;
 use ig_obs::json::kv;
 use ig_protocol::HostPort;
-use ig_xio::{Link, TcpLink};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,68 +35,44 @@ pub struct GridFtpServer {
     config: Arc<ServerConfig>,
     addr: HostPort,
     stop: Arc<AtomicBool>,
-    /// Set by [`GridFtpServer::drain`]: accept loops on both cores shed
-    /// new connections while transfers quiesce.
+    /// Set by [`GridFtpServer::drain`]: the reactor sheds new
+    /// connections while transfers quiesce.
     draining: Arc<AtomicBool>,
     /// Serializes concurrent drain calls so the second observes the
     /// first's outcome instead of re-waiting (drain is idempotent).
     drain_lock: std::sync::Mutex<()>,
-    /// Session-seed counter, bumped once per accepted connection in
-    /// accept order — shared with the reactor so both cores seed
-    /// identically.
-    seed: Arc<AtomicU64>,
-    /// Reactor wakeup handle (shutdown pokes the event loop out of
-    /// `epoll_wait`). `None` under the threaded core.
-    #[cfg(target_os = "linux")]
-    wake: std::sync::Mutex<Option<Arc<ig_xio::WakeFd>>>,
+    /// Reactor wakeup handle: shutdown pokes the event loop out of
+    /// `epoll_wait`.
+    wake: Arc<ig_xio::WakeFd>,
 }
 
 impl GridFtpServer {
     /// Bind the control channel on `config.data_ip:0` and start serving.
     ///
     /// `seed` makes all session randomness deterministic (each session
-    /// derives `seed + n` in accept order, on either core).
+    /// derives `seed + n` in accept order).
     pub fn start(config: ServerConfig, seed: u64) -> Result<Arc<Self>> {
         let listener = TcpListener::bind((config.data_ip, 0))?;
         let addr = HostPort::from_socket_addr(listener.local_addr()?)?;
+        let config = Arc::new(config);
+        let stop = Arc::new(AtomicBool::new(false));
+        let draining = Arc::new(AtomicBool::new(false));
+        let wake = crate::reactor::spawn(
+            listener,
+            Arc::clone(&config),
+            seed,
+            Arc::clone(&stop),
+            Arc::clone(&draining),
+        )?;
         let server = Arc::new(GridFtpServer {
-            config: Arc::new(config),
+            config,
             addr,
-            stop: Arc::new(AtomicBool::new(false)),
-            draining: Arc::new(AtomicBool::new(false)),
+            stop,
+            draining,
             drain_lock: std::sync::Mutex::new(()),
-            seed: Arc::new(AtomicU64::new(seed)),
-            #[cfg(target_os = "linux")]
-            wake: std::sync::Mutex::new(None),
+            wake,
         });
-        match server.config.core {
-            ServerCore::Threaded => start_threaded(&server, listener)?,
-            ServerCore::Reactor => {
-                #[cfg(target_os = "linux")]
-                {
-                    let handle = crate::reactor::spawn(
-                        listener,
-                        Arc::clone(&server.config),
-                        Arc::clone(&server.seed),
-                        Arc::clone(&server.stop),
-                        Arc::clone(&server.draining),
-                    )?;
-                    *server.wake.lock().unwrap() = Some(handle.wake);
-                }
-                #[cfg(not(target_os = "linux"))]
-                {
-                    drop(listener);
-                    return Err(ServerError::Unsupported(
-                        "the reactor core requires epoll (Linux); use ServerCore::Threaded"
-                            .into(),
-                    ));
-                }
-            }
-        }
         if server.config.admin_socket.is_some() {
-            // The admin plane needs SO_PEERCRED; the config documents it
-            // as Linux-only and other platforms simply run without it.
-            #[cfg(target_os = "linux")]
             crate::admin::spawn_admin(&server)?;
         }
         Ok(server)
@@ -190,81 +161,20 @@ impl GridFtpServer {
         report
     }
 
-    /// Stop accepting new sessions (existing sessions run to completion).
+    /// Stop the server. No new session is accepted. A command already
+    /// executing (a transfer included) runs to its final reply, and for
+    /// up to five seconds so do the commands its client had pipelined
+    /// behind it; then every session, idle or not, is closed.
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        #[cfg(target_os = "linux")]
-        if let Some(wake) = self.wake.lock().unwrap().as_ref() {
-            wake.wake();
-        }
-        // Unblocks the threaded accept loop (harmless no-op connection
-        // under the reactor, which checks the stop flag on wakeup).
-        let _ = std::net::TcpStream::connect(self.addr.to_socket_addr());
+        self.wake.wake();
     }
-}
-
-/// The portable core: one blocking accept loop, one thread per session.
-fn start_threaded(server: &Arc<GridFtpServer>, listener: TcpListener) -> Result<()> {
-    let server2 = Arc::clone(server);
-    std::thread::Builder::new()
-        .name("ig-accept".into())
-        .spawn(move || {
-            for stream in listener.incoming() {
-                if server2.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                match stream {
-                    Ok(s) => {
-                        if server2.draining.load(Ordering::SeqCst) {
-                            // Draining: shed new connections (the socket
-                            // drop is the refusal) while in-flight
-                            // transfers quiesce.
-                            drop(s);
-                            continue;
-                        }
-                        let cfg = Arc::clone(&server2.config);
-                        let session_seed = server2.seed.fetch_add(1, Ordering::SeqCst);
-                        let spawned = std::thread::Builder::new()
-                            .name("ig-session".into())
-                            .spawn(move || {
-                                let rng = StdRng::seed_from_u64(session_seed);
-                                let link: Box<dyn Link> = Box::new(TcpLink::new(s));
-                                let _ = run_session(link, cfg, rng);
-                            });
-                        if spawned.is_err() {
-                            // Out of threads: shed this connection (the
-                            // socket drop is the refusal) and count it
-                            // rather than tearing the server down.
-                            server2
-                                .config
-                                .obs
-                                .metrics()
-                                .counter("server.spawn_failures")
-                                .inc();
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-        })
-        .map_err(|e| ServerError::Spawn(format!("accept loop: {e}")))?;
-    Ok(())
 }
 
 impl Drop for GridFtpServer {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Run a single session over an arbitrary [`Link`] (in-process pipes) —
-/// used by tests and the simulator without touching real sockets.
-pub fn serve_link<R: Rng + Send + 'static>(
-    link: Box<dyn Link>,
-    config: Arc<ServerConfig>,
-    rng: R,
-) -> std::thread::JoinHandle<Result<()>> {
-    std::thread::spawn(move || run_session(link, config, rng))
 }
 
 #[cfg(test)]
@@ -276,6 +186,7 @@ mod tests {
     use ig_pki::time::Clock;
     use ig_pki::TrustStore;
     use ig_protocol::Reply;
+    use ig_xio::{Link, TcpLink};
 
     fn test_config() -> ServerConfig {
         let mut rng = ig_crypto::rng::seeded(500);
@@ -292,17 +203,22 @@ mod tests {
         .with_clock(Clock::Fixed(1000))
     }
 
-    fn roundtrip(link: &mut Box<dyn Link>, cmd: &str) -> Reply {
+    fn roundtrip(link: &mut TcpLink, cmd: &str) -> Reply {
         link.send(cmd.as_bytes()).unwrap();
         Reply::parse(&String::from_utf8(link.recv().unwrap()).unwrap()).unwrap()
     }
 
+    /// A server over loopback and a raw control link to it, banner read.
+    fn connect(config: ServerConfig, seed: u64) -> (Arc<GridFtpServer>, TcpLink, Reply) {
+        let server = GridFtpServer::start(config, seed).unwrap();
+        let mut link = TcpLink::connect(server.addr().to_socket_addr()).unwrap();
+        let banner = Reply::parse(&String::from_utf8(link.recv().unwrap()).unwrap()).unwrap();
+        (server, link, banner)
+    }
+
     #[test]
-    fn banner_feat_noop_quit_over_pipe() {
-        let (a, b) = ig_xio::pipe();
-        let mut client: Box<dyn Link> = Box::new(a);
-        let handle = serve_link(Box::new(b), Arc::new(test_config()), ig_crypto::rng::seeded(1));
-        let banner = Reply::parse(&String::from_utf8(client.recv().unwrap()).unwrap()).unwrap();
+    fn banner_feat_noop_quit() {
+        let (server, mut client, banner) = connect(test_config(), 1);
         assert_eq!(banner.code, 220);
         let feat = roundtrip(&mut client, "FEAT");
         assert_eq!(feat.code, 211);
@@ -317,47 +233,27 @@ mod tests {
         assert_eq!(bad.code, 500);
         let bye = roundtrip(&mut client, "QUIT");
         assert_eq!(bye.code, 221);
-        handle.join().unwrap().unwrap();
+        server.shutdown();
     }
 
     #[test]
     fn legacy_server_rejects_dcsc_in_feat() {
-        let (a, b) = ig_xio::pipe();
-        let mut client: Box<dyn Link> = Box::new(a);
-        let cfg = test_config().legacy();
-        let handle = serve_link(Box::new(b), Arc::new(cfg), ig_crypto::rng::seeded(2));
-        let _banner = client.recv().unwrap();
+        let (server, mut client, _banner) = connect(test_config().legacy(), 2);
         let feat = roundtrip(&mut client, "FEAT");
         assert!(!feat.lines.iter().any(|l| l.contains("DCSC")));
         let bye = roundtrip(&mut client, "QUIT");
-        assert_eq!(bye.code, 221);
-        handle.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn tcp_server_starts_and_stops() {
-        let server = GridFtpServer::start(test_config(), 42).unwrap();
-        let addr = server.addr();
-        let mut link = TcpLink::connect(addr.to_socket_addr()).unwrap();
-        let banner = Reply::parse(&String::from_utf8(link.recv().unwrap()).unwrap()).unwrap();
-        assert_eq!(banner.code, 220);
-        link.send(b"QUIT").unwrap();
-        let bye = Reply::parse(&String::from_utf8(link.recv().unwrap()).unwrap()).unwrap();
         assert_eq!(bye.code, 221);
         server.shutdown();
     }
 
     #[test]
     fn adat_without_auth_rejected() {
-        let (a, b) = ig_xio::pipe();
-        let mut client: Box<dyn Link> = Box::new(a);
-        let handle = serve_link(Box::new(b), Arc::new(test_config()), ig_crypto::rng::seeded(3));
-        let _ = client.recv().unwrap();
+        let (server, mut client, _banner) = connect(test_config(), 3);
         let r = roundtrip(&mut client, "ADAT aGVsbG8=");
         assert_eq!(r.code, 503);
         let r = roundtrip(&mut client, "AUTH KERBEROS");
         assert_eq!(r.code, 504);
         roundtrip(&mut client, "QUIT");
-        handle.join().unwrap().unwrap();
+        server.shutdown();
     }
 }

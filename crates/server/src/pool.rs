@@ -1,104 +1,153 @@
-//! Bounded sharded worker pool for the reactor core.
+//! On-demand worker pool for the reactor.
 //!
 //! The reactor thread must never block on command execution (a single
 //! `STOR` can run for seconds), so it hands complete command frames to
-//! this pool. Two properties matter:
+//! this pool: one shared FIFO and a set of worker threads that grows
+//! with the number of jobs in flight.
 //!
-//! * **Order**: a session always hashes to the same shard and a shard's
-//!   queue is FIFO, so pipelined commands from one session execute in
-//!   arrival order even with many workers per shard. (The reactor
-//!   additionally never dispatches a session that is already busy, so
-//!   within a session there is at most one in-flight job.)
-//! * **Backpressure**: shard queues are bounded. [`ShardedPool::try_submit`]
-//!   hands the job back instead of blocking or growing without bound;
-//!   the reactor parks the frame in the session's pending buffer and
-//!   retries after the next completion drains capacity.
+//! * **No cap, no head-of-line blocking**: a job that finds no parked
+//!   worker gets a fresh thread, so a session holding a worker for a
+//!   whole transfer delays nobody. The reactor dispatches at most one
+//!   job per session, which bounds the threads by the sessions with a
+//!   command in flight (and alone gives per-session command order: the
+//!   pool needs no shards for it).
+//! * **Warm reuse**: a worker that runs out of jobs parks on the queue
+//!   and takes the next one, so a session issuing command after command
+//!   spawns nothing. A worker parked for [`IDLE_RETIRE`] exits.
 
-use crossbeam::channel::{bounded, Sender, TrySendError};
+use std::collections::VecDeque;
 use std::io;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
-/// A sharded, bounded pool of named worker threads executing jobs of
-/// type `J` through a fixed handler.
-pub(crate) struct ShardedPool<J: Send + 'static> {
-    shards: Vec<Sender<J>>,
-    workers: Vec<JoinHandle<()>>,
+/// How long a parked worker waits for a job before it exits.
+const IDLE_RETIRE: Duration = Duration::from_secs(10);
+
+const POISONED: &str = "a pool worker panicked holding the queue lock";
+
+/// A pool of named worker threads executing jobs of type `J` through a
+/// fixed handler.
+pub(crate) struct WorkerPool<J: Send + 'static> {
+    shared: Arc<Shared<J>>,
 }
 
-impl<J: Send + 'static> ShardedPool<J> {
-    /// Spawn `shards * workers_per_shard` threads. `handler` runs every
-    /// job; it must do its own error signalling (typically via a
-    /// completion channel captured in the closure). Thread-spawn
-    /// failure is returned typed — the caller decides whether a
-    /// partially-spawned pool is fatal (it joins what was spawned).
-    pub(crate) fn new<F>(
-        shards: usize,
-        workers_per_shard: usize,
-        queue_depth: usize,
-        handler: F,
-    ) -> io::Result<ShardedPool<J>>
-    where
-        F: Fn(J) + Send + Sync + Clone + 'static,
-    {
-        assert!(shards >= 1 && workers_per_shard >= 1 && queue_depth >= 1);
-        let mut senders = Vec::with_capacity(shards);
-        let mut receivers = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = bounded::<J>(queue_depth);
-            senders.push(tx);
-            receivers.push(rx);
+struct Shared<J> {
+    state: Mutex<State<J>>,
+    /// Signalled once per queued job, and to all on close.
+    work: Condvar,
+    handler: Box<dyn Fn(J) + Send + Sync>,
+}
+
+struct State<J> {
+    queue: VecDeque<J>,
+    /// Workers waiting on `work`.
+    parked: usize,
+    /// Workers that have not exited.
+    live: usize,
+    closed: bool,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl<J> Shared<J> {
+    fn lock(&self) -> MutexGuard<'_, State<J>> {
+        self.state.lock().expect(POISONED)
+    }
+}
+
+impl<J: Send + 'static> WorkerPool<J> {
+    /// An empty pool; threads appear with the first jobs. `handler` runs
+    /// every job; it must do its own error signalling (typically via a
+    /// completion channel captured in the closure).
+    pub(crate) fn new(handler: impl Fn(J) + Send + Sync + 'static) -> WorkerPool<J> {
+        WorkerPool {
+            shared: Arc::new(Shared {
+                state: Mutex::new(State {
+                    queue: VecDeque::new(),
+                    parked: 0,
+                    live: 0,
+                    closed: false,
+                    handles: Vec::new(),
+                }),
+                work: Condvar::new(),
+                handler: Box::new(handler),
+            }),
         }
-        let mut workers = Vec::with_capacity(shards * workers_per_shard);
-        for (shard, rx) in receivers.into_iter().enumerate() {
-            for w in 0..workers_per_shard {
-                let rx = rx.clone();
-                let handler = handler.clone();
-                let spawned = std::thread::Builder::new()
-                    .name(format!("ig-pool-{shard}-{w}"))
-                    .spawn(move || {
-                        // Sender side dropped => recv errs => worker exits.
-                        while let Ok(job) = rx.recv() {
-                            handler(job);
-                        }
-                    });
-                match spawned {
-                    Ok(h) => workers.push(h),
-                    Err(e) => {
-                        // Join whatever made it up before reporting.
-                        drop(senders);
-                        for h in workers {
-                            let _ = h.join();
-                        }
-                        return Err(e);
+    }
+
+    /// Queue `job`. Every queued job is matched by a parked worker or by
+    /// a thread spawned here. An `Err` is the OS refusing that thread:
+    /// the job then still waits its turn behind the running ones
+    /// (`None`), unless no worker is left to ever reach it, in which
+    /// case it comes back (`Some`).
+    pub(crate) fn submit(&self, job: J) -> Result<(), (Option<J>, io::Error)> {
+        let mut st = self.shared.lock();
+        let mut refused = None;
+        if st.parked <= st.queue.len() {
+            let shared = Arc::clone(&self.shared);
+            let spawned = std::thread::Builder::new()
+                .name("ig-pool".into())
+                .spawn(move || work(&shared));
+            match spawned {
+                Ok(handle) => {
+                    st.live += 1;
+                    // Retired workers' handles go once they outnumber
+                    // the live ones, so a burst of spawns scans once.
+                    if st.handles.len() >= 2 * st.live {
+                        st.handles.retain(|h| !h.is_finished());
                     }
+                    st.handles.push(handle);
                 }
+                Err(e) if st.live == 0 => return Err((Some(job), e)),
+                Err(e) => refused = Some(e),
             }
         }
-        Ok(ShardedPool { shards: senders, workers })
+        st.queue.push_back(job);
+        drop(st);
+        self.shared.work.notify_one();
+        refused.map_or(Ok(()), |e| Err((None, e)))
     }
 
-    /// Submit `job` to the shard owning `key`. On a full (or torn-down)
-    /// shard the job comes back to the caller untouched.
-    pub(crate) fn try_submit(&self, key: u64, job: J) -> Result<(), J> {
-        let shard = (key % self.shards.len() as u64) as usize;
-        match self.shards[shard].try_send(job) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(j)) | Err(TrySendError::Disconnected(j)) => Err(j),
-        }
-    }
-
-    /// Jobs currently queued (not yet picked up) across all shards —
-    /// exported as the `server.dispatch_queue_depth` gauge.
-    pub(crate) fn depth(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+    /// Worker threads that have not exited.
+    #[cfg(test)]
+    fn live(&self) -> usize {
+        self.shared.lock().live
     }
 }
 
-impl<J: Send + 'static> Drop for ShardedPool<J> {
+fn work<J>(shared: &Shared<J>) {
+    let mut st = shared.lock();
+    loop {
+        if let Some(job) = st.queue.pop_front() {
+            drop(st);
+            (shared.handler)(job);
+            st = shared.lock();
+            continue;
+        }
+        if st.closed {
+            break;
+        }
+        st.parked += 1;
+        let (guard, wait) = shared.work.wait_timeout(st, IDLE_RETIRE).expect(POISONED);
+        st = guard;
+        st.parked -= 1;
+        if wait.timed_out() && st.queue.is_empty() {
+            break;
+        }
+    }
+    st.live -= 1;
+}
+
+impl<J: Send + 'static> Drop for WorkerPool<J> {
     fn drop(&mut self) {
-        // Closing the channels lets workers drain their queues and exit.
-        self.shards.clear();
-        for h in self.workers.drain(..) {
+        // Workers drain the queue before they look at `closed`.
+        let handles = {
+            let mut st = self.shared.lock();
+            st.closed = true;
+            std::mem::take(&mut st.handles)
+        };
+        self.shared.work.notify_all();
+        for h in handles {
             let _ = h.join();
         }
     }
@@ -108,87 +157,57 @@ impl<J: Send + 'static> Drop for ShardedPool<J> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::mpsc;
+    use std::sync::Barrier;
 
     #[test]
     fn executes_everything_and_joins_on_drop() {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let h2 = Arc::clone(&hits);
-        let pool: ShardedPool<usize> =
-            ShardedPool::new(2, 2, 8, move |n| {
-                h2.fetch_add(n, Ordering::SeqCst);
-            })
-            .unwrap();
-        let mut submitted = 0usize;
-        for i in 0..100u64 {
-            let mut job = 1usize;
-            loop {
-                match pool.try_submit(i, job) {
-                    Ok(()) => break,
-                    Err(j) => {
-                        job = j;
-                        std::thread::yield_now();
-                    }
-                }
-            }
-            submitted += 1;
+        let sum = Arc::new(AtomicUsize::new(0));
+        let s2 = Arc::clone(&sum);
+        let pool: WorkerPool<usize> = WorkerPool::new(move |n| {
+            s2.fetch_add(n, Ordering::SeqCst);
+        });
+        for n in 1..=100 {
+            pool.submit(n).unwrap();
         }
-        drop(pool); // joins: all accepted jobs ran
-        assert_eq!(hits.load(Ordering::SeqCst), submitted);
+        drop(pool); // joins: every accepted job ran
+        assert_eq!(sum.load(Ordering::SeqCst), 5050);
     }
 
     #[test]
-    fn same_key_lands_on_one_shard_in_order() {
-        // One worker per shard: per-shard FIFO means per-key FIFO.
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let s2 = Arc::clone(&seen);
-        let pool: ShardedPool<u32> = ShardedPool::new(4, 1, 64, move |n| {
-            s2.lock().unwrap().push(n);
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        })
-        .unwrap();
-        for n in 0..20u32 {
-            let mut job = n;
-            loop {
-                match pool.try_submit(7, job) {
-                    Ok(()) => break,
-                    Err(j) => {
-                        job = j;
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                }
-            }
+    fn jobs_that_block_each_get_a_worker() {
+        // Every job waits for all the others: a pool with any cap below
+        // N never gets past the barrier.
+        const N: usize = 24;
+        let barrier = Arc::new(Barrier::new(N + 1));
+        let b2 = Arc::clone(&barrier);
+        let pool: WorkerPool<()> = WorkerPool::new(move |()| {
+            b2.wait();
+        });
+        for _ in 0..N {
+            pool.submit(()).unwrap();
         }
-        drop(pool);
-        let seen = seen.lock().unwrap();
-        assert_eq!(*seen, (0..20).collect::<Vec<_>>(), "per-key order must hold");
+        barrier.wait();
+        assert_eq!(pool.live(), N);
     }
 
     #[test]
-    fn backpressure_hands_job_back() {
-        // Worker parks on a gate so the queue (depth 1) fills up.
-        let (gate_tx, gate_rx) = crossbeam::channel::bounded::<()>(0);
-        let pool: ShardedPool<u32> = ShardedPool::new(1, 1, 1, move |_| {
-            let _ = gate_rx.recv();
-        })
-        .unwrap();
-        // First job occupies the worker, second fills the queue; the
-        // third must bounce.
-        pool.try_submit(0, 1).unwrap();
-        let mut bounced = false;
-        for _ in 0..200 {
-            match pool.try_submit(0, 2) {
-                Ok(()) => {}
-                Err(j) => {
-                    assert_eq!(j, 2);
-                    bounced = true;
-                    break;
-                }
-            }
+    fn a_parked_worker_takes_the_next_job() {
+        let (done_tx, done_rx) = mpsc::channel();
+        let pool: WorkerPool<u32> = WorkerPool::new(move |n| done_tx.send(n).unwrap());
+        pool.submit(1).unwrap();
+        assert_eq!(done_rx.recv().unwrap(), 1);
+        // The worker reports before it parks: wait until it has.
+        while pool.shared.lock().parked == 0 {
+            std::thread::yield_now();
         }
-        assert!(bounced, "bounded queue must eventually refuse");
-        assert!(pool.depth() >= 1);
-        drop(gate_tx); // release workers
-        drop(pool);
+        for n in 2..50 {
+            pool.submit(n).unwrap();
+            assert_eq!(done_rx.recv().unwrap(), n);
+            while pool.shared.lock().parked == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(pool.live(), 1, "a warm pool must not spawn");
+        }
     }
 }

@@ -1,16 +1,16 @@
-//! The event-driven server core: one epoll reactor thread multiplexing
-//! every control session, plus a bounded sharded worker pool
-//! ([`crate::pool`]) executing commands off the event loop.
+//! The server core: one epoll reactor thread multiplexing every control
+//! session, plus an on-demand worker pool ([`crate::pool`]) executing
+//! commands off the event loop.
 //!
 //! ## Why
 //!
-//! The threaded core parks one OS thread (stack, kernel bookkeeping,
-//! scheduler load) per control session even when the session is idle —
-//! and GridFTP control sessions are *mostly* idle: a client holds the
+//! GridFTP control sessions are *mostly* idle: a client holds the
 //! channel open across transfers, and hosted frontends hold thousands
-//! of them. The reactor holds an idle session as one registered fd plus
-//! a few hundred bytes of state, so a single thread carries a C10K+
-//! population.
+//! of them. A thread per session parks one OS thread (stack, kernel
+//! bookkeeping, scheduler load) on each; the reactor holds an idle
+//! session as one registered fd plus a few hundred bytes of state, so a
+//! single thread carries a C10K+ population, and only a session with a
+//! command in flight occupies a worker thread.
 //!
 //! ## Ownership discipline (the part that keeps this safe)
 //!
@@ -33,35 +33,31 @@
 //!
 //! Commands of one session run strictly in arrival order: the reactor
 //! dispatches at most one frame per session at a time and parks the
-//! rest in a per-session queue, so pipelined clients see the same reply
-//! order as on the threaded core (the differential tests hold both
-//! cores to byte-equal transcripts).
+//! rest in a per-session queue, so a pipelining client reads its replies
+//! in the order it wrote the commands (`tests/core_differential.rs`).
 //!
 //! ## Determinism
 //!
-//! Session RNG seeds are assigned in *accept order* from the same
-//! counter the threaded core uses, and the reactor emits no stable
-//! trace events of its own (metrics and unstable events only), so a
-//! seeded chaos run replays byte-identically on either core.
-
-#![cfg(target_os = "linux")]
+//! Session RNG seeds are assigned in *accept order* from one counter,
+//! and the reactor emits no stable trace events of its own (metrics and
+//! unstable events only), so a seeded chaos run replays byte-identically.
 
 use crate::config::ServerConfig;
 use crate::error::{Result, ServerError};
-use crate::pool::ShardedPool;
+use crate::pool::WorkerPool;
 use crate::session::{LoopControl, Session};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use ig_protocol::Reply;
-use ig_xio::link::MAX_FRAME;
+use ig_xio::link::write_frame;
 use ig_xio::{wait_writable, DeadlineWheel, Epoll, Interest, Link, NbFramed, WakeFd};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{self, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{self, IoSlice};
 use std::mem::ManuallyDrop;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -104,40 +100,18 @@ impl WriterLink {
     unsafe fn from_raw(fd: RawFd, stall: Duration) -> WriterLink {
         WriterLink { stream: ManuallyDrop::new(TcpStream::from_raw_fd(fd)), stall }
     }
-
-    fn write_all_waiting(&mut self, mut buf: &[u8]) -> io::Result<()> {
-        while !buf.is_empty() {
-            match (&*self.stream).write(buf) {
-                Ok(0) => {
-                    return Err(io::Error::new(io::ErrorKind::WriteZero, "socket wrote 0"))
-                }
-                Ok(n) => buf = &buf[n..],
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if !wait_writable(self.stream.as_raw_fd(), self.stall)? {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "control send stalled",
-                        ));
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
 }
 
 impl Link for WriterLink {
     fn send(&mut self, data: &[u8]) -> io::Result<()> {
-        if data.len() > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("frame of {} bytes exceeds maximum", data.len()),
-            ));
-        }
-        self.write_all_waiting(&(data.len() as u32).to_be_bytes())?;
-        self.write_all_waiting(data)
+        let (fd, stall) = (self.stream.as_raw_fd(), self.stall);
+        write_frame(&self.stream, &[IoSlice::new(data)], || {
+            if wait_writable(fd, stall)? {
+                Ok(())
+            } else {
+                Err(io::Error::new(io::ErrorKind::TimedOut, "control send stalled"))
+            }
+        })
     }
 
     fn recv(&mut self) -> io::Result<Vec<u8>> {
@@ -195,52 +169,38 @@ struct Entry {
 // The reactor
 // ---------------------------------------------------------------------------
 
-/// Handle the listener thread hands back to [`crate::GridFtpServer`].
-pub(crate) struct ReactorHandle {
-    pub(crate) wake: Arc<WakeFd>,
-}
-
-/// Spawn the reactor thread. Returns typed spawn errors (satellite of
-/// the same failure-handling pass as `dtp.rs`).
+/// Spawn the reactor thread; the returned fd wakes it (after `stop` is
+/// set, to shut it down). Thread-spawn failure is a typed error.
 pub(crate) fn spawn(
     listener: TcpListener,
     config: Arc<ServerConfig>,
-    seed: Arc<AtomicU64>,
+    seed: u64,
     stop: Arc<AtomicBool>,
     draining: Arc<AtomicBool>,
-) -> Result<ReactorHandle> {
+) -> Result<Arc<WakeFd>> {
     let epoll = Epoll::new()?;
     let wake = Arc::new(WakeFd::new()?);
     listener.set_nonblocking(true)?;
     epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
     epoll.add(wake.raw_fd(), TOKEN_WAKE, Interest::READ)?;
 
-    let (done_tx, done_rx) = unbounded::<Done>();
+    let (done_tx, done_rx) = channel::<Done>();
     let pool = {
         let wake = Arc::clone(&wake);
-        let done_tx: Sender<Done> = done_tx;
-        ShardedPool::new(
-            config.worker_shards,
-            config.workers_per_shard,
-            config.dispatch_queue,
-            move |mut job: Job| {
-                let result = job.machine.process_message(&mut job.link, job.frame);
-                let _ = done_tx.send(Done {
-                    token: job.token,
-                    machine: job.machine,
-                    link: job.link,
-                    result,
-                });
-                wake.wake();
-            },
-        )
-        .map_err(|e| ServerError::Spawn(format!("reactor pool: {e}")))?
+        WorkerPool::new(move |mut job: Job| {
+            let result = job.machine.process_message(&mut job.link, job.frame);
+            let _ = done_tx.send(Done {
+                token: job.token,
+                machine: job.machine,
+                link: job.link,
+                result,
+            });
+            wake.wake();
+        })
     };
 
     let sessions_held = config.obs.metrics().gauge("server.sessions_held");
-    let queue_depth = config.obs.metrics().gauge("server.dispatch_queue_depth");
     let wakeups = config.obs.metrics().counter("server.reactor_wakeups");
-    let pool_rejects = config.obs.metrics().counter("server.pool_rejects");
     let spawn_failures = config.obs.metrics().counter("server.spawn_failures");
     let reactor = Reactor {
         pool,
@@ -253,12 +213,9 @@ pub(crate) fn spawn(
         draining,
         wheel: DeadlineWheel::new(WHEEL_TICK, WHEEL_SLOTS),
         done_rx,
-        deferred: HashSet::new(),
         next_token: FIRST_SESSION_TOKEN,
         sessions_held,
-        queue_depth,
         wakeups,
-        pool_rejects,
         spawn_failures,
         config,
     };
@@ -266,30 +223,27 @@ pub(crate) fn spawn(
         .name("ig-reactor".into())
         .spawn(move || reactor.run())
         .map_err(|e| ServerError::Spawn(format!("reactor thread: {e}")))?;
-    Ok(ReactorHandle { wake })
+    Ok(wake)
 }
 
 struct Reactor {
     // Field order is load-bearing: `pool` drops (and joins its workers,
     // which hold raw fds into `entries`' sockets) before `entries`.
-    pool: ShardedPool<Job>,
+    pool: WorkerPool<Job>,
     entries: HashMap<u64, Entry>,
     epoll: Epoll,
     wake: Arc<WakeFd>,
     listener: TcpListener,
-    seed: Arc<AtomicU64>,
+    /// Next session's RNG seed: one per accepted connection.
+    seed: u64,
     stop: Arc<AtomicBool>,
     /// Drain in progress: shed new connections, keep serving old ones.
     draining: Arc<AtomicBool>,
     wheel: DeadlineWheel,
     done_rx: Receiver<Done>,
-    /// Sessions with parked frames that bounced off a full shard.
-    deferred: HashSet<u64>,
     next_token: u64,
     sessions_held: Arc<ig_obs::Gauge>,
-    queue_depth: Arc<ig_obs::Gauge>,
     wakeups: Arc<ig_obs::Counter>,
-    pool_rejects: Arc<ig_obs::Counter>,
     spawn_failures: Arc<ig_obs::Counter>,
     config: Arc<ServerConfig>,
 }
@@ -315,22 +269,21 @@ impl Reactor {
                 }
             }
             self.drain_done();
-            self.retry_deferred();
             let mut expired = Vec::new();
             self.wheel.expire(Instant::now(), &mut expired);
             for token in expired {
                 self.idle_expired(token);
             }
             self.sessions_held.set(self.entries.len() as f64);
-            self.queue_depth.set(self.pool.depth() as f64);
         }
         self.shutdown_drain();
         // Move-destructure to force drop order explicitly even if the
         // struct layout changes: workers join before sockets close.
-        let Reactor { pool, entries, sessions_held, .. } = self;
+        let Reactor { pool, entries, sessions_held, config, .. } = self;
         drop(pool);
         drop(entries);
         sessions_held.set(0.0);
+        config.obs.dump_if_env();
     }
 
     // -- accept ------------------------------------------------------------
@@ -343,8 +296,9 @@ impl Reactor {
                         return;
                     }
                     if self.draining.load(Ordering::SeqCst) {
-                        // Draining: the socket drop is the refusal, the
-                        // same shedding the threaded core does.
+                        // Draining: shed new connections (the socket
+                        // drop is the refusal) while in-flight transfers
+                        // quiesce.
                         drop(stream);
                         continue;
                     }
@@ -365,11 +319,10 @@ impl Reactor {
         let token = self.next_token;
         self.next_token += 1;
         let conn = NbFramed::new(stream)?;
-        // Accept-order seeding — the exact counter discipline of the
-        // threaded core, so seeded runs replay identically.
-        let session_seed = self.seed.fetch_add(1, Ordering::SeqCst);
+        // Accept-order seeding, so seeded runs replay identically.
         let mut machine =
-            Session::new(Arc::clone(&self.config), StdRng::seed_from_u64(session_seed));
+            Session::new(Arc::clone(&self.config), StdRng::seed_from_u64(self.seed));
+        self.seed = self.seed.wrapping_add(1);
         let mut wlink: Box<dyn Link> = Box::new(unsafe {
             WriterLink::from_raw(conn.stream().as_raw_fd(), self.config.live().stall_timeout)
         });
@@ -454,30 +407,20 @@ impl Reactor {
         };
         let machine = entry.machine.take().expect("idle entry holds machine");
         let link = entry.wlink.take().expect("idle entry holds link");
-        match self.pool.try_submit(token, Job { token, machine, link, frame }) {
-            Ok(()) => {
-                entry.busy = true;
-                self.wheel.cancel(token);
-                self.deferred.remove(&token);
-            }
-            Err(job) => {
-                // Backpressure: park the frame back at the front so
-                // arrival order survives, retry after the next drain.
+        entry.busy = true;
+        self.wheel.cancel(token);
+        if let Err((returned, _)) = self.pool.submit(Job { token, machine, link, frame }) {
+            // The OS refused a worker thread. A queued job runs when a
+            // worker frees up; one the pool could not keep comes back,
+            // and the session is told to go away rather than left to
+            // wait on a frame nobody will run.
+            self.spawn_failures.inc();
+            if let Some(job) = returned {
+                entry.busy = false;
                 entry.machine = Some(job.machine);
                 entry.wlink = Some(job.link);
-                entry.pending.push_front(job.frame);
-                self.pool_rejects.inc();
-                self.deferred.insert(token);
+                self.close_with_421(token, "Service not available: out of threads; closing.");
             }
-        }
-    }
-
-    fn retry_deferred(&mut self) {
-        if self.deferred.is_empty() {
-            return;
-        }
-        for token in std::mem::take(&mut self.deferred) {
-            self.try_dispatch(token);
         }
     }
 
@@ -514,9 +457,13 @@ impl Reactor {
         if entry.busy {
             return; // raced with a dispatch; the rearm happens on done
         }
-        // Same reply text as the threaded core's idle path.
-        let reply = Reply::new(421, "Control connection idle too long; closing.").to_wire();
-        entry.conn.queue_frame(reply.as_bytes());
+        self.close_with_421(token, "Control connection idle too long; closing.");
+    }
+
+    /// Stage a final 421 on an idle session and close it once flushed.
+    fn close_with_421(&mut self, token: u64, text: &str) {
+        let Some(entry) = self.entries.get_mut(&token) else { return };
+        entry.conn.queue_frame(Reply::new(421, text).to_wire().as_bytes());
         entry.closing = true;
         match entry.conn.flush() {
             Ok(true) => self.close_session(token),
@@ -550,7 +497,6 @@ impl Reactor {
                     // machine is home) decrements `sessions_active`.
                 }
                 self.wheel.cancel(token);
-                self.deferred.remove(&token);
             }
             Some(true) => {
                 // A worker holds the fd: defer to job completion.

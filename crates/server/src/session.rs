@@ -59,8 +59,8 @@ pub struct Session<R: Rng> {
     prot: ProtectionLevel,
     dcau: DcauMode,
     restart: Option<ByteRanges>,
-    /// Declared command-pipelining window (`PIPE <n>`). Both cores
-    /// already answer queued commands strictly in order, so the window
+    /// Declared command-pipelining window (`PIPE <n>`). The reactor
+    /// already answers queued commands strictly in order, so the window
     /// is declarative — stored for introspection, echoed in the reply.
     pipe_window: u32,
     listeners: Vec<AnyDataListener>,
@@ -79,8 +79,7 @@ pub struct Session<R: Rng> {
     /// Handle into the shared [`crate::introspect::SessionIndex`] the
     /// admin `sessions` command snapshots; deregisters on drop.
     ticket: crate::introspect::SessionTicket,
-    /// Live-session gauge: +1 in `new`, -1 when this guard drops — one
-    /// accounting shared by the threaded and reactor cores. Declared
+    /// Live-session gauge: +1 in `new`, -1 when this guard drops. Declared
     /// after `span` on purpose: fields drop in declaration order, so
     /// the span's `span.end` is already in the trace by the time the
     /// gauge reads zero (tests poll the gauge, then export).
@@ -123,60 +122,8 @@ fn send_reply(
         .map_err(|e| ServerError::Data(format!("control send: {e}")))
 }
 
-/// Run one session to completion over `link`.
-pub fn run_session<R: Rng>(
-    link: Box<dyn Link>,
-    config: Arc<ServerConfig>,
-    rng: R,
-) -> Result<()> {
-    let obs = Arc::clone(&config.obs);
-    let out = run_session_inner(link, config, rng);
-    obs.dump_if_env();
-    out
-}
-
-fn run_session_inner<R: Rng>(
-    mut link: Box<dyn Link>,
-    config: Arc<ServerConfig>,
-    rng: R,
-) -> Result<()> {
-    let mut session = Session::new(config, rng);
-    if let Some(idle) = session.config.live().control_idle_timeout {
-        let _ = link.set_recv_timeout(Some(idle));
-    }
-    session.greet(&mut link)?;
-    loop {
-        let msg = match link.recv() {
-            Ok(m) => m,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                // Idle deadline expired: tell the client (best effort)
-                // and surface a *typed* timeout instead of parking the
-                // session thread forever on a partitioned peer.
-                let _ = send_reply(
-                    &mut session.ctx,
-                    &mut link,
-                    false,
-                    &Reply::new(421, "Control connection idle too long; closing."),
-                );
-                return Err(ServerError::Timeout(format!("control channel idle: {e}")));
-            }
-            Err(_) => return Ok(()), // client went away
-        };
-        match session.process_message(&mut link, msg)? {
-            LoopControl::Continue => {}
-            LoopControl::Quit => return Ok(()),
-        }
-    }
-}
-
 impl<R: Rng> Session<R> {
-    /// Fresh pre-auth session state. Both server cores build sessions
-    /// here so the protocol machine is identical by construction.
+    /// Fresh pre-auth session state.
     pub(crate) fn new(config: Arc<ServerConfig>, rng: R) -> Session<R> {
         let span = config.obs.span("session", vec![kv("endpoint", config.name.as_str())]);
         let cmd_rtt = config.obs.metrics().histogram("server.cmd_rtt_ns");
@@ -221,8 +168,7 @@ impl<R: Rng> Session<R> {
 
     /// One resumable step of the protocol machine: decode a complete
     /// inbound message, dispatch it, and write the reply to `link`.
-    /// The threaded core calls this from its blocking recv loop; the
-    /// reactor core calls it from a pool worker with a frame the event
+    /// The reactor calls it from a pool worker with a frame the event
     /// loop buffered. An `Err` is session-fatal and has already sent
     /// the 421 (best effort).
     pub(crate) fn process_message(
@@ -894,7 +840,6 @@ impl<R: Rng> Session<R> {
                 // never drift apart.
                 let stats = crate::usage::stats_json(
                     self.config.obs.component(),
-                    self.config.core.label(),
                     &self.config.usage,
                     self.config.obs.metrics(),
                 );

@@ -10,9 +10,8 @@
 //! configuration live, byte-for-byte ([`ReloadError`] says exactly why).
 //!
 //! What is *not* here is as deliberate as what is: structural fields
-//! (`core`, `stripes`, worker-pool shape, bind addresses, credentials)
-//! are wired into threads and sockets at start and cannot be swapped
-//! under a live server. Asking for them yields a typed
+//! (`stripes`, bind addresses, credentials) are wired into threads and
+//! sockets at start and cannot be swapped under a live server. Asking for them yields a typed
 //! [`ReloadError::NotReloadable`], not a silent ignore — the reloadable
 //! set is the API contract documented in DESIGN.md §15.
 
@@ -138,11 +137,7 @@ impl std::error::Error for ReloadError {}
 /// `UnknownField` a typo gets.
 pub const NOT_RELOADABLE: &[&str] = &[
     "name",
-    "core",
     "stripes",
-    "worker_shards",
-    "workers_per_shard",
-    "dispatch_queue",
     "data_ip",
     "key_bits",
     "banner",
@@ -324,8 +319,8 @@ mod tests {
     fn rejections_are_typed() {
         let slot = TunableSlot::new();
         let err =
-            slot.reload(base, &[("core".into(), TunableValue::U64(1))]).unwrap_err();
-        assert_eq!(err, ReloadError::NotReloadable { field: "core".into() });
+            slot.reload(base, &[("stripes".into(), TunableValue::U64(1))]).unwrap_err();
+        assert_eq!(err, ReloadError::NotReloadable { field: "stripes".into() });
         let err =
             slot.reload(base, &[("blocksize".into(), TunableValue::U64(1))]).unwrap_err();
         assert_eq!(err, ReloadError::UnknownField { field: "blocksize".into() });

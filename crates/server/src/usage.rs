@@ -55,7 +55,6 @@ const ALWAYS_PRESENT_COUNTERS: &[&str] = &[
 /// (modulo counter values that move between the two reads).
 pub fn stats_json(
     component: &str,
-    core_label: &str,
     usage: &UsageReporter,
     metrics: &ig_obs::Registry,
 ) -> String {
@@ -63,9 +62,8 @@ pub fn stats_json(
         metrics.counter(name);
     }
     format!(
-        "{{\"component\":\"{}\",\"core\":\"{}\",\"usage\":{{\"transfers\":{},\"bytes\":{}}},\"metrics\":{}}}",
+        "{{\"component\":\"{}\",\"usage\":{{\"transfers\":{},\"bytes\":{}}},\"metrics\":{}}}",
         component,
-        core_label,
         usage.total_transfers(),
         usage.total_bytes(),
         metrics.snapshot_json()

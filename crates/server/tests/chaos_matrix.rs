@@ -26,7 +26,7 @@ use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, Trust
 use ig_protocol::command::DcauMode;
 use ig_protocol::{ByteRanges, HostPort};
 use ig_server::dsi::{read_all, walk};
-use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, ServerCore, UserContext};
+use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, UserContext};
 use ig_xio::{
     splitmix64, ChaosConfig, ChaosHook, Direction, FaultKind, FaultSpec, Link, TcpLink, Trigger,
 };
@@ -127,7 +127,6 @@ fn server_cfg(
     trust: TrustStore,
     dsi: Arc<MemDsi>,
     data_chaos: Option<Arc<ChaosHook>>,
-    core: ServerCore,
 ) -> ServerConfig {
     let mut gridmap = Gridmap::new();
     gridmap.add(&dn("/O=Grid/CN=Alice Smith"), "alice");
@@ -140,15 +139,14 @@ fn server_cfg(
     )
     .with_clock(Clock::Fixed(NOW))
     .with_stall_timeout(STALL)
-    .with_control_idle_timeout(Duration::from_secs(5))
-    .with_core(core);
+    .with_control_idle_timeout(Duration::from_secs(5));
     if let Some(hook) = data_chaos {
         cfg = cfg.with_data_chaos(hook);
     }
     cfg
 }
 
-fn world(seed: u64, core: ServerCore) -> World {
+fn world(seed: u64) -> World {
     let mut rng = ig_crypto::rng::seeded(seed);
     let mut ca =
         CertificateAuthority::create(&mut rng, dn("/O=Chaos CA"), 512, 0, NOW * 10).unwrap();
@@ -171,7 +169,6 @@ fn world(seed: u64, core: ServerCore) -> World {
         trust.clone(),
         Arc::clone(&dsi),
         None,
-        core,
     );
     let server = GridFtpServer::start(cfg, seed * 100).unwrap();
     let cfg = client_cfg(Credential::new(vec![user_cert], user_keys.private).unwrap(), trust, seed);
@@ -188,7 +185,7 @@ struct TpWorld {
     dst_dsi: Arc<MemDsi>,
 }
 
-fn tp_world(seed: u64, src_chaos: Option<Arc<ChaosHook>>, core: ServerCore) -> TpWorld {
+fn tp_world(seed: u64, src_chaos: Option<Arc<ChaosHook>>) -> TpWorld {
     let mut rng = ig_crypto::rng::seeded(seed);
     let mut ca = CertificateAuthority::create(&mut rng, dn("/O=TP CA"), 512, 0, NOW * 10).unwrap();
     let mut host = |rng: &mut _, name: &str| {
@@ -211,12 +208,12 @@ fn tp_world(seed: u64, src_chaos: Option<Arc<ChaosHook>>, core: ServerCore) -> T
     src_dsi.put("/home/alice/src.bin", &payload());
     let dst_dsi = Arc::new(MemDsi::new());
     let src = GridFtpServer::start(
-        server_cfg("src.example.org", src_cred, trust.clone(), src_dsi, src_chaos, core),
+        server_cfg("src.example.org", src_cred, trust.clone(), src_dsi, src_chaos),
         seed * 100,
     )
     .unwrap();
     let dst = GridFtpServer::start(
-        server_cfg("dst.example.org", dst_cred, trust.clone(), Arc::clone(&dst_dsi), None, core),
+        server_cfg("dst.example.org", dst_cred, trust.clone(), Arc::clone(&dst_dsi), None),
         seed * 100 + 50,
     )
     .unwrap();
@@ -399,7 +396,7 @@ fn run_tp_cell(w: &TpWorld, chan: Chan, kind_name: &str, hook: &Arc<ChaosHook>, 
 /// function of `seed`. Also returns (fault fires, `chaos.fault` trace
 /// events) summed over every hook: the two must agree — a fired fault
 /// with no trace event is an observability hole.
-fn run_matrix(seed: u64, core: ServerCore) -> (Vec<String>, u64, u64) {
+fn run_matrix(seed: u64) -> (Vec<String>, u64, u64) {
     let mut records = Vec::new();
     let mut cell = 0usize;
     let cell_seed = |cell: usize| splitmix64(seed ^ (cell as u64).wrapping_mul(0x9E37_79B9));
@@ -407,7 +404,7 @@ fn run_matrix(seed: u64, core: ServerCore) -> (Vec<String>, u64, u64) {
     let mut hooks: Vec<Arc<ChaosHook>> = Vec::new();
 
     // PUT/GET: one clean server, faults injected client-side.
-    let w = world(seed, core);
+    let w = world(seed);
     for (name, kind) in kinds() {
         for chan in [Chan::Control, Chan::Data] {
             for op in [Op::Put, Op::Get] {
@@ -429,7 +426,7 @@ fn run_matrix(seed: u64, core: ServerCore) -> (Vec<String>, u64, u64) {
 
     // 3PT control: one clean pair, faults on the mediator's destination
     // control link.
-    let tw = tp_world(seed.wrapping_add(1), None, core);
+    let tw = tp_world(seed.wrapping_add(1), None);
     for (name, kind) in kinds() {
         let spec = FaultSpec::send(kind, Trigger::Probability(1.0));
         let hook = ChaosHook::disarmed(ChaosConfig::single(cell_seed(cell), spec));
@@ -446,28 +443,13 @@ fn run_matrix(seed: u64, core: ServerCore) -> (Vec<String>, u64, u64) {
         let hook = ChaosHook::disarmed(ChaosConfig::single(cell_seed(cell), spec));
         hook.set_obs(&obs);
         hooks.push(Arc::clone(&hook));
-        let tw = tp_world(seed.wrapping_add(10 + i as u64), Some(Arc::clone(&hook)), core);
+        let tw = tp_world(seed.wrapping_add(10 + i as u64), Some(Arc::clone(&hook)));
         records.push(run_tp_cell(&tw, Chan::Data, name, &hook, cell));
         cell += 1;
     }
     let fired: u64 = hooks.iter().map(|h| h.total_fires()).sum();
     let traced = obs.count_events("chaos.fault") as u64;
     (records, fired, traced)
-}
-
-#[test]
-fn matrix_survives_all_faults_and_replays_byte_identical() {
-    run_matrix_scenario(ServerCore::Threaded);
-}
-
-/// The identical 48-cell sweep with every server on the epoll reactor
-/// core. Recovery behaviour and determinism (per-core byte-identical
-/// replay under one seed) must hold there too — sessions are seeded in
-/// accept order on both cores, so the chaos schedule is unchanged.
-#[cfg(target_os = "linux")]
-#[test]
-fn matrix_survives_and_replays_on_reactor_core() {
-    run_matrix_scenario(ServerCore::Reactor);
 }
 
 // ---------------------------------------------------------------------
@@ -587,10 +569,10 @@ fn run_dir_cell(
 
 /// 8 fault kinds × {PUT, GET} directory streams, all data-plane faults
 /// landing mid-stream, as a pure function of `seed`.
-fn run_dir_matrix(seed: u64, core: ServerCore) -> (Vec<String>, u64, u64) {
+fn run_dir_matrix(seed: u64) -> (Vec<String>, u64, u64) {
     let obs = ig_obs::Obs::new("chaos-dir-matrix");
     let mut hooks: Vec<Arc<ChaosHook>> = Vec::new();
-    let w = world(seed.wrapping_add(0xD1B), core);
+    let w = world(seed.wrapping_add(0xD1B));
     plant_tree(&w.dsi, "/home/alice/dtree");
     let local = Arc::new(MemDsi::new());
     plant_tree(&local, "/tree");
@@ -623,19 +605,10 @@ fn run_dir_matrix(seed: u64, core: ServerCore) -> (Vec<String>, u64, u64) {
 
 #[test]
 fn dir_matrix_resumes_file_granular_on_all_faults() {
-    run_dir_scenario(ServerCore::Threaded);
-}
-
-/// Same 16-cell dir sweep on the epoll reactor core.
-#[cfg(target_os = "linux")]
-#[test]
-fn dir_matrix_resumes_on_reactor_core() {
-    run_dir_scenario(ServerCore::Reactor);
-}
-
-fn run_dir_scenario(core: ServerCore) {
     let seed = chaos_seed();
-    let (first, fired, traced) = run_dir_matrix(seed, core);
+    let (first, fired, traced) = run_dir_matrix(seed);
+    // The cell table (`--nocapture`): equal seeds must print equal tables.
+    println!("\n{}", first.join("\n"));
     assert_eq!(first.len(), 16, "8 kinds x {{PUT,GET}} directory streams");
     for r in &first {
         assert!(
@@ -647,14 +620,17 @@ fn run_dir_scenario(core: ServerCore) {
     }
     assert!(fired > 0, "dir matrix fired no faults at all");
     assert_eq!(fired, traced, "every fired fault must emit a chaos.fault trace event");
-    let (second, fired2, traced2) = run_dir_matrix(seed, core);
+    let (second, fired2, traced2) = run_dir_matrix(seed);
     assert_eq!(first, second, "dir chaos schedule must replay byte-identically under one seed");
     assert_eq!((fired, traced), (fired2, traced2), "fault/trace totals must replay");
 }
 
-fn run_matrix_scenario(core: ServerCore) {
+#[test]
+fn matrix_survives_all_faults_and_replays_byte_identical() {
     let seed = chaos_seed();
-    let (first, fired, traced) = run_matrix(seed, core);
+    let (first, fired, traced) = run_matrix(seed);
+    // The cell table (`--nocapture`): equal seeds must print equal tables.
+    println!("\n{}", first.join("\n"));
     assert_eq!(first.len(), 48, "8 kinds x 2 channels x 3 operations");
     for r in &first {
         assert!(
@@ -673,7 +649,7 @@ fn run_matrix_scenario(core: ServerCore) {
     assert_eq!(fired, traced, "every fired fault must emit a chaos.fault trace event");
     // Exact replay: the matrix is a pure function of the seed — attempt
     // counts, first-error classes and fire counts must all reproduce.
-    let (second, fired2, traced2) = run_matrix(seed, core);
+    let (second, fired2, traced2) = run_matrix(seed);
     assert_eq!(first, second, "chaos schedule must replay byte-identically under one seed");
     assert_eq!((fired, traced), (fired2, traced2), "fault/trace totals must replay");
 }

@@ -1,23 +1,21 @@
-//! Differential testing of the two concurrency cores.
+//! Differential testing of the server core against what a blocking
+//! thread-per-session server answers.
 //!
-//! The epoll reactor must be observationally identical to the blocking
-//! thread-per-session core: same replies, same ordering, same transfer
-//! results. The interesting divergence risk is *partial reads* — the
-//! reactor reassembles command frames from whatever byte fragments
-//! epoll hands it, while the threaded core blocks in `read_exact` — so
-//! the property test drives both servers with identical command scripts
-//! cut at arbitrary byte boundaries and demands byte-equal reply
-//! streams. A deterministic authenticated PUT/GET differential over
-//! `MemDsi` covers the post-auth path.
-
-#![cfg(target_os = "linux")]
+//! The reactor reassembles command frames from whatever byte fragments
+//! epoll hands it and queues pipelined commands while one executes,
+//! where a thread per session just blocks in `read_exact`. Neither may
+//! show: the property tests cut one command script at arbitrary byte
+//! boundaries, or write it as one burst, and demand the reply stream of
+//! the plain run (one write; one command at a time). The authenticated
+//! transcripts are held to `golden/*.txt`, recorded from the
+//! thread-per-session core before it was deleted (PR 16).
 
 use ig_client::{transfer, ClientConfig, ClientSession, RetryPolicy, TransferOpts};
 use ig_pki::cert::Validity;
 use ig_pki::time::Clock;
 use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, TrustStore};
 use ig_protocol::command::{Command, DcauMode};
-use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, ServerCore};
+use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig};
 use ig_xio::{Link, TcpLink};
 use proptest::prelude::*;
 use std::io::Write;
@@ -78,29 +76,27 @@ fn preauth_config() -> ServerConfig {
     .with_stall_timeout(Duration::from_secs(5))
 }
 
-/// Both servers live for the whole test binary — each proptest case
-/// opens a fresh connection rather than a fresh server.
-fn servers() -> &'static (Arc<GridFtpServer>, Arc<GridFtpServer>) {
-    static SERVERS: OnceLock<(Arc<GridFtpServer>, Arc<GridFtpServer>)> = OnceLock::new();
-    SERVERS.get_or_init(|| {
-        let threaded = GridFtpServer::start(
-            preauth_config().with_core(ServerCore::Threaded),
-            11,
-        )
-        .unwrap();
-        let reactor = GridFtpServer::start(
-            preauth_config().with_core(ServerCore::Reactor),
-            11,
-        )
-        .unwrap();
-        (threaded, reactor)
-    })
+/// The server lives for the whole test binary — each proptest case
+/// opens fresh connections rather than a fresh server.
+fn server() -> &'static GridFtpServer {
+    static SERVER: OnceLock<Arc<GridFtpServer>> = OnceLock::new();
+    SERVER.get_or_init(|| GridFtpServer::start(preauth_config(), 11).unwrap())
+}
+
+/// What a torn-down connection leaves in a transcript, so early hangups
+/// also have to match.
+const CLOSED: &str = "<closed>";
+
+fn recv_reply(link: &mut TcpLink) -> String {
+    match link.recv() {
+        Ok(reply) => String::from_utf8_lossy(&reply).into_owned(),
+        Err(_) => CLOSED.into(),
+    }
 }
 
 /// Run `cmds` + QUIT against one server, writing the framed wire bytes
 /// in the fragment pattern given by `cuts`, and collect every reply
-/// (banner first). A torn-down connection records a `<closed>` sentinel
-/// so early hangups also have to match across cores.
+/// (banner first).
 fn drive(server: &GridFtpServer, cmds: &[&str], cuts: &[usize]) -> Vec<String> {
     let stream = TcpStream::connect(server.addr().to_socket_addr()).unwrap();
     stream.set_nodelay(true).unwrap();
@@ -108,13 +104,9 @@ fn drive(server: &GridFtpServer, cmds: &[&str], cuts: &[usize]) -> Vec<String> {
     let mut writer = stream.try_clone().unwrap();
     let mut link = TcpLink::new(stream);
 
-    let mut replies = Vec::with_capacity(cmds.len() + 2);
-    match link.recv() {
-        Ok(banner) => replies.push(String::from_utf8_lossy(&banner).into_owned()),
-        Err(_) => {
-            replies.push("<closed>".into());
-            return replies;
-        }
+    let mut replies = vec![recv_reply(&mut link)];
+    if replies[0] == CLOSED {
+        return replies;
     }
 
     // One contiguous byte string of length-prefixed frames, then cut it
@@ -137,14 +129,23 @@ fn drive(server: &GridFtpServer, cmds: &[&str], cuts: &[usize]) -> Vec<String> {
         std::thread::sleep(Duration::from_millis(1));
     }
 
-    for _ in 0..=cmds.len() {
-        match link.recv() {
-            Ok(reply) => replies.push(String::from_utf8_lossy(&reply).into_owned()),
-            Err(_) => {
-                replies.push("<closed>".into());
-                break;
-            }
+    while replies.len() < cmds.len() + 2 && replies.last().is_some_and(|r| r != CLOSED) {
+        replies.push(recv_reply(&mut link));
+    }
+    replies
+}
+
+/// The same script one command at a time: write a frame, read its
+/// reply, then the next — what a client that never pipelines sees.
+fn drive_lockstep(server: &GridFtpServer, cmds: &[&str]) -> Vec<String> {
+    let mut link = TcpLink::connect(server.addr().to_socket_addr()).unwrap();
+    let mut replies = vec![recv_reply(&mut link)];
+    for cmd in cmds.iter().copied().chain(std::iter::once("QUIT")) {
+        if replies.last().is_some_and(|r| r == CLOSED) {
+            break;
         }
+        link.send(cmd.as_bytes()).unwrap();
+        replies.push(recv_reply(&mut link));
     }
     replies
 }
@@ -157,54 +158,52 @@ fn cases(default: u32) -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(24)))]
 
-    /// Same script, same arbitrary fragmentation → byte-equal replies
-    /// from both cores, in order, including the banner and the 221.
+    /// Same script, any fragmentation → the replies of the script
+    /// written whole, byte for byte and in order, including the banner
+    /// and the 221.
     #[test]
-    fn partial_reads_reply_identically_across_cores(
+    fn partial_reads_do_not_change_the_replies(
         picks in proptest::collection::vec(0usize..VOCAB.len(), 0..8),
         cuts in proptest::collection::vec(0usize..512, 0..12),
     ) {
         let cmds: Vec<&str> = picks.iter().map(|&i| VOCAB[i]).collect();
-        let (threaded, reactor) = servers();
-        let a = drive(threaded, &cmds, &cuts);
-        let b = drive(reactor, &cmds, &cuts);
-        prop_assert_eq!(&a, &b, "cores diverged on script {:?}", cmds);
-        let last = a.last().unwrap();
+        let cut = drive(server(), &cmds, &cuts);
+        let whole = drive(server(), &cmds, &[]);
+        prop_assert_eq!(&cut, &whole, "fragmentation showed on script {:?}", cmds);
         prop_assert!(
-            last.starts_with("221"),
+            cut.last().unwrap().starts_with("221"),
             "script must end in a clean 221: {:?}",
-            a
+            cut
         );
     }
 
     /// Full pipelining: a large window of commands lands as one burst
     /// (every frame written before any reply is read, no pacing), and
-    /// both cores must answer every queued command, in order, with
-    /// byte-equal reply streams. This is the wire pattern a `PIPE`-ing
-    /// client produces.
+    /// the server must answer every queued command, in order, exactly
+    /// as it answers them one at a time. This is the wire pattern a
+    /// `PIPE`-ing client produces.
     #[test]
-    fn pipelined_windows_reply_identically_across_cores(
+    fn pipelined_windows_reply_as_one_command_at_a_time_does(
         picks in proptest::collection::vec(0usize..VOCAB.len(), 0..24),
     ) {
         let cmds: Vec<&str> = picks.iter().map(|&i| VOCAB[i]).collect();
-        let (threaded, reactor) = servers();
-        let a = drive(threaded, &cmds, &[]);
-        let b = drive(reactor, &cmds, &[]);
-        prop_assert_eq!(&a, &b, "cores diverged on pipelined window {:?}", cmds);
+        let burst = drive(server(), &cmds, &[]);
+        let paced = drive_lockstep(server(), &cmds);
+        prop_assert_eq!(&burst, &paced, "pipelining showed on window {:?}", cmds);
         prop_assert_eq!(
-            a.len(),
+            burst.len(),
             cmds.len() + 2,
             "lost replies in a pipelined window (banner + one per command + 221): {:?}",
-            a
+            burst
         );
-        prop_assert!(a.last().unwrap().starts_with("221"), "window must end in 221: {:?}", a);
+        prop_assert!(burst.last().unwrap().starts_with("221"), "window must end in 221: {:?}", burst);
     }
 }
 
-/// One authenticated client session against a fresh server on `core`
-/// (fresh `MemDsi`, fixed seeds): the rig for every authed differential.
-/// The server's DSI handle comes back too so tests can stage trees.
-fn authed_rig(core: ServerCore) -> (Arc<GridFtpServer>, ClientSession, Arc<dyn Dsi>) {
+/// One authenticated client session against a fresh server (fresh
+/// `MemDsi`, fixed seeds): the rig for every golden transcript. The
+/// server's DSI handle comes back too so tests can stage trees.
+fn authed_rig() -> (Arc<GridFtpServer>, ClientSession, Arc<dyn Dsi>) {
     let mut rng = ig_crypto::rng::seeded(0xA0D1FF);
     let mut ca =
         CertificateAuthority::create(&mut rng, dn("/O=Diff CA"), 512, 0, NOW * 10).unwrap();
@@ -240,8 +239,7 @@ fn authed_rig(core: ServerCore) -> (Arc<GridFtpServer>, ClientSession, Arc<dyn D
         Arc::clone(&dsi),
     )
     .with_clock(Clock::Fixed(NOW))
-    .with_stall_timeout(Duration::from_secs(5))
-    .with_core(core);
+    .with_stall_timeout(Duration::from_secs(5));
     let server = GridFtpServer::start(cfg, 23).unwrap();
 
     let client_cfg = ClientConfig::new(
@@ -261,11 +259,16 @@ fn authed_rig(core: ServerCore) -> (Arc<GridFtpServer>, ClientSession, Arc<dyn D
     (server, session, dsi)
 }
 
+/// `transcript` must be the recorded one, line for line.
+fn assert_golden(transcript: &[String], golden: &str) {
+    assert_eq!(transcript, golden.lines().collect::<Vec<_>>(), "transcript left its golden file");
+}
+
 /// The full authenticated path: login, PUT, GET, and a fixed sequence
-/// of filesystem commands must produce an identical transcript on both
-/// cores over a fresh `MemDsi` each.
-fn authed_transcript(core: ServerCore) -> Vec<String> {
-    let (server, mut session, _dsi) = authed_rig(core);
+/// of filesystem commands over a fresh `MemDsi`.
+#[test]
+fn authenticated_transcript_matches_golden() {
+    let (server, mut session, _dsi) = authed_rig();
     let mut transcript = Vec::new();
     let data: Vec<u8> = (0..20_000u32).map(|i| (i * 7 % 253) as u8).collect();
     let opts = TransferOpts::default().block(4096).timeout(Some(Duration::from_secs(5)));
@@ -285,29 +288,23 @@ fn authed_transcript(core: ServerCore) -> Vec<String> {
         Command::Dele("/home/alice/diff.bin".into()),
         Command::Size("/home/alice/diff.bin".into()),
     ] {
-        let reply = session.command(&cmd).unwrap();
+        // `command_with`: the closing SIZE of the deleted file is a 550,
+        // which belongs in the transcript, not in an `Err`.
+        let reply = session.command_with(&cmd, |_| {}).unwrap();
         transcript.push(format!("{} {}", reply.code, reply.text()));
     }
     session.quit().unwrap();
     server.shutdown();
-    transcript
-}
-
-#[test]
-fn authenticated_transcript_identical_across_cores() {
-    let threaded = authed_transcript(ServerCore::Threaded);
-    let reactor = authed_transcript(ServerCore::Reactor);
-    assert_eq!(threaded, reactor, "authenticated transcripts diverged");
-    assert_eq!(threaded[0], "put 20000");
-    assert!(threaded[1].ends_with("match=true"), "GET payload corrupt: {}", threaded[1]);
+    assert_golden(&transcript, include_str!("golden/authed_put_get.txt"));
 }
 
 /// An authenticated `PIPE`-declared window through the high-level
 /// client: every reply must come back in command order, with error
 /// finals (the deliberately failing SIZE) in place rather than raised
 /// or reordered.
-fn authed_pipeline_transcript(core: ServerCore) -> Vec<String> {
-    let (server, mut session, _dsi) = authed_rig(core);
+#[test]
+fn pipelined_authed_window_matches_golden() {
+    let (server, mut session, _dsi) = authed_rig();
     let window = vec![
         Command::Pipe(8),
         Command::Mkd("/home/alice/p".into()),
@@ -323,26 +320,16 @@ fn authed_pipeline_transcript(core: ServerCore) -> Vec<String> {
         replies.iter().map(|r| format!("{} {}", r.code, r.text())).collect();
     session.quit().unwrap();
     server.shutdown();
-    transcript
-}
-
-#[test]
-fn pipelined_authed_window_identical_across_cores() {
-    let threaded = authed_pipeline_transcript(ServerCore::Threaded);
-    let reactor = authed_pipeline_transcript(ServerCore::Reactor);
-    assert_eq!(threaded, reactor, "pipelined authed windows diverged");
-    assert_eq!(threaded.len(), 8, "one final reply per pipelined command");
-    assert!(threaded[0].starts_with("200"), "PIPE must be accepted: {}", threaded[0]);
-    assert!(threaded[4].starts_with("550"), "mid-window error must stay in place: {:?}", threaded);
-    assert!(threaded[7].starts_with("200"), "commands after the error must still run: {:?}", threaded);
+    assert_golden(&transcript, include_str!("golden/pipelined_window.txt"));
 }
 
 /// Regression: `ESTO` with an unknown module used to fall through to a
 /// plain STOR of the args' last whitespace token — storing data under a
 /// silently wrong path. It must now be refused with a 504 before any
 /// data channel opens, and leave no file behind.
-fn esto_unknown_module_transcript(core: ServerCore) -> Vec<String> {
-    let (server, mut session, dsi) = authed_rig(core);
+#[test]
+fn esto_unknown_module_is_refused_not_misrouted() {
+    let (server, mut session, dsi) = authed_rig();
     let reply = session
         .command_with(&Command::Esto { module: "A".into(), args: "0 /home/alice/esto.bin".into() }, |_| {})
         .unwrap();
@@ -351,24 +338,15 @@ fn esto_unknown_module_transcript(core: ServerCore) -> Vec<String> {
     transcript.push(format!("exists={}", dsi.exists(&user, "/home/alice/esto.bin")));
     session.quit().unwrap();
     server.shutdown();
-    transcript
+    assert_golden(&transcript, include_str!("golden/esto_unknown_module.txt"));
 }
 
+/// Directory stream: a fixed tree goes up with `ESTO DIR`, comes back
+/// with `ERET DIR` (fresh skip and a resumed skip); the transcript is
+/// entry counts, walk shape and byte equality.
 #[test]
-fn esto_unknown_module_is_refused_not_misrouted() {
-    let threaded = esto_unknown_module_transcript(ServerCore::Threaded);
-    let reactor = esto_unknown_module_transcript(ServerCore::Reactor);
-    assert_eq!(threaded, reactor, "ESTO refusal diverged across cores");
-    assert!(threaded[0].starts_with("504"), "unknown ESTO module must 504: {}", threaded[0]);
-    assert_eq!(threaded[1], "exists=false", "refused ESTO must not create the path");
-}
-
-/// Directory-stream differential: a fixed tree goes up with `ESTO DIR`,
-/// comes back with `ERET DIR` (fresh skip and a resumed skip), and the
-/// transcript — entry counts, walk shape, byte equality — must match
-/// across cores.
-fn dir_stream_transcript(core: ServerCore) -> Vec<String> {
-    let (server, mut session, server_dsi) = authed_rig(core);
+fn dir_stream_roundtrip_matches_golden() {
+    let (server, mut session, server_dsi) = authed_rig();
     let user = ig_server::UserContext::superuser();
     let local = MemDsi::new();
     local.put("/src/a/one.bin", b"first file");
@@ -435,18 +413,5 @@ fn dir_stream_transcript(core: ServerCore) -> Vec<String> {
 
     session.quit().unwrap();
     server.shutdown();
-    transcript
-}
-
-#[test]
-fn dir_stream_roundtrip_identical_across_cores() {
-    let threaded = dir_stream_transcript(ServerCore::Threaded);
-    let reactor = dir_stream_transcript(ServerCore::Reactor);
-    assert_eq!(threaded, reactor, "directory-stream transcripts diverged");
-    assert_eq!(threaded[0], "put done=6 total=6 complete=true");
-    assert!(threaded[3].ends_with("=true"), "roundtrip walks diverged: {:?}", threaded);
-    assert!(threaded[4].ends_with("=true"), "roundtrip payload corrupt: {:?}", threaded);
-    assert!(threaded[5].starts_with("resume done=6 complete=true"), "{:?}", threaded);
-    assert!(threaded[6].ends_with("=true"), "resumed walks diverged: {:?}", threaded);
-    assert_eq!(threaded[7], "overskip_err=true");
+    assert_golden(&transcript, include_str!("golden/dir_stream.txt"));
 }

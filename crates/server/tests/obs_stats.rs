@@ -14,7 +14,7 @@ use ig_pki::cert::Validity;
 use ig_pki::time::Clock;
 use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, TrustStore};
 use ig_protocol::command::{Command, DcauMode};
-use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, ServerCore};
+use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig};
 use ig_xio::{Link, TcpLink};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -36,19 +36,6 @@ fn payload() -> Vec<u8> {
 
 #[test]
 fn site_stats_agrees_with_usage_and_markers_drive_progress() {
-    run_stats_scenario(ServerCore::Threaded);
-}
-
-/// The identical scenario through the epoll reactor core: the stats
-/// surface, usage accounting, and marker-driven progress must not care
-/// which concurrency core multiplexed the session.
-#[cfg(target_os = "linux")]
-#[test]
-fn site_stats_and_markers_on_reactor_core() {
-    run_stats_scenario(ServerCore::Reactor);
-}
-
-fn run_stats_scenario(core: ServerCore) {
     let server_obs = ig_obs::Obs::new("stats-server");
     let client_obs = ig_obs::Obs::new("stats-client");
 
@@ -90,8 +77,7 @@ fn run_stats_scenario(core: ServerCore) {
     .with_stripes(1, Some(STRIPE_RATE))
     .with_block_size(BLOCK)
     .with_stall_timeout(Duration::from_secs(3))
-    .with_obs(Arc::clone(&server_obs))
-    .with_core(core);
+    .with_obs(Arc::clone(&server_obs));
     let server = GridFtpServer::start(cfg, 7).unwrap();
 
     let client_cfg = ClientConfig::new(
@@ -181,10 +167,7 @@ fn run_stats_scenario(core: ServerCore) {
     assert!(stats.contains("\"server.commands\":"), "missing command counter: {stats}");
     assert!(stats.contains("\"server.cmd_rtt_ns\":"), "missing RTT histogram: {stats}");
     assert!(stats.contains("\"component\":\"stats-server\""), "wrong component: {stats}");
-    // The serving core labels the stats line, and the live-session gauge
-    // counts this one session regardless of core.
-    let label = format!("\"core\":\"{}\"", core.label());
-    assert!(stats.contains(&label), "missing {label} in SITE STATS: {stats}");
+    // The live-session gauge counts this one session.
     assert!(
         stats.contains("\"server.sessions_active\":1"),
         "live-session gauge missing or wrong in SITE STATS: {stats}"
@@ -202,7 +185,7 @@ fn run_stats_scenario(core: ServerCore) {
     let stats =
         session.command(&Command::Site("STATS".into())).unwrap().text().to_string();
     let direct =
-        ig_server::stats_json(server_obs.component(), core.label(), usage, server_obs.metrics());
+        ig_server::stats_json(server_obs.component(), usage, server_obs.metrics());
     let mask = |s: &str| {
         let mut out = String::with_capacity(s.len());
         let mut in_digits = false;
@@ -227,8 +210,8 @@ fn run_stats_scenario(core: ServerCore) {
 
     session.quit().unwrap();
     server.shutdown();
-    // After QUIT the session object is torn down on either core and the
-    // gauge returns to zero (poll briefly: teardown is asynchronous).
+    // After QUIT the session object is torn down and the gauge returns
+    // to zero (poll briefly: teardown is asynchronous).
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         if server_obs.metrics().gauge_value("server.sessions_active") == 0.0 {

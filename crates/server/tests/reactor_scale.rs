@@ -1,9 +1,10 @@
-//! The reactor's reason to exist: many idle control sessions, cheaply.
+//! The reactor's reason to exist: many idle control sessions, cheaply —
+//! without a busy session ever costing another one its turn.
 //!
-//! This is the in-tree smoke version of experiment E14 (the bench crate
-//! runs the full 10k-session sweep): hold hundreds of idle sessions on
-//! one reactor thread while a handful of authenticated sessions move
-//! real bytes, and check that
+//! The first test is the in-tree smoke version of experiment E14 (the
+//! bench crate runs the full 10k-session sweep): hold hundreds of idle
+//! sessions on one reactor thread while a handful of authenticated
+//! sessions move real bytes, and check that
 //! * the `server.sessions_held` gauge sees every connection,
 //! * command RTT stays sane under the idle herd plus active transfers,
 //! * resident memory grows by kilobytes per idle session, not by a
@@ -12,15 +13,19 @@
 //! Budgets are deliberately loose — CI boxes are slow and single-core —
 //! but loose budgets still catch the failure modes that matter here
 //! (a thread per session, an accept stall, an O(sessions) wakeup storm).
-
-#![cfg(target_os = "linux")]
+//!
+//! The others hold the reactor to what a thread per session gave for
+//! free: a transfer occupies its own session only, however many run
+//! (the fixed worker pool the reactor once had failed both), and
+//! `shutdown` lets a running transfer finish.
 
 use ig_client::{transfer, ClientConfig, ClientSession, RetryPolicy, TransferOpts};
 use ig_pki::cert::Validity;
 use ig_pki::time::Clock;
 use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, TrustStore};
-use ig_protocol::command::DcauMode;
-use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerCore, ServerConfig};
+use ig_protocol::command::{Command, DcauMode};
+use ig_server::dsi::read_all;
+use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, UserContext};
 use ig_xio::test_support::{eventually, retry_measurement};
 use ig_xio::{Link, TcpLink};
 use std::sync::Arc;
@@ -45,11 +50,12 @@ fn dn(s: &str) -> DistinguishedName {
 struct World {
     server: Arc<GridFtpServer>,
     server_obs: Arc<ig_obs::Obs>,
+    dsi: Arc<MemDsi>,
     user_cred: Credential,
     trust: TrustStore,
 }
 
-fn world() -> World {
+fn world(tune: impl FnOnce(ServerConfig) -> ServerConfig) -> World {
     let server_obs = ig_obs::Obs::new("scale-server");
     let mut rng = ig_crypto::rng::seeded(0x5CA1E);
     let mut ca =
@@ -76,22 +82,22 @@ fn world() -> World {
     trust.add_root(ca.root_cert().clone());
     let mut gridmap = Gridmap::new();
     gridmap.add(&dn("/O=Grid/CN=Alice Smith"), "alice");
+    let dsi = Arc::new(MemDsi::new());
     let cfg = ServerConfig::new(
         "scale.example.org",
         Credential::new(vec![host_cert], host_keys.private).unwrap(),
         trust.clone(),
         Arc::new(GridmapAuthz::new(gridmap)),
-        Arc::new(MemDsi::new()) as Arc<dyn Dsi>,
+        Arc::clone(&dsi) as Arc<dyn Dsi>,
     )
     .with_clock(Clock::Fixed(NOW))
     .with_stall_timeout(Duration::from_secs(5))
-    .with_obs(Arc::clone(&server_obs))
-    .with_core(ServerCore::Reactor)
-    .with_worker_pool(4, 2, 64);
-    let server = GridFtpServer::start(cfg, 5).unwrap();
+    .with_obs(Arc::clone(&server_obs));
+    let server = GridFtpServer::start(tune(cfg), 5).unwrap();
     World {
         server,
         server_obs,
+        dsi,
         user_cred: Credential::new(vec![user_cert], user_keys.private).unwrap(),
         trust,
     }
@@ -128,7 +134,7 @@ fn p99(samples: &mut [Duration]) -> Duration {
 
 #[test]
 fn reactor_holds_idle_herd_within_memory_and_rtt_budgets() {
-    let w = world();
+    let w = world(|c| c);
 
     // Baseline RSS after server start but before the herd arrives.
     let rss_before = ig_obs::process::resident_bytes();
@@ -226,4 +232,142 @@ fn reactor_holds_idle_herd_within_memory_and_rtt_budgets() {
     eventually(Duration::from_secs(30), Duration::from_millis(20), "sessions torn down", || {
         gauge(&w, "server.sessions_active") == 0.0
     });
+}
+
+/// Per-stream throttle of the worlds below, and a file that takes about
+/// `SLOW_SECS` to leave through it (the throttle's first 16 KiB are a
+/// free burst).
+const SLOW_RATE: f64 = 40_000.0;
+const SLOW_SECS: f64 = 1.2;
+const SLOW_PATH: &str = "/home/alice/slow.bin";
+
+fn slow_world() -> (World, Vec<u8>) {
+    let w = world(|c| c.with_stripes(1, Some(SLOW_RATE)).with_block_size(1024));
+    let len = 16 * 1024 + (SLOW_RATE * SLOW_SECS) as usize;
+    let data: Vec<u8> = (0..len as u32).map(|b| (b * 7 % 251) as u8).collect();
+    w.dsi.put(SLOW_PATH, &data);
+    (w, data)
+}
+
+fn slow_opts() -> TransferOpts {
+    TransferOpts::default().block(1024).timeout(Some(Duration::from_secs(10)))
+}
+
+fn wait_for_transfers(w: &World, n: f64) {
+    eventually(Duration::from_secs(10), Duration::from_millis(2), "transfers in flight", || {
+        gauge(w, "server.transfers_active") == n
+    });
+}
+
+#[test]
+fn a_command_never_waits_behind_other_sessions_transfers() {
+    let (w, data) = slow_world();
+    // Nine sessions in accept order. A pool of 4 shards x 2 workers keyed
+    // by accept order ran #1, #5 and #9 on the same two threads.
+    let mut sessions: Vec<ClientSession> = (0..9).map(|_| login(&w)).collect();
+    let opts = &slow_opts();
+    // Every round starts its own two transfers: a round that waited for
+    // them to end would measure an idle server.
+    retry_measurement(3, "NOOP beside two running transfers", || {
+        let [s1, s2, _, _, s5, _, _, _, s9] = &mut sessions[..] else { unreachable!() };
+        std::thread::scope(|scope| {
+            let getters = [s1, s5]
+                .map(|s| scope.spawn(move || transfer::get_bytes(s, SLOW_PATH, opts).unwrap()));
+            wait_for_transfers(&w, 2.0);
+            let worst = [s9, s2]
+                .map(|s| {
+                    let t0 = Instant::now();
+                    assert_eq!(s.command(&Command::Noop).unwrap().code, 200);
+                    t0.elapsed()
+                })
+                .into_iter()
+                .max()
+                .unwrap();
+            for g in getters {
+                assert_eq!(g.join().unwrap(), data);
+            }
+            if worst < Duration::from_millis(100) {
+                Ok(())
+            } else {
+                Err(format!("a NOOP took {worst:?} while two other sessions were sending"))
+            }
+        })
+    });
+    for s in sessions {
+        s.quit().unwrap();
+    }
+    w.server.shutdown();
+}
+
+#[test]
+fn more_transfers_run_at_once_than_a_fixed_pool_had_workers() {
+    const GETS: usize = 12;
+    const PAIRS: usize = 6;
+    let (w, data) = slow_world();
+    let opts = &slow_opts();
+    let mut getters: Vec<ClientSession> = (0..GETS).map(|_| login(&w)).collect();
+    let mut pairs: Vec<(ClientSession, ClientSession)> =
+        (0..PAIRS).map(|_| (login(&w), login(&w))).collect();
+    std::thread::scope(|scope| {
+        // Same-server third-party pairs: each receiver sits in its STOR
+        // until its sender's RETR gets to run.
+        let movers: Vec<_> = pairs
+            .iter_mut()
+            .enumerate()
+            .map(|(i, (src, dst))| {
+                scope.spawn(move || {
+                    let to = format!("/home/alice/copy-{i}");
+                    transfer::third_party(src, SLOW_PATH, dst, &to, opts, None).unwrap()
+                })
+            })
+            .collect();
+        let gets: Vec<_> = getters
+            .iter_mut()
+            .map(|s| scope.spawn(move || transfer::get_bytes(s, SLOW_PATH, opts).unwrap()))
+            .collect();
+        // All of them at once: one per GET, two per pair.
+        wait_for_transfers(&w, (GETS + 2 * PAIRS) as f64);
+        // ... and the next user still gets in.
+        let mut late = login(&w);
+        assert_eq!(late.command(&Command::Noop).unwrap().code, 200);
+        late.quit().unwrap();
+        for g in gets {
+            assert_eq!(g.join().unwrap(), data);
+        }
+        for m in movers {
+            let outcome = m.join().unwrap();
+            assert!(outcome.is_success(), "{outcome:?}");
+        }
+    });
+    let root = UserContext::superuser();
+    for i in 0..PAIRS {
+        let copy = read_all(w.dsi.as_ref(), &root, &format!("/home/alice/copy-{i}"), 1 << 20);
+        assert_eq!(copy.unwrap(), data, "third-party copy {i}");
+    }
+    wait_for_transfers(&w, 0.0);
+    for s in getters.into_iter().chain(pairs.into_iter().flat_map(|(a, b)| [a, b])) {
+        s.quit().unwrap();
+    }
+    w.server.shutdown();
+}
+
+#[test]
+fn shutdown_closes_idle_sessions_and_lets_a_running_transfer_finish() {
+    let (w, data) = slow_world();
+    let opts = slow_opts();
+    let mut busy = login(&w);
+    let mut idle = TcpLink::connect(w.server.addr().to_socket_addr()).unwrap();
+    assert!(idle.recv().unwrap().starts_with(b"220"));
+    std::thread::scope(|scope| {
+        let getter = scope.spawn(|| transfer::get_bytes(&mut busy, SLOW_PATH, &opts));
+        wait_for_transfers(&w, 1.0);
+        w.server.shutdown();
+        // The idle session is closed under its client...
+        idle.set_recv_timeout(Some(Duration::from_secs(10))).unwrap();
+        let end = idle.recv().unwrap_err();
+        assert_eq!(end.kind(), std::io::ErrorKind::UnexpectedEof, "{end}");
+        // ... the transfer in flight still gets its bytes and its 226.
+        assert_eq!(getter.join().unwrap().unwrap(), data);
+    });
+    wait_for_transfers(&w, 0.0);
 }

@@ -2,9 +2,11 @@
 //! under the same seed must produce **byte-identical** stable trace
 //! exports — the property that makes a trace diffable across replays.
 //!
-//! The control channel runs over in-process pipes and every event field
-//! in the stable export is a pure function of seeds and causal order
-//! (no ports, no wall-clock), so the whole JSONL document reproduces.
+//! Client and server talk over TCP loopback, but every event field in
+//! the stable export is a pure function of seeds and causal order (no
+//! ports, no wall-clock), and the reactor records metrics and unstable
+//! events only, so the whole JSONL document reproduces although
+//! ephemeral ports and epoll scheduling differ between runs.
 //!
 //! When `IG_TRACE=path` is set, the test also appends the stable export
 //! to `path` — `scripts/ci.sh` runs the test twice into two files and
@@ -15,11 +17,8 @@ use ig_pki::cert::Validity;
 use ig_pki::time::Clock;
 use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, TrustStore};
 use ig_protocol::command::DcauMode;
-use ig_server::listener::serve_link;
-use ig_server::{Dsi, GridmapAuthz, MemDsi, ServerConfig};
-#[cfg(target_os = "linux")]
-use ig_server::{GridFtpServer, ServerCore};
-use ig_xio::{pipe, ChaosConfig, ChaosHook, FaultKind, FaultSpec, Trigger};
+use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig};
+use ig_xio::{ChaosConfig, ChaosHook, FaultKind, FaultSpec, Link, TcpLink, Trigger};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -86,7 +85,6 @@ fn run_cell() -> String {
     let server_obs = ig_obs::Obs::new("server");
     let client_obs = ig_obs::Obs::new("client");
 
-    // Deterministic PKI world.
     let mut rng = ig_crypto::rng::seeded(SEED);
     let mut ca =
         CertificateAuthority::create(&mut rng, dn("/O=Replay CA"), 512, 0, NOW * 10).unwrap();
@@ -124,11 +122,7 @@ fn run_cell() -> String {
     .with_clock(Clock::Fixed(NOW))
     .with_stall_timeout(Duration::from_millis(250))
     .with_obs(Arc::clone(&server_obs));
-
-    // Control channel over pipes: no ports anywhere near the trace.
-    let (server_end, client_end) = pipe();
-    let server_thread =
-        serve_link(Box::new(server_end), Arc::new(server_cfg), ig_crypto::rng::seeded(SEED + 1));
+    let server = GridFtpServer::start(server_cfg, SEED + 1).unwrap();
 
     let client_cfg = ClientConfig::new(
         Credential::new(vec![user_cert], user_keys.private).unwrap(),
@@ -139,7 +133,9 @@ fn run_cell() -> String {
     .no_delegation()
     .with_retry(RetryPolicy::once().with_attempt_timeout(Some(Duration::from_millis(800))))
     .with_obs(Arc::clone(&client_obs));
-    let mut session = ClientSession::from_link(Box::new(client_end), client_cfg).unwrap();
+    let link: Box<dyn Link> =
+        Box::new(TcpLink::connect(server.addr().to_socket_addr()).unwrap());
+    let mut session = ClientSession::from_link(link, client_cfg).unwrap();
     session.login().unwrap();
     session.set_dcau(DcauMode::None).unwrap();
 
@@ -175,111 +171,11 @@ fn run_cell() -> String {
     client_stream.drain(&client_obs);
     server_stream.drain(&server_obs);
     session.quit().unwrap();
-    server_thread.join().unwrap().unwrap();
-
-    format!("{}{}", client_stream.finish(&client_obs), server_stream.finish(&server_obs))
-}
-
-/// The same failing-then-recovering PUT against a reactor-core server
-/// over TCP loopback. The reactor records metrics and unstable events
-/// only — never stable trace events — so the stable export must still
-/// be a pure function of seeds and causal order even though ephemeral
-/// ports and epoll scheduling differ between runs.
-#[cfg(target_os = "linux")]
-fn run_cell_reactor() -> String {
-    use ig_xio::{Link, TcpLink};
-
-    let server_obs = ig_obs::Obs::new("server");
-    let client_obs = ig_obs::Obs::new("client");
-
-    let mut rng = ig_crypto::rng::seeded(SEED);
-    let mut ca =
-        CertificateAuthority::create(&mut rng, dn("/O=Replay CA"), 512, 0, NOW * 10).unwrap();
-    let host_keys = ig_crypto::RsaKeyPair::generate(&mut rng, 512).unwrap();
-    let host_cert = ca
-        .issue(
-            dn("/CN=replay.example.org"),
-            &host_keys.public,
-            Validity::starting_at(0, NOW * 10),
-            vec![],
-        )
-        .unwrap();
-    let user_keys = ig_crypto::RsaKeyPair::generate(&mut rng, 512).unwrap();
-    let user_cert = ca
-        .issue(
-            dn("/O=Grid/CN=Alice Smith"),
-            &user_keys.public,
-            Validity::starting_at(0, NOW * 10),
-            vec![],
-        )
-        .unwrap();
-    let mut trust = TrustStore::new();
-    trust.add_root(ca.root_cert().clone());
-
-    let mut gridmap = Gridmap::new();
-    gridmap.add(&dn("/O=Grid/CN=Alice Smith"), "alice");
-    let dsi = Arc::new(MemDsi::new());
-    let server_cfg = ServerConfig::new(
-        "replay.example.org",
-        Credential::new(vec![host_cert], host_keys.private).unwrap(),
-        trust.clone(),
-        Arc::new(GridmapAuthz::new(gridmap)),
-        Arc::clone(&dsi) as Arc<dyn Dsi>,
-    )
-    .with_clock(Clock::Fixed(NOW))
-    .with_stall_timeout(Duration::from_millis(250))
-    .with_obs(Arc::clone(&server_obs))
-    .with_core(ServerCore::Reactor);
-    let server = GridFtpServer::start(server_cfg, SEED + 1).unwrap();
-
-    let client_cfg = ClientConfig::new(
-        Credential::new(vec![user_cert], user_keys.private).unwrap(),
-        trust,
-    )
-    .with_clock(Clock::Fixed(NOW))
-    .with_seed(SEED + 2)
-    .no_delegation()
-    .with_retry(RetryPolicy::once().with_attempt_timeout(Some(Duration::from_millis(800))))
-    .with_obs(Arc::clone(&client_obs));
-    let link: Box<dyn Link> =
-        Box::new(TcpLink::connect(server.addr().to_socket_addr()).unwrap());
-    let mut session = ClientSession::from_link(link, client_cfg).unwrap();
-    session.login().unwrap();
-    session.set_dcau(DcauMode::None).unwrap();
-
-    let mut client_stream = CursorStream::new();
-    let mut server_stream = CursorStream::new();
-    client_stream.drain(&client_obs);
-    server_stream.drain(&server_obs);
-
-    let hook = ChaosHook::disarmed(ChaosConfig::single(
-        SEED + 3,
-        FaultSpec::send(FaultKind::Drop, Trigger::OnRecord(1)),
-    ));
-    hook.set_obs(&client_obs);
-    let data = payload();
-    let opts = TransferOpts::default()
-        .block(8 * 1024)
-        .timeout(Some(Duration::from_millis(500)))
-        .chaos(Arc::clone(&hook));
-    hook.arm();
-    let result = RetryPolicy::immediate(3).run_with_obs(&client_obs, "put", |attempt| {
-        if attempt > 1 {
-            hook.disarm();
-        }
-        transfer::put_bytes(&mut session, "/home/alice/replay.bin", &data, &opts)
-            .map_err(|e| classify(&e))
-    });
-    assert!(result.is_ok(), "PUT never recovered: {:?}", result.err().map(|e| e.to_string()));
-    assert_eq!(hook.total_fires(), 1, "the seeded fault must fire exactly once");
-    client_stream.drain(&client_obs);
-    server_stream.drain(&server_obs);
-    session.quit().unwrap();
     // Session teardown (and so the server's `span.end`) happens on the
     // reactor thread after QUIT completes; wait for it before exporting.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while server_obs.metrics().gauge_value("server.sessions_active") != 0.0 {
-        assert!(std::time::Instant::now() < deadline, "reactor session never tore down");
+        assert!(std::time::Instant::now() < deadline, "server session never tore down");
         std::thread::sleep(Duration::from_millis(5));
     }
     server.shutdown();
@@ -287,47 +183,13 @@ fn run_cell_reactor() -> String {
     format!("{}{}", client_stream.finish(&client_obs), server_stream.finish(&server_obs))
 }
 
-/// Capture `$IG_TRACE` and clear it from the environment exactly once,
-/// before either test runs a session. `dump_if_env` fires from client
-/// and server threads; with the variable still set, tests running in
-/// parallel would interleave appends nondeterministically and break
-/// CI's byte-compare of the exported artifact. Every test in this
-/// binary must call this before starting any session.
-fn trace_gate_path() -> Option<&'static str> {
-    static PATH: std::sync::OnceLock<Option<String>> = std::sync::OnceLock::new();
-    PATH.get_or_init(|| {
-        let p = std::env::var("IG_TRACE").ok().filter(|p| !p.is_empty());
-        std::env::remove_var("IG_TRACE");
-        p
-    })
-    .as_deref()
-}
-
-#[cfg(target_os = "linux")]
-#[test]
-fn stable_trace_replays_byte_identical_on_reactor_core() {
-    let _ = trace_gate_path();
-    let first = run_cell_reactor();
-    let second = run_cell_reactor();
-    assert_eq!(
-        first, second,
-        "reactor-core stable exports must replay byte-identically"
-    );
-    // The reactor multiplexed the session, but the trace still tells the
-    // full protocol story with no reactor-internal noise in it.
-    assert!(first.contains("\"event\":\"chaos.fault\""), "missing chaos.fault:\n{first}");
-    assert!(first.contains("\"event\":\"cmd.dispatch\""), "missing cmd.dispatch");
-    assert!(first.contains("\"name\":\"session\""), "missing session span");
-    assert!(first.contains("\"name\":\"transfer\""), "missing transfer span");
-    assert!(first.contains("\"component\":\"server\""));
-    assert!(!first.contains("reactor"), "reactor internals leaked into stable trace");
-}
-
 #[test]
 fn stable_trace_is_byte_identical_across_replays() {
-    // Capture the path and clear the gate (shared, once) so this test
-    // is the file's only writer — see `trace_gate_path`.
-    let trace_path = trace_gate_path();
+    // Take `$IG_TRACE` out of the environment before any session runs:
+    // `dump_if_env` fires when a client session or a server ends, and
+    // those appends would land in the file CI byte-compares.
+    let trace_path = std::env::var("IG_TRACE").ok().filter(|p| !p.is_empty());
+    std::env::remove_var("IG_TRACE");
 
     let first = run_cell();
     let second = run_cell();
@@ -346,9 +208,11 @@ fn stable_trace_is_byte_identical_across_replays() {
     assert!(first.contains("\"name\":\"transfer\""), "missing transfer span");
     // Span ids: at least one event anchored to a non-root span.
     assert!(first.contains("\"span\":1"), "span ids missing:\n{first}");
-    // Both components exported.
+    // Both components exported, and the reactor that multiplexed the
+    // session left no noise of its own in the protocol's story.
     assert!(first.contains("\"component\":\"client\""));
     assert!(first.contains("\"component\":\"server\""));
+    assert!(!first.contains("reactor"), "reactor internals leaked into stable trace");
 
     // CI's replay gate: append this run's stable trace to $IG_TRACE,
     // then `cmp` the files from two separate process invocations.

@@ -16,7 +16,7 @@ use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, Trust
 use ig_protocol::command::{Command, DcauMode};
 use ig_protocol::HostPort;
 use ig_server::dsi::read_all;
-use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, ServerCore, UserContext};
+use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, UserContext};
 use ig_xio::test_support::{eventually, retry_measurement};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -66,7 +66,7 @@ impl Grid {
         Credential::new(vec![cert], keys.private).unwrap()
     }
 
-    fn site(&mut self, core: ServerCore, tune: impl FnOnce(ServerConfig) -> ServerConfig) -> Site {
+    fn site(&mut self, tune: impl FnOnce(ServerConfig) -> ServerConfig) -> Site {
         let mut gridmap = Gridmap::new();
         gridmap.add(&dn("/O=Grid/CN=Alice Smith"), "alice");
         let dsi = Arc::new(MemDsi::new());
@@ -79,8 +79,7 @@ impl Grid {
             Arc::clone(&dsi) as Arc<dyn Dsi>,
         )
         .with_clock(Clock::Fixed(NOW))
-        .with_obs(Arc::clone(&obs))
-        .with_core(core);
+        .with_obs(Arc::clone(&obs));
         let server = GridFtpServer::start(tune(cfg), 7).unwrap();
         Site { server, dsi, obs }
     }
@@ -101,14 +100,6 @@ impl Grid {
     }
 }
 
-fn cores() -> Vec<ServerCore> {
-    let mut cores = vec![ServerCore::Threaded];
-    if cfg!(target_os = "linux") {
-        cores.push(ServerCore::Reactor);
-    }
-    cores
-}
-
 /// `Err` when `elapsed` is over `budget`, in the form `retry_measurement`
 /// wants (a loaded CI box gets three rounds; a sleep on the path fails all).
 fn within(budget: Duration, elapsed: Duration) -> Result<(), String> {
@@ -121,53 +112,51 @@ fn within(budget: Duration, elapsed: Duration) -> Result<(), String> {
 
 #[test]
 fn twenty_short_transfers_each_way_finish_inside_half_a_second() {
-    for core in cores() {
-        let mut grid = Grid::new(0xA11CE);
-        let site = grid.site(core, |c| c);
-        let alice = UserContext::user("alice");
-        let files: Vec<Vec<u8>> = (0..20).map(|i| pattern(SMALL, i)).collect();
-        for (i, data) in files.iter().enumerate() {
-            site.dsi.put(&format!("/home/alice/get-{i}"), data);
-        }
-        let obs = ig_obs::Obs::new("wake-client");
-        let mut session = grid.session(&site, &obs);
-        let opts = TransferOpts::default().timeout(Some(Duration::from_secs(10)));
-        // Before: every GET slept one 50 ms tick before its 226, so twenty
-        // took 1.04 s or more by construction.
-        retry_measurement(3, &format!("20 sequential 4 KiB GETs ({})", core.label()), || {
-            let t0 = Instant::now();
-            for (i, data) in files.iter().enumerate() {
-                let got =
-                    transfer::get_bytes(&mut session, &format!("/home/alice/get-{i}"), &opts)
-                        .unwrap();
-                assert_eq!(&got, data, "GET {i} on {}", core.label());
-            }
-            within(Duration::from_millis(500), t0.elapsed())
-        });
-        retry_measurement(3, &format!("20 sequential 4 KiB PUTs ({})", core.label()), || {
-            let t0 = Instant::now();
-            for (i, data) in files.iter().enumerate() {
-                let sent =
-                    transfer::put_bytes(&mut session, &format!("/home/alice/put-{i}"), data, &opts)
-                        .unwrap();
-                assert_eq!(sent, SMALL as u64);
-            }
-            within(Duration::from_millis(500), t0.elapsed())
-        });
-        for (i, data) in files.iter().enumerate() {
-            let path = format!("/home/alice/put-{i}");
-            let stored = read_all(site.dsi.as_ref(), &alice, &path, 1 << 16).unwrap();
-            assert_eq!(&stored, data, "PUT {i} on {}", core.label());
-        }
-        session.quit().unwrap();
-        site.server.shutdown();
+    let mut grid = Grid::new(0xA11CE);
+    let site = grid.site(|c| c);
+    let alice = UserContext::user("alice");
+    let files: Vec<Vec<u8>> = (0..20).map(|i| pattern(SMALL, i)).collect();
+    for (i, data) in files.iter().enumerate() {
+        site.dsi.put(&format!("/home/alice/get-{i}"), data);
     }
+    let obs = ig_obs::Obs::new("wake-client");
+    let mut session = grid.session(&site, &obs);
+    let opts = TransferOpts::default().timeout(Some(Duration::from_secs(10)));
+    // Before: every GET slept one 50 ms tick before its 226, so twenty
+    // took 1.04 s or more by construction.
+    retry_measurement(3, "20 sequential 4 KiB GETs", || {
+        let t0 = Instant::now();
+        for (i, data) in files.iter().enumerate() {
+            let got =
+                transfer::get_bytes(&mut session, &format!("/home/alice/get-{i}"), &opts)
+                    .unwrap();
+            assert_eq!(&got, data, "GET {i}");
+        }
+        within(Duration::from_millis(500), t0.elapsed())
+    });
+    retry_measurement(3, "20 sequential 4 KiB PUTs", || {
+        let t0 = Instant::now();
+        for (i, data) in files.iter().enumerate() {
+            let sent =
+                transfer::put_bytes(&mut session, &format!("/home/alice/put-{i}"), data, &opts)
+                    .unwrap();
+            assert_eq!(sent, SMALL as u64);
+        }
+        within(Duration::from_millis(500), t0.elapsed())
+    });
+    for (i, data) in files.iter().enumerate() {
+        let path = format!("/home/alice/put-{i}");
+        let stored = read_all(site.dsi.as_ref(), &alice, &path, 1 << 16).unwrap();
+        assert_eq!(&stored, data, "PUT {i}");
+    }
+    session.quit().unwrap();
+    site.server.shutdown();
 }
 
 #[test]
 fn a_sub_period_get_yields_exactly_one_marker() {
     let mut grid = Grid::new(0xB0B);
-    let site = grid.site(ServerCore::Threaded, |c| c);
+    let site = grid.site(|c| c);
     site.dsi.put("/home/alice/small", &pattern(SMALL, 1));
     site.dsi.put("/home/alice/empty", b"");
     let obs = ig_obs::Obs::new("wake-client");
@@ -199,9 +188,7 @@ fn long_gets_report_at_the_marker_cadence_each_with_its_own_count() {
     // transfer's count and overshoot its own file.
     const RATE: f64 = 80_000.0;
     let mut grid = Grid::new(0xCAFE);
-    let site = grid.site(ServerCore::Threaded, |c| {
-        c.with_stripes(1, Some(RATE)).with_block_size(1024)
-    });
+    let site = grid.site(|c| c.with_stripes(1, Some(RATE)).with_block_size(1024));
     let sizes = [36_000usize, 52_000];
     let obs = ig_obs::Obs::new("wake-client");
     let mut runs = Vec::new();
@@ -243,8 +230,8 @@ fn long_gets_report_at_the_marker_cadence_each_with_its_own_count() {
 #[test]
 fn third_party_short_transfers_sleep_through_no_tick_on_either_server() {
     let mut grid = Grid::new(0xD00D);
-    let src = grid.site(ServerCore::Threaded, |c| c);
-    let dst = grid.site(ServerCore::Threaded, |c| c);
+    let src = grid.site(|c| c);
+    let dst = grid.site(|c| c);
     let data = pattern(SMALL, 7);
     src.dsi.put("/home/alice/src", &data);
     let obs = ig_obs::Obs::new("wake-client");
@@ -282,45 +269,42 @@ fn third_party_short_transfers_sleep_through_no_tick_on_either_server() {
 #[test]
 fn a_peer_that_never_reads_ends_the_transfer_after_the_stall_timeout() {
     const STALL: Duration = Duration::from_millis(400);
-    for core in cores() {
-        let mut grid = Grid::new(0xE66);
-        let site = grid.site(core, |c| c.with_stall_timeout(STALL));
-        // Far more than loopback's socket buffers hold, so the sender's
-        // write blocks for good once they fill.
-        site.dsi.put("/home/alice/big", &vec![7u8; 48 << 20]);
-        let obs = ig_obs::Obs::new("wake-client");
-        let mut session = grid.session(&site, &obs);
-        session.set_mode_extended().unwrap();
-        let sink = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = HostPort::from_socket_addr(sink.local_addr().unwrap()).unwrap();
-        session.command(&Command::Port(addr)).unwrap();
-        let t0 = Instant::now();
-        session.send_cmd(&Command::Retr("/home/alice/big".into())).unwrap();
-        // Accept, and hold the connection open without ever reading.
-        let (_held, _) = sink.accept().unwrap();
-        let last = loop {
-            let reply = session.read_reply().unwrap();
-            if !reply.is_preliminary() {
-                break reply;
-            }
-        };
-        let elapsed = t0.elapsed();
-        assert_eq!(last.code, 426, "{last}");
-        // Before: the session joined a worker blocked in `write` for as
-        // long as the peer kept the connection, i.e. for ever.
-        assert!(
-            elapsed >= STALL && elapsed < STALL * 10,
-            "426 after {elapsed:?}, stall timeout {STALL:?} ({})",
-            core.label()
-        );
-        let metrics = site.obs.metrics();
-        eventually(Duration::from_secs(5), Duration::from_millis(5), "transfer retired", || {
-            metrics.gauge_value("server.transfers_active") == 0.0
-        });
-        assert_eq!(metrics.counter_value("server.transfer_errors"), 1);
-        // The session thread is back at its command loop.
-        assert_eq!(session.command(&Command::Noop).unwrap().code, 200);
-        session.quit().unwrap();
-        site.server.shutdown();
-    }
+    let mut grid = Grid::new(0xE66);
+    let site = grid.site(|c| c.with_stall_timeout(STALL));
+    // Far more than loopback's socket buffers hold, so the sender's
+    // write blocks for good once they fill.
+    site.dsi.put("/home/alice/big", &vec![7u8; 48 << 20]);
+    let obs = ig_obs::Obs::new("wake-client");
+    let mut session = grid.session(&site, &obs);
+    session.set_mode_extended().unwrap();
+    let sink = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = HostPort::from_socket_addr(sink.local_addr().unwrap()).unwrap();
+    session.command(&Command::Port(addr)).unwrap();
+    let t0 = Instant::now();
+    session.send_cmd(&Command::Retr("/home/alice/big".into())).unwrap();
+    // Accept, and hold the connection open without ever reading.
+    let (_held, _) = sink.accept().unwrap();
+    let last = loop {
+        let reply = session.read_reply().unwrap();
+        if !reply.is_preliminary() {
+            break reply;
+        }
+    };
+    let elapsed = t0.elapsed();
+    assert_eq!(last.code, 426, "{last}");
+    // Before: the session joined a worker blocked in `write` for as
+    // long as the peer kept the connection, i.e. for ever.
+    assert!(
+        elapsed >= STALL && elapsed < STALL * 10,
+        "426 after {elapsed:?}, stall timeout {STALL:?}"
+    );
+    let metrics = site.obs.metrics();
+    eventually(Duration::from_secs(5), Duration::from_millis(5), "transfer retired", || {
+        metrics.gauge_value("server.transfers_active") == 0.0
+    });
+    assert_eq!(metrics.counter_value("server.transfer_errors"), 1);
+    // The session is back at its command loop.
+    assert_eq!(session.command(&Command::Noop).unwrap().code, 200);
+    session.quit().unwrap();
+    site.server.shutdown();
 }

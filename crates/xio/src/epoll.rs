@@ -1,4 +1,4 @@
-//! A std-only epoll driver: the readiness backend for the reactor core.
+//! A std-only epoll driver: the readiness backend for the server's reactor.
 //!
 //! GridFTP's event-driven frontends multiplex tens of thousands of
 //! mostly-idle control sessions over one thread; the enabling primitive
@@ -7,9 +7,9 @@
 //! through minimal `extern "C"` declarations — libc is already linked
 //! into every Rust binary, so no new dependency is needed.
 //!
-//! Only compiled on Linux; the reactor server core is gated on the same
-//! cfg. The server's data plane blocks in [`wait_readable`] on its
-//! listeners and a [`WakeFd`] under either core, so it needs Linux too.
+//! Only compiled on Linux, which `ig-server` therefore requires: its
+//! reactor runs on this module and its data plane blocks in
+//! [`wait_readable`] on its listeners and a [`WakeFd`].
 
 #![cfg(target_os = "linux")]
 

@@ -26,7 +26,7 @@
 //!   across the workspace share (not used by production paths);
 //! * [`epoll`] (Linux) + [`nb::NbFramed`] + [`wheel::DeadlineWheel`] —
 //!   the readiness, nonblocking-framing, and timer primitives behind
-//!   the server's event-driven reactor core (`ServerConfig::core`).
+//!   the server's reactor (`ig_server::GridFtpServer`).
 
 #![deny(rust_2018_idioms)]
 

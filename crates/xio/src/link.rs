@@ -200,6 +200,51 @@ impl TcpLink {
     }
 }
 
+/// Put `parts` on `stream` as one length-framed message: the framer
+/// behind [`TcpLink`] and behind every other writer of the same wire
+/// format (the server's reactor writes control replies through a
+/// borrowed, nonblocking fd). `blocked` says what a `WouldBlock` means
+/// to the caller: return `Ok` once the socket is writable again to go
+/// on, or the error that ends the send.
+///
+/// One frame on the wire, and one `writev` to put it there: length
+/// prefix, then each segment in order, no concatenation buffer. A frame
+/// that goes out whole cannot have its tail refused by a peer that
+/// closed on reading its head, so whether a short transfer's sender sees
+/// the receiver give up does not depend on scheduling.
+pub fn write_frame(
+    mut stream: &TcpStream,
+    parts: &[IoSlice<'_>],
+    mut blocked: impl FnMut() -> io::Result<()>,
+) -> io::Result<()> {
+    let total: usize = parts.iter().map(|p| p.len()).sum();
+    if total > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {total} bytes exceeds maximum"),
+        ));
+    }
+    if parts.len() > MAX_PARTS {
+        let mut joined = Vec::with_capacity(total);
+        parts.iter().for_each(|p| joined.extend_from_slice(p));
+        return write_frame(stream, &[IoSlice::new(&joined)], blocked);
+    }
+    let prefix = (total as u32).to_be_bytes();
+    let mut frame = [IoSlice::new(&prefix); MAX_PARTS + 1];
+    frame[1..=parts.len()].copy_from_slice(parts);
+    let mut left = &mut frame[..=parts.len()];
+    while !left.is_empty() {
+        match stream.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => blocked()?,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 /// Normalize a deadline failure: non-blocking sockets report
 /// `WouldBlock` on some platforms where others report `TimedOut`.
 fn map_timeout(e: io::Error) -> io::Error {
@@ -246,36 +291,11 @@ impl Link for TcpLink {
     }
 
     fn send_vectored(&mut self, parts: &[IoSlice<'_>]) -> io::Result<()> {
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        if total > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("frame of {total} bytes exceeds maximum"),
-            ));
-        }
-        // One frame on the wire, and one `writev` to put it there: length
-        // prefix, then each segment in order, no concatenation buffer. A
-        // frame that goes out whole cannot have its tail refused by a peer
-        // that closed on reading its head, so whether a short transfer's
-        // sender sees the receiver give up does not depend on scheduling.
-        let prefix = (total as u32).to_be_bytes();
-        let mut frame = [IoSlice::new(&prefix); MAX_PARTS + 1];
-        if parts.len() > MAX_PARTS {
-            let mut joined = Vec::with_capacity(total);
-            parts.iter().for_each(|p| joined.extend_from_slice(p));
-            return self.send(&joined);
-        }
-        frame[1..=parts.len()].copy_from_slice(parts);
-        let mut left = &mut frame[..=parts.len()];
-        while !left.is_empty() {
-            match self.stream.write_vectored(left) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => IoSlice::advance_slices(&mut left, n),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(map_timeout(e)),
-            }
-        }
-        Ok(())
+        // A blocking socket only reports `WouldBlock` when its send
+        // deadline (`set_send_timeout`) passed.
+        write_frame(&self.stream, parts, || {
+            Err(io::Error::new(io::ErrorKind::TimedOut, "tcp deadline passed"))
+        })
     }
 
     fn close(&mut self) -> io::Result<()> {

@@ -19,6 +19,18 @@ for f in crates/server/src/{session,dtp,data}.rs; do
   fi
 done
 
+# One server core (DESIGN.md §11): the reactor, with workers on demand.
+# The enum that chose between two cores, its builder, the pool-sizing
+# builder and the thread-per-session entry point were deleted in PR 16;
+# a second path creeping back would double every battery below again.
+# (The names are spelt in halves so that this file passes its own check.)
+echo "==> one server core (no core switch, no pool sizing, no per-link session entry point)"
+second_core='Server''Core|with_''core|with_worker_''pool|serve_''link'
+if grep -rnE "${second_core}" crates tests examples scripts; then
+  echo "a second server core (or its option) is back; see DESIGN.md §11" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 if [[ "${FAST:-0}" != "1" ]]; then
   cargo build --release
@@ -49,12 +61,12 @@ CARGO_TARGET_DIR="${bench_target}" timeout 900 \
   cargo test -q "${bench_args[@]}" --test contract --test workloads
 
 # Chaos matrix under two distinct seeds: the transfer-survival matrix
-# (48 single-file cells + 16 mid-directory-stream cells, both cores)
-# must recover (or fail typed) and replay byte-identically under each
-# seed, and must finish well inside the wall-clock guard — a hang
-# anywhere in the retry/timeout stack fails the gate instead of wedging
-# CI.
+# (48 single-file cells + 16 mid-directory-stream cells) must recover
+# (or fail typed) and replay byte-identically under each seed, and must
+# finish well inside the wall-clock guard — a hang anywhere in the
+# retry/timeout stack fails the gate instead of wedging CI.
 echo "==> chaos matrix (two seeds, wall-clock guarded)"
+chaos_trace_t0="$(date +%s)"
 for seed in 12648430 3405691582; do
   echo "    seed ${seed}"
   CHAOS_SEED="${seed}" timeout 600 \
@@ -76,15 +88,16 @@ cmp "${trace_dir}/a.jsonl" "${trace_dir}/b.jsonl"
 grep -q '"event":"chaos.fault"' "${trace_dir}/a.jsonl"
 grep -q '"event":"retry.attempt"' "${trace_dir}/a.jsonl"
 echo "    traces are byte-identical"
+echo "    chaos matrix + trace replay took $(( $(date +%s) - chaos_trace_t0 )) s"
 
 # E14 session-scalability smoke. Two layers:
 # * the reactor_scale test holds an 800-session idle herd plus active
 #   PUTs in-process and *asserts* the p99-RTT budget and the
 #   per-idle-session resident-memory ceiling;
 # * the bench experiment drives the full fast-mode herd (~2,000 idle
-#   reactor sessions held by a helper process + 50 authenticated PUTs
-#   per core) through the report binary, wall-clock guarded by timeout,
-#   and the gate checks the reactor actually held its herd.
+#   sessions held by a helper process + 50 authenticated PUTs) through
+#   the report binary, wall-clock guarded by timeout, and the gate
+#   checks the reactor actually held its herd.
 echo "==> E14 session scalability smoke (reactor herd, wall-clock guarded)"
 timeout 600 cargo test -q -p ig-server --test reactor_scale
 e14_out="$(timeout 900 cargo run -q --release -p ig-bench --bin report -- --exp e14 --fast)"
@@ -233,7 +246,7 @@ grep -q '"block_size":65536' <<<"${reload_out}" || {
   echo "admin reload did not echo the new tunable: ${reload_out}" >&2
   exit 1
 }
-if ./target/release/examples/ig_admin reload core=1 "${admin_sock}" >/dev/null; then
+if ./target/release/examples/ig_admin reload stripes=2 "${admin_sock}" >/dev/null; then
   echo "admin reload accepted a non-reloadable field" >&2
   exit 1
 fi
