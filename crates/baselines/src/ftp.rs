@@ -6,7 +6,7 @@ use ig_netsim::TcpParams;
 use ig_protocol::HostPort;
 use ig_server::{Dsi, UserContext};
 use ig_xio::{Link, TcpLink};
-use serde::{Deserialize, Serialize};
+use ig_obs::json::{from_slice, to_vec};
 use std::io;
 use std::net::{Ipv4Addr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -22,7 +22,6 @@ pub fn ftp_netsim_params() -> TcpParams {
     TcpParams::tuned().with_window_cap(256 * 1024)
 }
 
-#[derive(Serialize, Deserialize)]
 enum FtpMsg {
     /// RETR equivalent.
     Get {
@@ -48,12 +47,10 @@ enum FtpMsg {
     },
 }
 
-fn encode(v: &FtpMsg) -> Vec<u8> {
-    serde_json::to_vec(v).expect("ftp message serialization cannot fail")
-}
+ig_obs::json_codec!(enum FtpMsg { Get { path }, Put { path, len }, Ok { len }, Err { message } });
 
 fn decode(raw: &[u8]) -> io::Result<FtpMsg> {
-    serde_json::from_slice(raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    from_slice(raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// A plain-FTP host.
@@ -84,7 +81,7 @@ impl PlainFtpHost {
                     match msg {
                         FtpMsg::Get { path } => match dsi.size(&user, &path) {
                             Ok(len) => {
-                                let _ = link.send(&encode(&FtpMsg::Ok { len }));
+                                let _ = link.send(&to_vec(&FtpMsg::Ok { len }));
                                 let mut off = 0u64;
                                 while off < len {
                                     let want = FTP_CHUNK.min((len - off) as usize);
@@ -99,11 +96,11 @@ impl PlainFtpHost {
                             }
                             Err(e) => {
                                 let _ =
-                                    link.send(&encode(&FtpMsg::Err { message: e.to_string() }));
+                                    link.send(&to_vec(&FtpMsg::Err { message: e.to_string() }));
                             }
                         },
                         FtpMsg::Put { path, len } => {
-                            if link.send(&encode(&FtpMsg::Ok { len: 0 })).is_err() {
+                            if link.send(&to_vec(&FtpMsg::Ok { len: 0 })).is_err() {
                                 return;
                             }
                             let mut off = 0u64;
@@ -114,7 +111,7 @@ impl PlainFtpHost {
                                 }
                                 off += chunk.len() as u64;
                             }
-                            let _ = link.send(&encode(&FtpMsg::Ok { len }));
+                            let _ = link.send(&to_vec(&FtpMsg::Ok { len }));
                         }
                         _ => {}
                     }
@@ -146,7 +143,7 @@ impl Drop for PlainFtpHost {
 /// Fetch a file over one cleartext stream.
 pub fn ftp_get(addr: HostPort, path: &str) -> io::Result<Vec<u8>> {
     let mut link = TcpLink::connect(addr.to_socket_addr())?;
-    link.send(&encode(&FtpMsg::Get { path: path.to_string() }))?;
+    link.send(&to_vec(&FtpMsg::Get { path: path.to_string() }))?;
     let len = match decode(&link.recv()?)? {
         FtpMsg::Ok { len } => len,
         FtpMsg::Err { message } => return Err(io::Error::new(io::ErrorKind::NotFound, message)),
@@ -162,7 +159,7 @@ pub fn ftp_get(addr: HostPort, path: &str) -> io::Result<Vec<u8>> {
 /// Store a file over one cleartext stream.
 pub fn ftp_put(addr: HostPort, path: &str, data: &[u8]) -> io::Result<()> {
     let mut link = TcpLink::connect(addr.to_socket_addr())?;
-    link.send(&encode(&FtpMsg::Put { path: path.to_string(), len: data.len() as u64 }))?;
+    link.send(&to_vec(&FtpMsg::Put { path: path.to_string(), len: data.len() as u64 }))?;
     match decode(&link.recv()?)? {
         FtpMsg::Ok { .. } => {}
         FtpMsg::Err { message } => {

@@ -10,7 +10,7 @@ use ig_server::{Dsi, UserContext};
 use ig_xio::{secure_accept, secure_connect, Link, TcpLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
+use ig_obs::json::{from_slice, to_vec};
 use std::io;
 use std::net::{Ipv4Addr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,7 +25,6 @@ pub fn scp_netsim_params() -> TcpParams {
     TcpParams::scp_like()
 }
 
-#[derive(Serialize, Deserialize)]
 enum ScpRequest {
     /// Fetch a file.
     Get {
@@ -41,7 +40,6 @@ enum ScpRequest {
     },
 }
 
-#[derive(Serialize, Deserialize)]
 enum ScpReply {
     /// Proceed; for Get, the file length follows.
     Ok {
@@ -54,6 +52,9 @@ enum ScpReply {
         message: String,
     },
 }
+
+ig_obs::json_codec!(enum ScpRequest { Get { path }, Put { path, len } });
+ig_obs::json_codec!(enum ScpReply { Ok { len }, Err { message } });
 
 /// An SCP "host": a daemon serving encrypted single-stream copies.
 pub struct ScpHost {
@@ -110,11 +111,11 @@ impl ScpHost {
                     };
                     let user = UserContext::superuser();
                     let Ok(raw) = link.recv() else { return };
-                    let Ok(req) = serde_json::from_slice::<ScpRequest>(&raw) else { return };
+                    let Ok(req) = from_slice::<ScpRequest>(&raw) else { return };
                     match req {
                         ScpRequest::Get { path } => match dsi.size(&user, &path) {
                             Ok(len) => {
-                                let _ = link.send(&encode(&ScpReply::Ok { len }));
+                                let _ = link.send(&to_vec(&ScpReply::Ok { len }));
                                 let mut off = 0u64;
                                 while off < len {
                                     let want = SCP_CHUNK.min((len - off) as usize);
@@ -129,13 +130,13 @@ impl ScpHost {
                                 }
                             }
                             Err(e) => {
-                                let _ = link.send(&encode(&ScpReply::Err {
+                                let _ = link.send(&to_vec(&ScpReply::Err {
                                     message: e.to_string(),
                                 }));
                             }
                         },
                         ScpRequest::Put { path, len } => {
-                            if link.send(&encode(&ScpReply::Ok { len: 0 })).is_err() {
+                            if link.send(&to_vec(&ScpReply::Ok { len: 0 })).is_err() {
                                 return;
                             }
                             let mut off = 0u64;
@@ -147,7 +148,7 @@ impl ScpHost {
                                 off += chunk.len() as u64;
                                 bytes.fetch_add(chunk.len() as u64, Ordering::Relaxed);
                             }
-                            let _ = link.send(&encode(&ScpReply::Ok { len }));
+                            let _ = link.send(&to_vec(&ScpReply::Ok { len }));
                         }
                     }
                     let _ = link.close();
@@ -175,10 +176,6 @@ impl Drop for ScpHost {
     }
 }
 
-fn encode<T: Serialize>(v: &T) -> Vec<u8> {
-    serde_json::to_vec(v).expect("scp message serialization cannot fail")
-}
-
 fn connect(addr: HostPort, clock: Clock, seed: u64) -> io::Result<impl Link> {
     let mut rng = StdRng::seed_from_u64(seed);
     let cfg = GsiConfig::anonymous(TrustStore::new()).with_clock(clock).bootstrap();
@@ -188,9 +185,9 @@ fn connect(addr: HostPort, clock: Clock, seed: u64) -> io::Result<impl Link> {
 /// `scp host:path .` — fetch a file (one encrypted stream).
 pub fn scp_get(addr: HostPort, path: &str, clock: Clock, seed: u64) -> io::Result<Vec<u8>> {
     let mut link = connect(addr, clock, seed)?;
-    link.send(&encode(&ScpRequest::Get { path: path.to_string() }))?;
+    link.send(&to_vec(&ScpRequest::Get { path: path.to_string() }))?;
     let raw = link.recv()?;
-    let reply: ScpReply = serde_json::from_slice(&raw)
+    let reply: ScpReply = from_slice(&raw)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let len = match reply {
         ScpReply::Ok { len } => len,
@@ -209,10 +206,10 @@ pub fn scp_get(addr: HostPort, path: &str, clock: Clock, seed: u64) -> io::Resul
 /// `scp . host:path` — store a file.
 pub fn scp_put(addr: HostPort, path: &str, data: &[u8], clock: Clock, seed: u64) -> io::Result<()> {
     let mut link = connect(addr, clock, seed)?;
-    link.send(&encode(&ScpRequest::Put { path: path.to_string(), len: data.len() as u64 }))?;
+    link.send(&to_vec(&ScpRequest::Put { path: path.to_string(), len: data.len() as u64 }))?;
     let raw = link.recv()?;
     if let ScpReply::Err { message } =
-        serde_json::from_slice(&raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+        from_slice(&raw).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
     {
         return Err(io::Error::new(io::ErrorKind::PermissionDenied, message));
     }
@@ -220,7 +217,7 @@ pub fn scp_put(addr: HostPort, path: &str, data: &[u8], clock: Clock, seed: u64)
         link.send(chunk)?;
     }
     let raw = link.recv()?;
-    match serde_json::from_slice(&raw)
+    match from_slice(&raw)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
     {
         ScpReply::Ok { .. } => Ok(()),

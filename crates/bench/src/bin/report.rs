@@ -44,8 +44,7 @@ fn main() {
                 print!("\n=== {title} ===\n{body}\n");
             }
             let json = ig_bench::json_from_sections(&sections, fast);
-            let pretty = serde_json::to_string_pretty(&json).expect("serialize report");
-            match std::fs::write("BENCH_report.json", pretty) {
+            match std::fs::write("BENCH_report.json", ig_obs::json::to_string(&json)) {
                 Ok(()) => eprintln!("wrote BENCH_report.json"),
                 Err(e) => eprintln!("could not write BENCH_report.json: {e}"),
             }

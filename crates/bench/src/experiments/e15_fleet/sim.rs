@@ -355,7 +355,7 @@ where
         scaled_daily_transfers,
         scaled_daily_bytes,
         hours,
-        digest: format!("e15:{:016x}", fnv1a64(trace.as_bytes())),
+        digest: format!("e15:{:08x}", ig_xio::udp::fnv1a(&[trace.as_bytes()])),
     }
 }
 
@@ -366,16 +366,6 @@ fn p99(xs: &mut [f64]) -> f64 {
     }
     xs.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     xs[(xs.len() * 99 / 100).min(xs.len() - 1)]
-}
-
-/// FNV-1a 64-bit — the stable-trace digest hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -171,7 +171,7 @@ struct DrainOutcome {
 /// (hello handshake + one length-prefixed JSON frame each way). Returns
 /// the parsed report and the request→reply RTT in milliseconds.
 fn drive_drain(sock: &Path, deadline_ms: u64) -> (DrainOutcome, f64) {
-    use ig_server::admin::wire::{self, Json};
+    use ig_obs::json::{parse, Value};
     use std::io::{Read, Write};
     use std::os::unix::net::UnixStream;
 
@@ -220,15 +220,15 @@ fn drive_drain(sock: &Path, deadline_ms: u64) -> (DrainOutcome, f64) {
         }
     };
     let rtt_ms = started.elapsed().as_secs_f64() * 1e3;
-    let reply = wire::parse(&String::from_utf8(frame).unwrap()).unwrap();
-    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true), "drain not ok");
+    let reply = parse(&String::from_utf8(frame).unwrap()).unwrap();
+    assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true), "drain not ok");
     (
         DrainOutcome {
-            clean: reply.get("clean").and_then(Json::as_bool).unwrap(),
-            waited_ms: reply.get("waited_ms").and_then(Json::as_u64).unwrap(),
+            clean: reply.get("clean").and_then(Value::as_bool).unwrap(),
+            waited_ms: reply.get("waited_ms").and_then(Value::as_u64).unwrap(),
             interrupted: reply
                 .get("transfers_interrupted")
-                .and_then(Json::as_u64)
+                .and_then(Value::as_u64)
                 .unwrap(),
         },
         rtt_ms,

@@ -9,9 +9,11 @@
 pub mod experiments;
 pub mod table;
 
+use ig_obs::json::{kv, Value};
+
 /// Run every experiment, returning `(id, title, rendered table)` per
 /// section — the single source both [`full_report`] (human text) and
-/// [`json_report`] (machine-readable) are derived from.
+/// [`json_from_sections`] (machine-readable) are derived from.
 pub fn report_sections(fast: bool) -> Vec<(&'static str, &'static str, String)> {
     vec![
         ("e1", "E1  (Fig 1) fleet usage", experiments::e1_usage::table()),
@@ -48,29 +50,25 @@ pub fn full_report(fast: bool) -> String {
 }
 
 /// Machine-readable mirror of [`full_report`]: every section's rendered
-/// table parsed back into header/rows/notes. The `report` binary writes
-/// this next to its text output as `BENCH_report.json`.
-pub fn json_report(fast: bool) -> serde_json::Value {
-    json_from_sections(&report_sections(fast), fast)
-}
-
-/// Build the JSON report from already-computed sections (so a caller that
-/// also prints the text report runs each experiment only once).
-pub fn json_from_sections(sections: &[(&str, &str, String)], fast: bool) -> serde_json::Value {
-    let sections: Vec<serde_json::Value> = sections
+/// table parsed back into header/rows/notes, built from already-computed
+/// sections (so a caller that also prints the text report runs each
+/// experiment only once). The `report` binary writes this next to its
+/// text output as `BENCH_report.json`.
+pub fn json_from_sections(sections: &[(&str, &str, String)], fast: bool) -> Value {
+    let sections: Vec<Value> = sections
         .iter()
         .map(|(id, title, body)| {
             let (header, rows, notes) = table::parse_rendered(body);
-            serde_json::json!({
-                "id": id,
-                "title": title,
-                "header": header,
-                "rows": rows,
-                "notes": notes,
-            })
+            Value::Obj(vec![
+                kv("id", *id),
+                kv("title", *title),
+                kv("header", header),
+                kv("rows", rows),
+                kv("notes", notes),
+            ])
         })
         .collect();
-    serde_json::json!({ "fast": fast, "sections": sections })
+    Value::Obj(vec![kv("fast", fast), kv("sections", sections)])
 }
 
 #[cfg(test)]
@@ -83,11 +81,11 @@ mod tests {
         ]);
         let sections = vec![("e0", "demo section", body)];
         let v = crate::json_from_sections(&sections, true);
-        assert_eq!(v["fast"], true);
-        assert_eq!(v["sections"][0]["id"], "e0");
-        assert_eq!(v["sections"][0]["title"], "demo section");
-        assert_eq!(v["sections"][0]["header"][0], "metric");
-        assert_eq!(v["sections"][0]["rows"][0][1], "1.00 Gbit/s");
-        assert_eq!(v["sections"][0]["notes"].as_array().unwrap().len(), 0);
+        assert_eq!(
+            ig_obs::json::to_string(&v),
+            "{\"fast\":true,\"sections\":[{\"id\":\"e0\",\"title\":\"demo section\",\
+             \"header\":[\"metric\",\"value\"],\"rows\":[[\"throughput\",\"1.00 Gbit/s\"]],\
+             \"notes\":[]}]}"
+        );
     }
 }

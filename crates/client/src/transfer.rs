@@ -16,7 +16,7 @@ use ig_protocol::{ByteRanges, HostPort, Reply};
 use ig_server::data::{AnyDataListener, DataSecurity, DataStack};
 use ig_server::dtp::{send_dir, send_ranges, Progress, Receiver};
 use ig_server::{Dsi, MemDsi, UserContext};
-use ig_xio::{ChaosHook, DataTransport, Link, RetryPolicy, UdpConfig};
+use ig_xio::{ChaosHook, DataTransport, Link, RetryError, RetryPolicy, UdpConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -376,7 +376,10 @@ pub fn get_partial(
     let stack = client_data_stack(session, Some(opts));
     let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
     let user = UserContext::superuser();
+    // The blocks land at their file offsets: what precedes `offset` is not
+    // a hole (`Receiver::finish` wants one run from 0).
     let progress = Progress::new();
+    progress.ranges.lock().add(0, offset);
     let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Arc::clone(&progress));
     for _ in 0..opts.parallelism {
         // If the server refused before dialing (550 and friends), no
@@ -772,44 +775,33 @@ fn retry_dir(
     policy: &RetryPolicy,
     mut attempt_at: impl FnMut(u64) -> Result<DirTransferOutcome>,
 ) -> Result<DirTransferOutcome> {
-    let start = std::time::Instant::now();
     let mut skip = 0u64;
-    let mut attempt = 0u32;
-    let mut last_err: Option<ClientError>;
-    loop {
-        attempt += 1;
-        match attempt_at(skip) {
-            Ok(out) if out.complete => {
-                return Ok(DirTransferOutcome { attempts: attempt, ..out });
-            }
-            Ok(out) => {
-                skip = skip.max(out.entries_done);
-                last_err = None;
-            }
-            Err(e) => last_err = Some(e),
+    let run = policy.run(|attempts| match attempt_at(skip) {
+        Ok(out) if out.complete => Ok(DirTransferOutcome { attempts, ..out }),
+        Ok(out) => {
+            skip = skip.max(out.entries_done);
+            Err(Ok(DirTransferOutcome {
+                entries_done: skip,
+                entries_total: 0,
+                complete: false,
+                attempts,
+            }))
         }
-        if attempt >= policy.max_attempts {
-            return match last_err {
-                Some(e) => Err(e),
-                None => Ok(DirTransferOutcome {
-                    entries_done: skip,
-                    entries_total: 0,
-                    complete: false,
-                    attempts: attempt,
-                }),
-            };
-        }
-        let backoff = policy.backoff(attempt);
-        if let Some(deadline) = policy.overall_deadline {
-            if start.elapsed() + backoff >= deadline {
-                return Err(ClientError::Timeout(format!(
-                    "directory transfer: overall deadline exceeded after {attempt} attempt(s)"
-                )));
-            }
-        }
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
+        Err(e) => Err(Err(e)),
+    });
+    budget_spent("directory transfer", run)
+}
+
+/// What a retried transfer answers once [`RetryPolicy::run`] gives up:
+/// the last attempt's own result (an incomplete outcome or its error),
+/// or a timeout when the overall deadline cut in first.
+fn budget_spent<T>(what: &str, run: std::result::Result<T, RetryError<Result<T>>>) -> Result<T> {
+    match run {
+        Ok(done) => Ok(done),
+        Err(RetryError::Exhausted { last, .. }) => last,
+        Err(RetryError::DeadlineExceeded { attempts, .. }) => Err(ClientError::Timeout(format!(
+            "{what}: overall deadline exceeded after {attempts} attempt(s)"
+        ))),
     }
 }
 
@@ -904,37 +896,18 @@ pub fn third_party_with_retry(
     resume_from: Option<&ByteRanges>,
     policy: &RetryPolicy,
 ) -> Result<ThirdPartyOutcome> {
-    let start = std::time::Instant::now();
     let mut checkpoint = resume_from.cloned();
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let result = third_party(src, src_path, dst, dst_path, opts, checkpoint.as_ref());
-        match result {
-            Ok(outcome) if outcome.is_success() => return Ok(outcome),
+    let run = policy.run(|_| {
+        match third_party(src, src_path, dst, dst_path, opts, checkpoint.as_ref()) {
+            Ok(outcome) if outcome.is_success() => Ok(outcome),
             Ok(outcome) => {
-                if attempt >= policy.max_attempts {
-                    return Ok(outcome); // caller inspects the failed replies
-                }
-                // Restart from whatever the receiver confirmed durable.
-                checkpoint = Some(outcome.checkpoint);
+                // Restart from whatever the receiver confirmed durable;
+                // if the budget is spent the caller inspects the replies.
+                checkpoint = Some(outcome.checkpoint.clone());
+                Err(Ok(outcome))
             }
-            Err(e) => {
-                if attempt >= policy.max_attempts {
-                    return Err(e);
-                }
-            }
+            Err(e) => Err(Err(e)),
         }
-        let backoff = policy.backoff(attempt);
-        if let Some(deadline) = policy.overall_deadline {
-            if start.elapsed() + backoff >= deadline {
-                return Err(ClientError::Timeout(format!(
-                    "third-party transfer: overall deadline exceeded after {attempt} attempt(s)"
-                )));
-            }
-        }
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-        }
-    }
+    });
+    budget_spent("third-party transfer", run)
 }

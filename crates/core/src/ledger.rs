@@ -8,10 +8,8 @@
 //! certificate from a well-known certificate authority alone is a complex
 //! and time-consuming process ... out-of-band vetting", §IV).
 
-use serde::{Deserialize, Serialize};
-
 /// One setup step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Step {
     /// What the step is.
     pub name: String,
@@ -31,7 +29,7 @@ impl Step {
 }
 
 /// A full procedure for one deployment method.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Procedure {
     /// Method name.
     pub method: String,
@@ -51,7 +49,7 @@ pub struct Procedure {
 }
 
 /// Deployment methods compared by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetupMethod {
     /// §III-A: conventional GSI installation.
     ConventionalGsi,
@@ -204,13 +202,5 @@ mod tests {
         // GCMU keeps all three capabilities.
         let gcmu = procedure(SetupMethod::Gcmu);
         assert!(gcmu.data_channel_security && gcmu.supports_delegation && gcmu.secure_striping);
-    }
-
-    #[test]
-    fn procedures_serialize_for_reports() {
-        let p = procedure(SetupMethod::Gcmu);
-        let json = serde_json::to_string(&p).unwrap();
-        let back: Procedure = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

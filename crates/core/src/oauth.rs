@@ -25,7 +25,7 @@ use ig_myproxy::pam::PamStack;
 use ig_pki::cert::Certificate;
 use ig_pki::time::Clock;
 use ig_pki::CertificateSigningRequest;
-use parking_lot::Mutex;
+use ig_xio::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

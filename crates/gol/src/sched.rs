@@ -21,7 +21,8 @@
 //! in by the caller (simulated seconds in E15, wall seconds in a real
 //! deployment), which keeps every schedule replayable under a seed.
 
-use parking_lot::Mutex;
+use ig_obs::json::{kv, to_string, Value};
+use ig_obs::sync::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
@@ -305,34 +306,19 @@ impl<T> FairScheduler<T> {
     /// (BTreeMap), for the admin `limits list` command.
     pub fn tenants_json(&self) -> String {
         let inner = self.inner.lock();
-        let mut out = String::from("[");
-        for (i, (name, t)) in inner.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"tenant\":");
-            ig_obs::json::escape_str_into(&mut out, name);
-            out.push_str(",\"weight\":");
-            out.push_str(&t.share.weight.to_string());
-            out.push_str(",\"rate_per_s\":");
-            match t.share.rate_per_s {
-                Some(r) => out.push_str(&format!("{r}")),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"burst\":");
-            out.push_str(&format!("{}", t.share.burst));
-            out.push_str(",\"queue_cap\":");
-            out.push_str(&t.share.queue_cap.to_string());
-            out.push_str(",\"queued\":");
-            out.push_str(&t.queue.len().to_string());
-            out.push_str(",\"granted\":");
-            out.push_str(&t.granted.to_string());
-            out.push_str(",\"rejected\":");
-            out.push_str(&t.rejected.to_string());
-            out.push('}');
-        }
-        out.push(']');
-        out
+        let tenants = inner.tenants.iter().map(|(name, t)| {
+            Value::Obj(vec![
+                kv("tenant", name.as_str()),
+                kv("weight", t.share.weight),
+                kv("rate_per_s", t.share.rate_per_s),
+                kv("burst", t.share.burst),
+                kv("queue_cap", t.share.queue_cap),
+                kv("queued", t.queue.len()),
+                kv("granted", t.granted),
+                kv("rejected", t.rejected),
+            ])
+        });
+        to_string(&Value::Arr(tenants.collect()))
     }
 }
 

@@ -3,14 +3,14 @@
 use crate::activation::{Activation, PasswordAudit};
 use crate::error::{GolError, Result};
 use crate::tuning::tune;
-use ig_client::{transfer, ClientConfig, ClientSession, RetryPolicy, TransferOpts};
+use ig_client::{transfer, ClientConfig, ClientSession, RetryError, RetryPolicy, TransferOpts};
 use ig_gcmu::{GcmuEndpoint, OAuthServer};
 use ig_obs::kv;
+use ig_obs::sync::{Mutex, RwLock};
 use ig_pki::time::Clock;
 use ig_pki::{Credential, DistinguishedName, TrustStore};
 use ig_protocol::{ByteRanges, HostPort};
 use ig_server::Dsi;
-use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
@@ -362,24 +362,13 @@ impl GlobusOnline {
         let src_ep = self.endpoint(&req.src_endpoint)?;
         let dst_ep = self.endpoint(&req.dst_endpoint)?;
         let policy = req.effective_policy();
-        let start = std::time::Instant::now();
         let mut checkpoint: Option<ByteRanges> = None;
         let mut bytes_on_wire = 0u64;
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            self.obs.event(
-                "gol.submit",
-                vec![
-                    kv("user", go_user),
-                    kv("src", req.src_endpoint.as_str()),
-                    kv("dst", req.dst_endpoint.as_str()),
-                    kv("attempt", attempts),
-                ],
-            );
-            self.obs.metrics().add("gol.submit_attempts", 1);
-            // Fig 6: (re-)authenticate with the stored short-term creds,
-            // minting fresh ones first if they expired mid-request.
+        // Fig 6: (re-)authenticate with the stored short-term creds
+        // (minting fresh ones first if they expired mid-request), open
+        // both sessions, move what `checkpoint` says is missing. An `Err`
+        // here is a hard failure that ends the request at once.
+        let attempt = |checkpoint: Option<&ByteRanges>| -> Result<transfer::ThirdPartyOutcome> {
             let src_act = self.active_credentials(go_user, &req.src_endpoint)?;
             let dst_act = self.active_credentials(go_user, &req.dst_endpoint)?;
             let mut src = self.open_session(&src_ep, &src_act, policy.attempt_timeout)?;
@@ -390,22 +379,39 @@ impl GlobusOnline {
                 None => tune(src.size(&req.src_path)?),
             };
             // Cross-CA data channels need DCSC on the receiving side.
-            let same_identity = src_act.credential.identity() == dst_act.credential.identity();
-            if !same_identity {
+            if src_act.credential.identity() != dst_act.credential.identity() {
                 dst.install_dcsc(&src_act.credential)?;
             }
-            let before = checkpoint.clone().map(|c| c.total()).unwrap_or(0);
             let outcome = transfer::third_party(
                 &mut src,
                 &req.src_path,
                 &mut dst,
                 &req.dst_path,
                 &opts,
-                checkpoint.as_ref(),
+                checkpoint,
             )?;
-            bytes_on_wire += outcome.checkpoint.total().saturating_sub(before);
             let _ = src.quit();
             let _ = dst.quit();
+            Ok(outcome)
+        };
+        // The policy retries a failed transfer (`Err`) from its checkpoint.
+        let run = policy.run(|attempts| {
+            self.obs.event(
+                "gol.submit",
+                vec![
+                    kv("user", go_user),
+                    kv("src", req.src_endpoint.as_str()),
+                    kv("dst", req.dst_endpoint.as_str()),
+                    kv("attempt", attempts),
+                ],
+            );
+            self.obs.metrics().add("gol.submit_attempts", 1);
+            let before = checkpoint.as_ref().map_or(0, ByteRanges::total);
+            let outcome = match attempt(checkpoint.as_ref()) {
+                Ok(outcome) => outcome,
+                Err(hard) => return Ok(Err(hard)),
+            };
+            bytes_on_wire += outcome.checkpoint.total().saturating_sub(before);
             if outcome.is_success() {
                 self.obs.metrics().add("gol.transfers_ok", 1);
                 self.obs.metrics().add("gol.bytes_on_wire", bytes_on_wire);
@@ -413,39 +419,31 @@ impl GlobusOnline {
                     "{go_user}: {}:{} -> {}:{} complete after {attempts} attempt(s)",
                     req.src_endpoint, req.src_path, req.dst_endpoint, req.dst_path
                 ));
-                return Ok(TransferResult {
+                return Ok(Ok(TransferResult {
                     attempts,
                     bytes_on_wire,
                     checkpoint: outcome.checkpoint,
                     completed: true,
-                });
+                }));
             }
-            let last_error = format!(
-                "src: {} / dst: {}",
-                outcome.src_reply, outcome.dst_reply
-            );
+            let last_error = format!("src: {} / dst: {}", outcome.src_reply, outcome.dst_reply);
             self.log(format!(
                 "{go_user}: attempt {attempts} failed ({last_error}); checkpoint {} bytes",
                 outcome.checkpoint.total()
             ));
             checkpoint = Some(outcome.checkpoint);
-            if attempts >= policy.max_attempts {
+            Err(last_error)
+        });
+        match run {
+            Ok(result) => result,
+            Err(RetryError::Exhausted { attempts, last }) => {
                 self.obs.metrics().add("gol.transfers_failed", 1);
-                return Err(GolError::TransferFailed { attempts, last_error });
+                Err(GolError::TransferFailed { attempts, last_error: last })
             }
-            // Seeded backoff; never sleep past the overall deadline.
-            let backoff = policy.backoff(attempts);
-            if let Some(deadline) = policy.overall_deadline {
-                if start.elapsed() + backoff >= deadline {
-                    return Err(GolError::TransferFailed {
-                        attempts,
-                        last_error: format!("overall deadline exceeded; last: {last_error}"),
-                    });
-                }
-            }
-            if !backoff.is_zero() {
-                std::thread::sleep(backoff);
-            }
+            Err(RetryError::DeadlineExceeded { attempts, last }) => Err(GolError::TransferFailed {
+                attempts,
+                last_error: format!("overall deadline exceeded; last: {}", last.unwrap_or_default()),
+            }),
         }
     }
 }

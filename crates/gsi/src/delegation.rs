@@ -22,22 +22,24 @@ use crate::error::{GsiError, Result};
 use ig_pki::proxy::{issue_proxy, ProxyOptions};
 use ig_pki::{Certificate, CertificateSigningRequest, Credential, DistinguishedName};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use ig_obs::json::{from_slice, to_vec};
 
 /// Message 1: acceptor → initiator (a CSR for a freshly generated key).
-#[derive(Serialize, Deserialize)]
 pub struct DelegationRequest {
     /// CSR carrying the acceptor-generated public key.
     pub csr: CertificateSigningRequest,
 }
 
+ig_obs::json_codec!(struct DelegationRequest { csr });
+
 /// Message 2: initiator → acceptor (signed proxy + issuer chain).
-#[derive(Serialize, Deserialize)]
 pub struct DelegationGrant {
     /// Chain for the delegated credential: proxy first, then the
     /// initiator's own chain.
     pub chain: Vec<Certificate>,
 }
+
+ig_obs::json_codec!(struct DelegationGrant { chain });
 
 /// Acceptor state between offer and completion (holds the private key).
 pub struct PendingDelegation {
@@ -52,9 +54,7 @@ pub fn offer<R: Rng + ?Sized>(rng: &mut R, key_bits: usize) -> Result<(Vec<u8>, 
         DistinguishedName::from_pairs([("CN", "delegation-request")]),
         &keys.private,
     )?;
-    let msg = DelegationRequest { csr };
-    let bytes = serde_json::to_vec(&msg).expect("delegation request serialization cannot fail");
-    Ok((bytes, PendingDelegation { keys }))
+    Ok((to_vec(&DelegationRequest { csr }), PendingDelegation { keys }))
 }
 
 /// Initiator: sign a proxy for the CSR's key using `credential`.
@@ -65,19 +65,18 @@ pub fn grant<R: Rng + ?Sized>(
     now: u64,
     options: ProxyOptions,
 ) -> Result<Vec<u8>> {
-    let req: DelegationRequest = serde_json::from_slice(request_bytes)
+    let req: DelegationRequest = from_slice(request_bytes)
         .map_err(|e| GsiError::Decode(format!("bad delegation request: {e}")))?;
     let key = req.csr.verify()?; // proof of possession
     let proxy = issue_proxy(rng, credential, &key, now, options)?;
     let mut chain = vec![proxy];
     chain.extend(credential.chain().iter().cloned());
-    let msg = DelegationGrant { chain };
-    Ok(serde_json::to_vec(&msg).expect("delegation grant serialization cannot fail"))
+    Ok(to_vec(&DelegationGrant { chain }))
 }
 
 /// Acceptor: combine the grant with the pending key into a credential.
 pub fn complete(pending: PendingDelegation, grant_bytes: &[u8]) -> Result<Credential> {
-    let msg: DelegationGrant = serde_json::from_slice(grant_bytes)
+    let msg: DelegationGrant = from_slice(grant_bytes)
         .map_err(|e| GsiError::Decode(format!("bad delegation grant: {e}")))?;
     Ok(Credential::new(msg.chain, pending.keys.private)?)
 }
@@ -115,9 +114,9 @@ mod tests {
         assert!(grant(&mut rng, &user_cred, b"garbage", 0, ProxyOptions::default()).is_err());
         // Tampered CSR (signature broken).
         let (req, _) = offer(&mut rng, 512).unwrap();
-        let mut parsed: DelegationRequest = serde_json::from_slice(&req).unwrap();
+        let mut parsed: DelegationRequest = from_slice(&req).unwrap();
         parsed.csr.body.subject = DistinguishedName::from_pairs([("CN", "evil")]);
-        let tampered = serde_json::to_vec(&parsed).unwrap();
+        let tampered = to_vec(&parsed);
         assert!(grant(&mut rng, &user_cred, &tampered, 0, ProxyOptions::default()).is_err());
     }
 

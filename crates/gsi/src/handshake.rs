@@ -22,6 +22,7 @@ use crate::messages::HandshakeMsg;
 use ig_crypto::hmac::HmacSha256;
 use ig_crypto::rng::random_array;
 use ig_crypto::Sha256;
+use ig_obs::json::{value_into, Json, Value};
 use ig_pki::validate::ValidatedIdentity;
 use ig_pki::Certificate;
 use rand::Rng;
@@ -50,7 +51,9 @@ fn pop_payload(
     h.update(client_random);
     h.update(server_random);
     h.update(encrypted_premaster);
-    h.update(&serde_json::to_vec(chain).expect("chain serialization cannot fail"));
+    let mut chain_json = String::new();
+    value_into(&mut chain_json, &Value::Arr(chain.iter().map(Json::to_json).collect()));
+    h.update(chain_json.as_bytes());
     h.finalize().to_vec()
 }
 

@@ -5,56 +5,15 @@
 //! fields ride as hex strings.
 
 use crate::error::{GsiError, Result};
-use ig_crypto::encode::{hex_decode, hex_encode};
+use ig_obs::json::{from_slice, to_vec};
 use ig_pki::Certificate;
-use serde::{Deserialize, Serialize};
-
-/// Serde adapter: bytes as hex strings.
-mod hexbytes {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(b: &[u8], s: S) -> std::result::Result<S::Ok, S::Error> {
-        s.serialize_str(&hex_encode(b))
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> std::result::Result<Vec<u8>, D::Error> {
-        let s = String::deserialize(d)?;
-        hex_decode(&s).map_err(serde::de::Error::custom)
-    }
-}
-
-/// Serde adapter: optional bytes as hex strings.
-mod opt_hexbytes {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(
-        b: &Option<Vec<u8>>,
-        s: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        match b {
-            Some(b) => s.serialize_some(&hex_encode(b)),
-            None => s.serialize_none(),
-        }
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        d: D,
-    ) -> std::result::Result<Option<Vec<u8>>, D::Error> {
-        let s: Option<String> = Option::deserialize(d)?;
-        s.map(|s| hex_decode(&s).map_err(serde::de::Error::custom))
-            .transpose()
-    }
-}
 
 /// One handshake token.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum HandshakeMsg {
     /// Token 1, initiator → acceptor.
     Hello {
         /// 32 bytes of initiator randomness.
-        #[serde(with = "hexbytes")]
         random: Vec<u8>,
         /// Whether the initiator intends to authenticate itself.
         mutual: bool,
@@ -62,7 +21,6 @@ pub enum HandshakeMsg {
     /// Token 2, acceptor → initiator.
     ServerHello {
         /// 32 bytes of acceptor randomness.
-        #[serde(with = "hexbytes")]
         random: Vec<u8>,
         /// Acceptor's certificate chain, leaf first.
         chain: Vec<Certificate>,
@@ -72,26 +30,30 @@ pub enum HandshakeMsg {
         /// Initiator's chain (empty when anonymous).
         chain: Vec<Certificate>,
         /// Pre-master secret encrypted under the acceptor leaf key.
-        #[serde(with = "hexbytes")]
         encrypted_premaster: Vec<u8>,
         /// Proof of possession: signature over the bound transcript
         /// (absent when anonymous).
-        #[serde(with = "opt_hexbytes")]
         signature: Option<Vec<u8>>,
     },
     /// Token 4, acceptor → initiator.
     ServerFinished {
         /// HMAC over the transcript with the s2c MAC key.
-        #[serde(with = "hexbytes")]
         mac: Vec<u8>,
     },
     /// Token 5, initiator → acceptor.
     ClientFinished {
         /// HMAC over the transcript with the c2s MAC key.
-        #[serde(with = "hexbytes")]
         mac: Vec<u8>,
     },
 }
+
+ig_obs::json_codec!(enum HandshakeMsg {
+    Hello { random, mutual },
+    ServerHello { random, chain },
+    ClientAuth { chain, encrypted_premaster, signature },
+    ServerFinished { mac },
+    ClientFinished { mac },
+});
 
 impl HandshakeMsg {
     /// Short name for error messages.
@@ -107,13 +69,12 @@ impl HandshakeMsg {
 
     /// Serialize to token bytes.
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("handshake message serialization cannot fail")
+        to_vec(self)
     }
 
     /// Parse token bytes.
     pub fn decode(token: &[u8]) -> Result<Self> {
-        serde_json::from_slice(token)
-            .map_err(|e| GsiError::Decode(format!("bad handshake token: {e}")))
+        from_slice(token).map_err(|e| GsiError::Decode(format!("bad handshake token: {e}")))
     }
 }
 

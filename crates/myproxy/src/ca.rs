@@ -1,10 +1,10 @@
 //! The online CA itself: short-lived certificates, username-in-DN.
 
 use crate::error::{MyProxyError, Result};
+use ig_obs::sync::Mutex;
 use ig_pki::cert::Certificate;
 use ig_pki::time::Clock;
 use ig_pki::{CertificateAuthority, CertificateSigningRequest, DistinguishedName, SigningPolicy};
-use parking_lot::Mutex;
 use rand::Rng;
 
 /// Default maximum credential lifetime: 12 hours, the GCMU default.

@@ -10,7 +10,7 @@ use crate::error::{MyProxyError, Result};
 use ig_crypto::ct::ct_eq;
 use ig_crypto::hmac::HmacSha256;
 use ig_crypto::Sha256;
-use parking_lot::Mutex;
+use ig_obs::sync::Mutex;
 use std::collections::HashMap;
 use std::time::Duration;
 

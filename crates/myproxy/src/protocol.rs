@@ -6,10 +6,10 @@
 
 use crate::error::{MyProxyError, Result};
 use ig_pki::{Certificate, CertificateSigningRequest};
-use serde::{Deserialize, Serialize};
+use ig_obs::json::{from_slice, to_vec, Json};
 
 /// Client → server.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct LogonRequest {
     /// Site username.
     pub username: String,
@@ -21,8 +21,10 @@ pub struct LogonRequest {
     pub csr: CertificateSigningRequest,
 }
 
+ig_obs::json_codec!(struct LogonRequest { username, password, lifetime, csr });
+
 /// Server → client.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub enum LogonResponse {
     /// Credential issued.
     Ok {
@@ -41,14 +43,19 @@ pub enum LogonResponse {
     },
 }
 
+ig_obs::json_codec!(enum LogonResponse {
+    Ok { certificate, trust_roots, signing_policy },
+    Err { message },
+});
+
 /// Encode a protocol message.
-pub fn encode<T: Serialize>(msg: &T) -> Vec<u8> {
-    serde_json::to_vec(msg).expect("protocol message serialization cannot fail")
+pub fn encode<T: Json>(msg: &T) -> Vec<u8> {
+    to_vec(msg)
 }
 
 /// Decode a protocol message.
-pub fn decode<T: for<'de> Deserialize<'de>>(data: &[u8]) -> Result<T> {
-    serde_json::from_slice(data).map_err(|e| MyProxyError::Decode(format!("bad message: {e}")))
+pub fn decode<T: Json>(data: &[u8]) -> Result<T> {
+    from_slice(data).map_err(|e| MyProxyError::Decode(format!("bad message: {e}")))
 }
 
 #[cfg(test)]

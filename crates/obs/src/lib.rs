@@ -26,6 +26,7 @@
 #![deny(rust_2018_idioms)]
 
 pub mod json;
+pub mod sync;
 pub mod metrics;
 pub mod process;
 pub mod trace;

@@ -9,10 +9,11 @@
 //! Registry snapshots serialize into deterministic JSON (names sorted by
 //! `BTreeMap` order) so `SITE STATS` replies are diffable across runs.
 
-use crate::json::{escape_str_into, Value};
+use crate::json::{kv, to_string, Value};
+use crate::sync::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 const SUB_BUCKETS: u64 = 32; // linear buckets per octave
 const SUB_BITS: u32 = 5; // log2(SUB_BUCKETS)
@@ -207,26 +208,26 @@ impl Registry {
 
     /// Get or create the counter `name`.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().unwrap().get(name) {
+        if let Some(c) = self.counters.read().get(name) {
             return Arc::clone(c);
         }
-        Arc::clone(self.counters.write().unwrap().entry(name.to_string()).or_default())
+        Arc::clone(self.counters.write().entry(name.to_string()).or_default())
     }
 
     /// Get or create the gauge `name`.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.gauges.read().unwrap().get(name) {
+        if let Some(g) = self.gauges.read().get(name) {
             return Arc::clone(g);
         }
-        Arc::clone(self.gauges.write().unwrap().entry(name.to_string()).or_default())
+        Arc::clone(self.gauges.write().entry(name.to_string()).or_default())
     }
 
     /// Get or create the histogram `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().unwrap().get(name) {
+        if let Some(h) = self.histograms.read().get(name) {
             return Arc::clone(h);
         }
-        Arc::clone(self.histograms.write().unwrap().entry(name.to_string()).or_default())
+        Arc::clone(self.histograms.write().entry(name.to_string()).or_default())
     }
 
     /// Convenience: bump counter `name` by `n`.
@@ -246,56 +247,38 @@ impl Registry {
 
     /// Current value of counter `name` (0 if absent).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.read().unwrap().get(name).map_or(0, |c| c.get())
+        self.counters.read().get(name).map_or(0, |c| c.get())
     }
 
     /// Current value of gauge `name` (0.0 if absent).
     pub fn gauge_value(&self, name: &str) -> f64 {
-        self.gauges.read().unwrap().get(name).map_or(0.0, |g| g.get())
+        self.gauges.read().get(name).map_or(0.0, |g| g.get())
     }
 
     /// Deterministically ordered JSON snapshot of every metric:
     /// `{"counters":{...},"gauges":{...},"histograms":{name:
     /// {"count","sum","min","max","p50","p95","p99"}}}`.
     pub fn snapshot_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"counters\":{");
-        for (i, (name, c)) in self.counters.read().unwrap().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_str_into(&mut out, name);
-            out.push(':');
-            out.push_str(&c.get().to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, g)) in self.gauges.read().unwrap().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_str_into(&mut out, name);
-            out.push(':');
-            crate::json::value_into(&mut out, &Value::F64(g.get()));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (name, h)) in self.histograms.read().unwrap().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            escape_str_into(&mut out, name);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                h.count(),
-                h.sum(),
-                h.min(),
-                h.max(),
-                h.quantile(0.50),
-                h.quantile(0.95),
-                h.quantile(0.99)
-            ));
-        }
-        out.push_str("}}");
-        out
+        let counters = self.counters.read().iter().map(|(name, c)| kv(name, c.get())).collect();
+        let gauges = self.gauges.read().iter().map(|(name, g)| kv(name, g.get())).collect();
+        let histogram = |h: &Histogram| {
+            Value::Obj(vec![
+                kv("count", h.count()),
+                kv("sum", h.sum()),
+                kv("min", h.min()),
+                kv("max", h.max()),
+                kv("p50", h.quantile(0.50)),
+                kv("p95", h.quantile(0.95)),
+                kv("p99", h.quantile(0.99)),
+            ])
+        };
+        let histograms =
+            self.histograms.read().iter().map(|(name, h)| kv(name, histogram(h))).collect();
+        to_string(&Value::Obj(vec![
+            kv("counters", Value::Obj(counters)),
+            kv("gauges", Value::Obj(gauges)),
+            kv("histograms", Value::Obj(histograms)),
+        ]))
     }
 }
 

@@ -16,7 +16,7 @@
 use crate::json::{escape_str_into, fields_into, Value};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use crate::sync::Mutex;
 
 /// Default ring-buffer capacity (events).
 pub const DEFAULT_CAPACITY: usize = 65_536;
@@ -111,7 +111,7 @@ impl Tracer {
     /// Record an event. Sequence numbers are claimed and the ring
     /// appended under one short lock so `seq` order equals buffer order.
     pub fn record(&self, span: u64, name: &str, fields: Vec<(String, Value)>, stable: bool) {
-        let mut q = self.events.lock().unwrap();
+        let mut q = self.events.lock();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let stable_seq =
             if stable { self.stable_seq.fetch_add(1, Ordering::Relaxed) } else { 0 };
@@ -123,19 +123,19 @@ impl Tracer {
 
     /// Number of buffered events with name `name`.
     pub fn count_events(&self, name: &str) -> usize {
-        self.events.lock().unwrap().iter().filter(|e| e.name == name).count()
+        self.events.lock().iter().filter(|e| e.name == name).count()
     }
 
     /// Snapshot of all buffered events.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().unwrap().iter().cloned().collect()
+        self.events.lock().iter().cloned().collect()
     }
 
     /// Full JSONL export: every buffered event, raw sequence numbers,
     /// plus a `"stable"` marker. For human debugging, not replay diffs.
     pub fn export_full(&self) -> String {
         let mut out = String::new();
-        for e in self.events.lock().unwrap().iter() {
+        for e in self.events.lock().iter() {
             let mut line = e.jsonl(&self.component, e.seq);
             // Splice the stability marker before the closing brace.
             line.pop();
@@ -162,7 +162,7 @@ impl Tracer {
     /// calls with the returned `next` yield a seq-monotone, gap-audited
     /// stream without re-exporting the whole buffer each time.
     pub fn export_stable_since(&self, cursor: u64) -> StableExport {
-        let q = self.events.lock().unwrap();
+        let q = self.events.lock();
         // `stable_seq` only advances under the events lock, so this read
         // is consistent with the buffer snapshot below.
         let total = self.stable_seq.load(Ordering::Relaxed);

@@ -7,35 +7,20 @@
 
 use crate::dn::DistinguishedName;
 use crate::error::{PkiError, Result};
-use ig_crypto::encode::{hex_decode, hex_encode, pem_encode};
+use ig_crypto::encode::{hex_encode, pem_encode};
 use ig_crypto::{RsaPrivateKey, RsaPublicKey, Sha256};
-use serde::{Deserialize, Serialize};
-
-/// Serde adapter: byte vectors as lowercase hex strings in JSON.
-pub(crate) mod hexbytes {
-    use super::*;
-    use serde::{Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(bytes: &[u8], s: S) -> std::result::Result<S::Ok, S::Error> {
-        s.serialize_str(&hex_encode(bytes))
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(
-        d: D,
-    ) -> std::result::Result<Vec<u8>, D::Error> {
-        let s = String::deserialize(d)?;
-        hex_decode(&s).map_err(serde::de::Error::custom)
-    }
-}
+use ig_obs::json::{from_slice, to_vec};
 
 /// Validity window in UNIX seconds, inclusive start, exclusive end.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Validity {
     /// First instant at which the certificate is valid.
     pub not_before: u64,
     /// First instant at which the certificate is no longer valid.
     pub not_after: u64,
 }
+
+ig_obs::json_codec!(struct Validity { not_before, not_after });
 
 impl Validity {
     /// A window starting at `start` and lasting `secs` seconds.
@@ -55,7 +40,7 @@ impl Validity {
 }
 
 /// Certificate extensions — the subset GSI actually uses.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Extension {
     /// X.509 basic constraints: may this certificate sign others?
     BasicConstraints {
@@ -84,8 +69,15 @@ pub enum Extension {
     },
 }
 
+ig_obs::json_codec!(enum Extension {
+    BasicConstraints { ca, path_len },
+    ProxyCertInfo { path_len },
+    OnlineCaIssued { endpoint },
+    Custom { oid, value },
+});
+
 /// The signed portion of a certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TbsCertificate {
     /// Structure version (always 3, matching X.509 v3).
     pub version: u32,
@@ -98,16 +90,19 @@ pub struct TbsCertificate {
     /// Validity window.
     pub validity: Validity,
     /// Holder's RSA public key (ig-crypto encoding).
-    #[serde(with = "hexbytes")]
     pub public_key: Vec<u8>,
     /// Extensions.
     pub extensions: Vec<Extension>,
 }
 
+ig_obs::json_codec!(struct TbsCertificate {
+    version, serial, issuer, subject, validity, public_key, extensions
+});
+
 impl TbsCertificate {
     /// The exact bytes that get signed.
     pub fn signing_bytes(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("TBS serialization cannot fail")
+        to_vec(self)
     }
 
     /// Decode the embedded public key.
@@ -117,14 +112,15 @@ impl TbsCertificate {
 }
 
 /// A signed certificate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// Signed body.
     pub tbs: TbsCertificate,
     /// RSA/SHA-256 signature over [`TbsCertificate::signing_bytes`].
-    #[serde(with = "hexbytes")]
     pub signature: Vec<u8>,
 }
+
+ig_obs::json_codec!(struct Certificate { tbs, signature });
 
 impl Certificate {
     /// Sign a TBS body with the issuer's key.
@@ -213,14 +209,12 @@ impl Certificate {
     /// SHA-256 fingerprint (first 8 bytes, hex) used in logs and as a
     /// stable identity for trust-root lookups.
     pub fn fingerprint(&self) -> String {
-        let bytes = serde_json::to_vec(self).expect("certificate serialization cannot fail");
-        hex_encode(&Sha256::digest(&bytes)[..8])
+        hex_encode(&Sha256::digest(&to_vec(self))[..8])
     }
 
     /// Serialize to a PEM `CERTIFICATE` block.
     pub fn to_pem(&self) -> String {
-        let body = serde_json::to_vec(self).expect("certificate serialization cannot fail");
-        pem_encode("CERTIFICATE", &body)
+        pem_encode("CERTIFICATE", &to_vec(self))
     }
 
     /// Parse one certificate from PEM bytes.
@@ -232,7 +226,7 @@ impl Certificate {
 
     /// Parse from raw (decoded) body bytes.
     pub fn from_bytes(body: &[u8]) -> Result<Self> {
-        serde_json::from_slice(body).map_err(|e| PkiError::Decode(format!("bad certificate: {e}")))
+        from_slice(body).map_err(|e| PkiError::Decode(format!("bad certificate: {e}")))
     }
 }
 

@@ -9,58 +9,57 @@ use crate::dn::DistinguishedName;
 use crate::error::{PkiError, Result};
 use ig_crypto::encode::pem_encode;
 use ig_crypto::{RsaPrivateKey, RsaPublicKey};
-use serde::{Deserialize, Serialize};
+use ig_obs::json::{from_slice, to_vec};
 
 /// The signed body of a CSR.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrBody {
     /// Subject the requester wants (the CA may override it — the GCMU
     /// online CA always rewrites it to embed the authenticated username).
     pub subject: DistinguishedName,
     /// Requester's public key (ig-crypto encoding).
-    #[serde(with = "crate::cert::hexbytes")]
     pub public_key: Vec<u8>,
 }
 
+ig_obs::json_codec!(struct CsrBody { subject, public_key });
+
 /// A certificate signing request, self-signed for proof of possession.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertificateSigningRequest {
     /// Request body.
     pub body: CsrBody,
     /// Signature over the body by the key in the body.
-    #[serde(with = "crate::cert::hexbytes")]
     pub signature: Vec<u8>,
 }
+
+ig_obs::json_codec!(struct CertificateSigningRequest { body, signature });
 
 impl CertificateSigningRequest {
     /// Create a CSR for `subject` with the requester's key pair.
     pub fn create(subject: DistinguishedName, key: &RsaPrivateKey) -> Result<Self> {
         let body = CsrBody { subject, public_key: key.public().encode() };
-        let bytes = serde_json::to_vec(&body).expect("CSR body serialization cannot fail");
-        let signature = key.sign(&bytes)?;
+        let signature = key.sign(&to_vec(&body))?;
         Ok(CertificateSigningRequest { body, signature })
     }
 
     /// Verify the proof-of-possession signature and return the public key.
     pub fn verify(&self) -> Result<RsaPublicKey> {
         let key = RsaPublicKey::decode(&self.body.public_key)?;
-        let bytes = serde_json::to_vec(&self.body).expect("CSR body serialization cannot fail");
-        key.verify(&bytes, &self.signature)
+        key.verify(&to_vec(&self.body), &self.signature)
             .map_err(|_| PkiError::BadSignature("CSR proof-of-possession".into()))?;
         Ok(key)
     }
 
     /// PEM form (`CERTIFICATE REQUEST` label, as OpenSSL uses).
     pub fn to_pem(&self) -> String {
-        let body = serde_json::to_vec(self).expect("CSR serialization cannot fail");
-        pem_encode("CERTIFICATE REQUEST", &body)
+        pem_encode("CERTIFICATE REQUEST", &to_vec(self))
     }
 
     /// Parse from PEM.
     pub fn from_pem(pem: &str) -> Result<Self> {
         let body = ig_crypto::encode::pem_decode_one(pem, "CERTIFICATE REQUEST")
             .map_err(|e| PkiError::Decode(e.to_string()))?;
-        serde_json::from_slice(&body).map_err(|e| PkiError::Decode(format!("bad CSR: {e}")))
+        from_slice(&body).map_err(|e| PkiError::Decode(format!("bad CSR: {e}")))
     }
 }
 

@@ -7,11 +7,10 @@
 //! round-trippable, including escaping of `/` inside values.
 
 use crate::error::{PkiError, Result};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One relative distinguished name component, e.g. `CN=alice`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rdn {
     /// Attribute type: `C`, `O`, `OU`, `CN`, ...
     pub attr: String,
@@ -19,11 +18,15 @@ pub struct Rdn {
     pub value: String,
 }
 
+ig_obs::json_codec!(struct Rdn { attr, value });
+
 /// An ordered distinguished name.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct DistinguishedName {
     rdns: Vec<Rdn>,
 }
+
+ig_obs::json_codec!(struct DistinguishedName { rdns });
 
 impl DistinguishedName {
     /// Empty DN (used transiently while building).

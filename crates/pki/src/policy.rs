@@ -8,14 +8,13 @@
 //! `cond_subjects` glob behaviour.
 
 use crate::dn::DistinguishedName;
-use serde::{Deserialize, Serialize};
 
 /// A signing policy: a set of DN glob patterns a CA is allowed to sign.
 ///
 /// Patterns use `*` as "any suffix" when trailing (the dominant usage in
 /// real signing-policy files, e.g. `/O=Grid/OU=site/*`) and also match
 /// embedded `*` segments literally-per-component.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SigningPolicy {
     patterns: Vec<String>,
 }

@@ -15,7 +15,10 @@
 //! * **Framing** after the handshake is the control channel's own
 //!   4-byte big-endian length prefix ([`ig_xio::FrameBuf`]), one JSON
 //!   object per frame in both directions, capped at
-//!   [`ADMIN_MAX_FRAME`].
+//!   [`ADMIN_MAX_FRAME`] before it reaches the parser. Requests are
+//!   parsed by [`ig_obs::json`], the tree's one codec (nesting capped,
+//!   typed errors → `bad-request`); the operator client and the tests
+//!   read replies with the same parser.
 //!
 //! Commands: `metrics` (the same serialized snapshot `SITE STATS`
 //! serves — one serializer, two surfaces), `sessions` (live session
@@ -58,297 +61,16 @@ pub const ADMIN_PROTO_VERSION: u32 = 1;
 /// huge announced length is an attack or a bug either way.
 pub const ADMIN_MAX_FRAME: usize = 1024 * 1024;
 
-pub mod wire {
-    //! Minimal JSON for the admin wire format.
-    //!
-    //! `ig-server` deliberately has no serde dependency (see
-    //! `ig-obs::json` for the emission half); admin requests are small
-    //! and their grammar is fixed, so parsing is a ~100-line recursive
-    //! descent kept next to the protocol it serves. Public because the
-    //! admin client example and the integration tests speak the same
-    //! wire format.
-
-    /// A parsed JSON value. Numbers are `f64` (admin payloads carry
-    /// cursors and sizes well below 2^53).
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Json {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any number.
-        Num(f64),
-        /// String (unescaped).
-        Str(String),
-        /// Array.
-        Arr(Vec<Json>),
-        /// Object, insertion-ordered.
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// Object field lookup.
-        pub fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(fields) => {
-                    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-                }
-                _ => None,
-            }
-        }
-
-        /// String payload, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Non-negative integral payload.
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                    Some(*n as u64)
-                }
-                _ => None,
-            }
-        }
-
-        /// Float payload.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Json::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// Bool payload.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Json::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parse one JSON document; trailing non-whitespace is an error.
-    pub fn parse(s: &str) -> Result<Json, String> {
-        let bytes = s.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected {lit:?} at offset {pos}", pos = *pos))
-        }
-    }
-
-    fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            None => Err("unexpected end of input".to_string()),
-            Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
-            Some(b't') => expect(b, pos, "true").map(|_| Json::Bool(true)),
-            Some(b'f') => expect(b, pos, "false").map(|_| Json::Bool(false)),
-            Some(b'"') => parse_string(b, pos).map(Json::Str),
-            Some(b'[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(parse_value(b, pos)?);
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected ',' or ']' at offset {}", *pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                *pos += 1;
-                let mut fields = Vec::new();
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    skip_ws(b, pos);
-                    let key = parse_string(b, pos)?;
-                    skip_ws(b, pos);
-                    expect(b, pos, ":")?;
-                    let value = parse_value(b, pos)?;
-                    fields.push((key, value));
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at offset {}", *pos)),
-                    }
-                }
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-            Some(c) => Err(format!("unexpected byte {c:#04x} at offset {}", *pos)),
-        }
-    }
-
-    fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-        let start = *pos;
-        if b.get(*pos) == Some(&b'-') {
-            *pos += 1;
-        }
-        while *pos < b.len()
-            && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        {
-            *pos += 1;
-        }
-        std::str::from_utf8(&b[start..*pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|n| n.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at offset {start}"))
-    }
-
-    fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected string at offset {}", *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        loop {
-            match b.get(*pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match b.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = b
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| format!("bad \\u escape at {}", *pos))?;
-                            // Surrogate pairs are not in the admin
-                            // grammar; reject rather than mis-decode.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| format!("bad codepoint at {}", *pos))?;
-                            out.push(c);
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", *pos)),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences
-                    // have no bytes < 0x80, so no escape collision).
-                    let rest = std::str::from_utf8(&b[*pos..])
-                        .map_err(|_| format!("invalid utf-8 at offset {}", *pos))?;
-                    let c = rest.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn parses_admin_shapes() {
-            let v = parse(
-                "{\"cmd\":\"reload\",\"set\":{\"block_size\":4096,\
-                 \"stripe_rate\":null,\"data_chaos_armed\":true}}",
-            )
-            .unwrap();
-            assert_eq!(v.get("cmd").and_then(Json::as_str), Some("reload"));
-            let set = v.get("set").unwrap();
-            assert_eq!(set.get("block_size").and_then(Json::as_u64), Some(4096));
-            assert_eq!(set.get("stripe_rate"), Some(&Json::Null));
-            assert_eq!(set.get("data_chaos_armed").and_then(Json::as_bool), Some(true));
-        }
-
-        #[test]
-        fn roundtrips_escapes() {
-            let v = parse("{\"s\":\"a\\\"b\\\\c\\nd\\u00e9\"}").unwrap();
-            assert_eq!(v.get("s").and_then(Json::as_str), Some("a\"b\\c\nd\u{e9}"));
-        }
-
-        #[test]
-        fn rejects_garbage() {
-            assert!(parse("{").is_err());
-            assert!(parse("{\"a\":}").is_err());
-            assert!(parse("[1,2,]").is_err());
-            assert!(parse("123 456").is_err());
-            assert!(parse("1e999").is_err(), "non-finite numbers rejected");
-        }
-
-        #[test]
-        fn nested_arrays_and_numbers() {
-            let v = parse("[0, -1.5, [true, null], {\"k\":[]}]").unwrap();
-            match v {
-                Json::Arr(items) => {
-                    assert_eq!(items.len(), 4);
-                    assert_eq!(items[1].as_f64(), Some(-1.5));
-                }
-                other => panic!("expected array, got {other:?}"),
-            }
-        }
-    }
-}
-
 pub use plane::spawn_admin;
 
 mod plane {
-    use super::wire::{self, Json};
     use super::{ADMIN_MAX_FRAME, ADMIN_PROTO_VERSION};
     use crate::config::ServerConfig;
     use crate::error::{Result, ServerError};
     use crate::listener::GridFtpServer;
-    use crate::tunables::{tunables_json, TunableValue};
+    use crate::tunables::tunables_json;
     use crate::usage::stats_json;
-    use ig_obs::json::{escape_str_into, kv};
+    use ig_obs::json::{self, kv, Value};
     use ig_xio::{FrameBuf, UdsListener};
     use std::io::{Read, Write};
     use std::os::unix::net::UnixStream;
@@ -507,14 +229,11 @@ mod plane {
     }
 
     fn err_reply(code: &str, detail: &str) -> String {
-        let mut out = String::from("{\"ok\":false,\"error\":");
-        escape_str_into(&mut out, code);
+        let mut fields = vec![kv("ok", false), kv("error", code)];
         if !detail.is_empty() {
-            out.push_str(",\"detail\":");
-            escape_str_into(&mut out, detail);
+            fields.push(kv("detail", detail));
         }
-        out.push('}');
-        out
+        json::to_string(&Value::Obj(fields))
     }
 
     /// Handle one request frame. Returns `false` when the connection
@@ -526,21 +245,14 @@ mod plane {
         weak: &Weak<GridFtpServer>,
         stop: &Arc<AtomicBool>,
     ) -> std::io::Result<bool> {
-        let text = match std::str::from_utf8(frame) {
-            Ok(t) => t,
-            Err(_) => {
-                send_frame(stream, &err_reply("bad-request", "frame is not utf-8"))?;
-                return Ok(true);
-            }
-        };
-        let req = match wire::parse(text) {
+        let req = match json::parse_slice(frame) {
             Ok(v) => v,
             Err(e) => {
-                send_frame(stream, &err_reply("bad-request", &e))?;
+                send_frame(stream, &err_reply("bad-request", &e.to_string()))?;
                 return Ok(true);
             }
         };
-        let cmd = req.get("cmd").and_then(Json::as_str).unwrap_or("").to_string();
+        let cmd = req.get("cmd").and_then(Value::as_str).unwrap_or("").to_string();
         config.obs.event_unstable("admin.cmd", vec![kv("verb", cmd.as_str())]);
         match cmd.as_str() {
             "metrics" => {
@@ -564,58 +276,38 @@ mod plane {
                 Ok(true)
             }
             "trace" => {
-                let since = req.get("since").and_then(Json::as_u64).unwrap_or(0);
-                let follow = req.get("follow").and_then(Json::as_bool).unwrap_or(false);
+                let since = req.get("since").and_then(Value::as_u64).unwrap_or(0);
+                let follow = req.get("follow").and_then(Value::as_bool).unwrap_or(false);
                 let max_ms =
-                    req.get("max_ms").and_then(Json::as_u64).unwrap_or(1000).min(60_000);
+                    req.get("max_ms").and_then(Value::as_u64).unwrap_or(1000).min(60_000);
                 serve_trace(stream, config, stop, since, follow, max_ms)?;
                 Ok(true)
             }
             "drain" => {
                 let deadline_ms =
-                    req.get("deadline_ms").and_then(Json::as_u64).unwrap_or(5000);
+                    req.get("deadline_ms").and_then(Value::as_u64).unwrap_or(5000);
                 let Some(server) = weak.upgrade() else {
                     send_frame(stream, &err_reply("server-gone", ""))?;
                     return Ok(false);
                 };
                 let report = server.drain(Duration::from_millis(deadline_ms));
-                let mut out = String::from("{\"ok\":true,\"drained\":true,\"already\":");
-                out.push_str(if report.already { "true" } else { "false" });
-                out.push_str(",\"clean\":");
-                out.push_str(if report.clean { "true" } else { "false" });
-                out.push_str(",\"waited_ms\":");
-                out.push_str(&report.waited_ms.to_string());
-                out.push_str(",\"transfers_interrupted\":");
-                out.push_str(&report.transfers_interrupted.to_string());
-                out.push('}');
+                let out = json::to_string(&Value::Obj(vec![
+                    kv("ok", true),
+                    kv("drained", true),
+                    kv("already", report.already),
+                    kv("clean", report.clean),
+                    kv("waited_ms", report.waited_ms),
+                    kv("transfers_interrupted", report.transfers_interrupted),
+                ]));
                 send_frame(stream, &out)?;
                 Ok(true)
             }
             "reload" => {
-                let Some(Json::Obj(fields)) = req.get("set") else {
+                let Some(Value::Obj(updates)) = req.get("set") else {
                     send_frame(stream, &err_reply("bad-request", "missing \"set\" object"))?;
                     return Ok(true);
                 };
-                let mut updates = Vec::with_capacity(fields.len());
-                for (name, value) in fields {
-                    let tv = match value {
-                        Json::Null => TunableValue::Null,
-                        Json::Bool(b) => TunableValue::Bool(*b),
-                        Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => {
-                            TunableValue::U64(*n as u64)
-                        }
-                        Json::Num(n) => TunableValue::F64(*n),
-                        _ => {
-                            send_frame(
-                                stream,
-                                &err_reply("invalid-value", &format!("field {name:?}")),
-                            )?;
-                            return Ok(true);
-                        }
-                    };
-                    updates.push((name.clone(), tv));
-                }
-                match config.reload(&updates) {
+                match config.reload(updates) {
                     Ok(active) => {
                         let mut out = String::from("{\"ok\":true,\"tunables\":");
                         out.push_str(&tunables_json(&active));
@@ -623,13 +315,12 @@ mod plane {
                         send_frame(stream, &out)?;
                     }
                     Err(e) => {
-                        let mut out = String::from("{\"ok\":false,\"error\":");
-                        escape_str_into(&mut out, e.code());
-                        out.push_str(",\"field\":");
-                        escape_str_into(&mut out, e.field());
-                        out.push_str(",\"detail\":");
-                        escape_str_into(&mut out, &e.to_string());
-                        out.push('}');
+                        let out = json::to_string(&Value::Obj(vec![
+                            kv("ok", false),
+                            kv("error", e.code()),
+                            kv("field", e.field()),
+                            kv("detail", e.to_string()),
+                        ]));
                         send_frame(stream, &out)?;
                     }
                 }
@@ -640,7 +331,7 @@ mod plane {
                     send_frame(stream, &err_reply("no-scheduler", ""))?;
                     return Ok(true);
                 };
-                match req.get("op").and_then(Json::as_str).unwrap_or("list") {
+                match req.get("op").and_then(Value::as_str).unwrap_or("list") {
                     "list" => {
                         let mut out = String::from("{\"ok\":true,\"tenants\":");
                         out.push_str(&sched.tenants_json());
@@ -648,9 +339,9 @@ mod plane {
                         send_frame(stream, &out)?;
                     }
                     "set" => {
-                        let tenant = req.get("tenant").and_then(Json::as_str);
-                        let weight = req.get("weight").and_then(Json::as_u64);
-                        let queue_cap = req.get("queue_cap").and_then(Json::as_u64);
+                        let tenant = req.get("tenant").and_then(Value::as_str);
+                        let weight = req.get("weight").and_then(Value::as_u64);
+                        let queue_cap = req.get("queue_cap").and_then(Value::as_u64);
                         let (Some(tenant), Some(weight), Some(queue_cap)) =
                             (tenant, weight, queue_cap)
                         else {
@@ -663,8 +354,8 @@ mod plane {
                             )?;
                             return Ok(true);
                         };
-                        let rate = req.get("rate_per_s").and_then(Json::as_f64);
-                        let burst = req.get("burst").and_then(Json::as_f64).unwrap_or(1.0);
+                        let rate = req.get("rate_per_s").and_then(Value::as_f64);
+                        let burst = req.get("burst").and_then(Value::as_f64).unwrap_or(1.0);
                         match sched.set_limits(
                             tenant,
                             weight.min(u64::from(u32::MAX)) as u32,
@@ -698,17 +389,13 @@ mod plane {
     /// One trace chunk as a reply frame. The JSONL payload travels as a
     /// single JSON string so the framing stays one-object-per-frame.
     fn trace_reply(export: &ig_obs::trace::StableExport, done: bool) -> String {
-        let mut out = String::with_capacity(export.jsonl.len() + 64);
-        out.push_str("{\"ok\":true,\"next\":");
-        out.push_str(&export.next.to_string());
-        out.push_str(",\"dropped\":");
-        out.push_str(&export.dropped.to_string());
-        out.push_str(",\"done\":");
-        out.push_str(if done { "true" } else { "false" });
-        out.push_str(",\"jsonl\":");
-        escape_str_into(&mut out, &export.jsonl);
-        out.push('}');
-        out
+        json::to_string(&Value::Obj(vec![
+            kv("ok", true),
+            kv("next", export.next),
+            kv("dropped", export.dropped),
+            kv("done", done),
+            kv("jsonl", export.jsonl.as_str()),
+        ]))
     }
 
     fn serve_trace(

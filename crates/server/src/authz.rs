@@ -12,9 +12,9 @@
 //!   explicit DN to username mapping".
 
 use crate::error::{Result, ServerError};
+use ig_obs::sync::RwLock;
 use ig_pki::validate::ValidatedIdentity;
 use ig_pki::Gridmap;
-use parking_lot::RwLock;
 
 /// A pluggable identity → local-account mapping.
 pub trait AuthzCallout: Send + Sync {

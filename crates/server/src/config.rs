@@ -4,8 +4,9 @@ use crate::admin::SchedulerControl;
 use crate::authz::AuthzCallout;
 use crate::dsi::Dsi;
 use crate::introspect::SessionIndex;
-use crate::tunables::{ReloadError, TunableSlot, TunableValue, Tunables};
+use crate::tunables::{ReloadError, TunableSlot, Tunables};
 use crate::usage::UsageReporter;
+use ig_obs::json::Value;
 use ig_pki::time::Clock;
 use ig_pki::{Credential, TrustStore};
 use std::net::Ipv4Addr;
@@ -142,7 +143,7 @@ impl ServerConfig {
     /// rejected batch toggles nothing.
     pub fn reload(
         &self,
-        updates: &[(String, TunableValue)],
+        updates: &[(String, Value)],
     ) -> Result<Arc<Tunables>, ReloadError> {
         let mut chaos_arm = None;
         let mut tun = Vec::new();
@@ -155,7 +156,7 @@ impl ServerConfig {
                     }
                 })?;
                 match value {
-                    TunableValue::Bool(b) => chaos_arm = Some((Arc::clone(hook), *b)),
+                    Value::Bool(b) => chaos_arm = Some((Arc::clone(hook), *b)),
                     _ => {
                         return Err(ReloadError::InvalidValue {
                             field: field.clone(),

@@ -5,7 +5,7 @@
 use super::{DirEntry, Dsi};
 use crate::error::{Result, ServerError};
 use crate::users::UserContext;
-use parking_lot::RwLock;
+use ig_obs::sync::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// An in-memory filesystem.

@@ -9,10 +9,10 @@
 use crate::dsi::Dsi;
 use crate::error::{Result, ServerError};
 use crate::users::UserContext;
+use ig_obs::sync::Mutex;
 use ig_protocol::mode_e::{self, Block, BlockView};
 use ig_protocol::ByteRanges;
 use ig_xio::{Link, WakeFd};
-use parking_lot::Mutex;
 use std::io::IoSlice;
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,6 +25,9 @@ use std::time::Duration;
 /// blocks allocates nothing per block; workers frame each block as a
 /// vectored header + payload-slice send.
 type BlockPiece = (u64, Arc<[u8]>, usize, usize);
+
+/// The sending half of one stream's bounded queue of pieces.
+type BlockQueue = std::sync::mpsc::SyncSender<BlockPiece>;
 
 /// Shared live progress of a transfer (polled for markers).
 #[derive(Default)]
@@ -59,8 +62,7 @@ impl Progress {
 fn spawn_block_workers(
     streams: Vec<Box<dyn Link>>,
     progress: &Arc<Progress>,
-) -> Result<(Vec<crossbeam::channel::Sender<BlockPiece>>, Vec<std::thread::JoinHandle<Result<()>>>)>
-{
+) -> Result<(Vec<BlockQueue>, Vec<std::thread::JoinHandle<Result<()>>>)> {
     assert!(!streams.is_empty(), "need at least one stream");
     let n = streams.len();
     // One bounded queue per stream: strict round-robin. A shared queue
@@ -69,7 +71,7 @@ fn spawn_block_workers(
     let mut txs = Vec::with_capacity(n);
     let mut rxs = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = crossbeam::channel::bounded::<BlockPiece>(4);
+        let (tx, rx) = std::sync::mpsc::sync_channel::<BlockPiece>(4);
         txs.push(tx);
         rxs.push(rx);
     }
@@ -579,6 +581,15 @@ impl Receiver {
                 "transfer ended before all EODs arrived".into(),
             ));
         }
+        // Every EOD arrived, yet a block may not have (a lossy link drops
+        // frames, not streams): what landed, together with the ranges
+        // `progress` was seeded with (REST, or the base of a partial
+        // retrieve), must be one run from offset 0.
+        let landed = self.shared.progress.ranges.lock();
+        if landed.contiguous_prefix() != landed.total() {
+            let hole = landed.contiguous_prefix();
+            return Err(RecvFault::Truncated(format!("hole at {hole}")).into());
+        }
         Ok(self.shared.progress.bytes())
     }
 }
@@ -658,7 +669,10 @@ mod tests {
         let data: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
         let (dsi, user) = setup(&data);
         let dst: Arc<dyn Dsi> = Arc::new(MemDsi::new());
+        // A resume: the receiver already holds what the sender skips.
         let progress = Progress::new();
+        progress.ranges.lock().add(0, 100);
+        progress.ranges.lock().add(200, 300);
         let receiver = Receiver::new(Arc::clone(&dst), user.clone(), "/out", Arc::clone(&progress));
         let (a, b) = pipe();
         receiver.add_stream(Box::new(b)).unwrap();
@@ -675,9 +689,9 @@ mod tests {
         assert_eq!(sent, 200);
         receiver.finish().unwrap();
         // Ranges landed at their original offsets.
-        let ranges = progress.ranges_snapshot();
-        assert_eq!(ranges.ranges(), &[(100, 200), (300, 400)]);
+        assert_eq!(progress.ranges_snapshot().ranges(), &[(0, 400)]);
         assert_eq!(dst.read(&user, "/out", 100, 100).unwrap(), &data[100..200]);
+        assert_eq!(dst.read(&user, "/out", 300, 100).unwrap(), &data[300..400]);
     }
 
     /// Stream a source tree over N pipes into a staging file, then
@@ -784,6 +798,22 @@ mod tests {
         drop(a);
         let err = receiver.finish().unwrap_err();
         assert!(err.to_string().contains("dropped"));
+    }
+
+    #[test]
+    fn receiver_reports_a_hole() {
+        // Every EOD arrives; the block at offset 3 never does.
+        let dst: Arc<dyn Dsi> = Arc::new(MemDsi::new());
+        let receiver = Receiver::new(dst, UserContext::superuser(), "/out", Progress::new());
+        let (mut a, b) = pipe();
+        receiver.add_stream(Box::new(b)).unwrap();
+        a.send(&Block::eof_count(1).encode()).unwrap();
+        a.send(&Block::data(0, vec![1, 2, 3]).encode()).unwrap();
+        a.send(&Block::data(6, vec![7, 8, 9]).encode()).unwrap();
+        a.send(&Block::eod().encode()).unwrap();
+        let err = receiver.finish().unwrap_err();
+        assert!(matches!(err, ServerError::Truncated(_)), "{err}");
+        assert!(err.to_string().contains("hole at 3"), "{err}");
     }
 
     #[test]

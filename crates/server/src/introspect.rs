@@ -14,8 +14,8 @@
 //! accounting surface — the usage ledger (`crate::usage`) remains the
 //! source of truth for billing-grade numbers.
 
-use ig_obs::json::escape_str_into;
-use parking_lot::Mutex;
+use ig_obs::json::{kv, to_string, Value};
+use ig_obs::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,33 +97,20 @@ impl SessionIndex {
     /// call time so `last_cmd_age_ms` is current.
     pub fn snapshot_json(&self) -> String {
         let now = Instant::now();
-        let mut out = String::from("[");
-        for (i, (id, e)) in self.live.lock().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"id\":");
-            out.push_str(&id.to_string());
-            out.push_str(",\"user\":");
-            match &e.user {
-                Some(u) => escape_str_into(&mut out, u),
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"state\":\"");
-            out.push_str(e.state.label());
-            out.push_str("\",\"last_verb\":");
-            escape_str_into(&mut out, &e.last_verb);
-            out.push_str(",\"last_cmd_age_ms\":");
+        let live = self.live.lock();
+        let sessions = live.iter().map(|(id, e)| {
             let age = now.saturating_duration_since(e.last_cmd).as_millis() as u64;
-            out.push_str(&age.to_string());
-            out.push_str(",\"bytes_in\":");
-            out.push_str(&e.bytes_in.to_string());
-            out.push_str(",\"bytes_out\":");
-            out.push_str(&e.bytes_out.to_string());
-            out.push('}');
-        }
-        out.push(']');
-        out
+            Value::Obj(vec![
+                kv("id", *id),
+                kv("user", e.user.as_deref()),
+                kv("state", e.state.label()),
+                kv("last_verb", e.last_verb.as_str()),
+                kv("last_cmd_age_ms", age),
+                kv("bytes_in", e.bytes_in),
+                kv("bytes_out", e.bytes_out),
+            ])
+        });
+        to_string(&Value::Arr(sessions.collect()))
     }
 
     fn with_entry(&self, id: u64, f: impl FnOnce(&mut SessionEntry)) {

@@ -60,6 +60,6 @@ pub use dtp::RecvFault;
 pub use error::ServerError;
 pub use introspect::{SessionIndex, SessionState, SessionTicket, TransferScope};
 pub use listener::{DrainReport, GridFtpServer};
-pub use tunables::{ReloadError, TunableSlot, TunableValue, Tunables};
+pub use tunables::{ReloadError, TunableSlot, Tunables};
 pub use usage::{stats_json, UsageReporter, UsageSnapshot};
 pub use users::UserContext;

@@ -40,7 +40,7 @@ pub struct GridFtpServer {
     draining: Arc<AtomicBool>,
     /// Serializes concurrent drain calls so the second observes the
     /// first's outcome instead of re-waiting (drain is idempotent).
-    drain_lock: std::sync::Mutex<()>,
+    drain_lock: ig_obs::sync::Mutex<()>,
     /// Reactor wakeup handle: shutdown pokes the event loop out of
     /// `epoll_wait`.
     wake: Arc<ig_xio::WakeFd>,
@@ -69,7 +69,7 @@ impl GridFtpServer {
             addr,
             stop,
             draining,
-            drain_lock: std::sync::Mutex::new(()),
+            drain_lock: ig_obs::sync::Mutex::new(()),
             wake,
         });
         if server.config.admin_socket.is_some() {
@@ -119,7 +119,7 @@ impl GridFtpServer {
     /// after the first reports the existing outcome (`already`) instead
     /// of waiting again.
     pub fn drain(&self, deadline: Duration) -> DrainReport {
-        let _serialize = self.drain_lock.lock().unwrap();
+        let _serialize = self.drain_lock.lock();
         let already = self.draining.swap(true, Ordering::SeqCst);
         let metrics = self.config.obs.metrics();
         let active =

@@ -15,7 +15,8 @@
 //! [`ReloadError::NotReloadable`], not a silent ignore — the reloadable
 //! set is the API contract documented in DESIGN.md §15.
 
-use parking_lot::Mutex;
+use ig_obs::json::{kv, to_string, Value};
+use ig_obs::sync::Mutex;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,38 +38,6 @@ pub struct Tunables {
     pub block_size: usize,
     /// Per-stripe bandwidth cap in bytes/second (`None` = unthrottled).
     pub stripe_rate: Option<f64>,
-}
-
-/// A value carried in a reload request. The admin wire protocol is
-/// JSON; this is the typed subset a tunable can take.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TunableValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Float.
-    F64(f64),
-    /// Boolean (chaos arm/disarm).
-    Bool(bool),
-    /// Explicit null — clears an optional tunable.
-    Null,
-}
-
-impl TunableValue {
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            TunableValue::U64(n) => Some(*n),
-            TunableValue::F64(f) if *f >= 0.0 && f.fract() == 0.0 => Some(*f as u64),
-            _ => None,
-        }
-    }
-
-    fn as_f64(&self) -> Option<f64> {
-        match self {
-            TunableValue::U64(n) => Some(*n as f64),
-            TunableValue::F64(f) => Some(*f),
-            _ => None,
-        }
-    }
 }
 
 /// Why a reload batch was refused. The batch is all-or-nothing: any
@@ -189,7 +158,7 @@ impl TunableSlot {
     pub fn reload(
         &self,
         seed: impl FnOnce() -> Tunables,
-        updates: &[(String, TunableValue)],
+        updates: &[(String, Value)],
     ) -> Result<Arc<Tunables>, ReloadError> {
         let mut cur = self.current.lock();
         let mut cand = match &*cur {
@@ -205,7 +174,7 @@ impl TunableSlot {
     }
 }
 
-fn apply_one(t: &mut Tunables, field: &str, v: &TunableValue) -> Result<(), ReloadError> {
+fn apply_one(t: &mut Tunables, field: &str, v: &Value) -> Result<(), ReloadError> {
     let invalid = |reason: &str| ReloadError::InvalidValue {
         field: field.to_string(),
         reason: reason.to_string(),
@@ -216,7 +185,7 @@ fn apply_one(t: &mut Tunables, field: &str, v: &TunableValue) -> Result<(), Relo
             _ => return Err(invalid("expected integer milliseconds >= 1")),
         },
         "control_idle_timeout_ms" => match v {
-            TunableValue::Null => t.control_idle_timeout = None,
+            Value::Null => t.control_idle_timeout = None,
             _ => match v.as_u64() {
                 Some(ms) if ms >= 1 => {
                     t.control_idle_timeout = Some(Duration::from_millis(ms))
@@ -229,7 +198,7 @@ fn apply_one(t: &mut Tunables, field: &str, v: &TunableValue) -> Result<(), Relo
             _ => return Err(invalid("expected 1 <= bytes <= 8388608")),
         },
         "stripe_rate" => match v {
-            TunableValue::Null => t.stripe_rate = None,
+            Value::Null => t.stripe_rate = None,
             _ => match v.as_f64() {
                 Some(r) if r.is_finite() && r > 0.0 => t.stripe_rate = Some(r),
                 _ => return Err(invalid("expected bytes/second > 0, or null")),
@@ -246,23 +215,12 @@ fn apply_one(t: &mut Tunables, field: &str, v: &TunableValue) -> Result<(), Relo
 /// Serialize a snapshot as one JSON object (the admin `reload` reply
 /// echoes the now-active values so the operator sees what took effect).
 pub fn tunables_json(t: &Tunables) -> String {
-    let mut out = String::with_capacity(160);
-    out.push_str("{\"stall_timeout_ms\":");
-    out.push_str(&(t.stall_timeout.as_millis() as u64).to_string());
-    out.push_str(",\"control_idle_timeout_ms\":");
-    match t.control_idle_timeout {
-        Some(d) => out.push_str(&(d.as_millis() as u64).to_string()),
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"block_size\":");
-    out.push_str(&t.block_size.to_string());
-    out.push_str(",\"stripe_rate\":");
-    match t.stripe_rate {
-        Some(r) => out.push_str(&format!("{r}")),
-        None => out.push_str("null"),
-    }
-    out.push('}');
-    out
+    to_string(&Value::Obj(vec![
+        kv("stall_timeout_ms", t.stall_timeout.as_millis() as u64),
+        kv("control_idle_timeout_ms", t.control_idle_timeout.map(|d| d.as_millis() as u64)),
+        kv("block_size", t.block_size),
+        kv("stripe_rate", t.stripe_rate),
+    ]))
 }
 
 #[cfg(test)]
@@ -285,8 +243,8 @@ mod tests {
             .reload(
                 base,
                 &[
-                    ("block_size".into(), TunableValue::U64(4096)),
-                    ("stripe_rate".into(), TunableValue::F64(1e6)),
+                    ("block_size".into(), Value::U64(4096)),
+                    ("stripe_rate".into(), Value::F64(1e6)),
                 ],
             )
             .unwrap();
@@ -305,8 +263,8 @@ mod tests {
             .reload(
                 base,
                 &[
-                    ("stripe_rate".into(), TunableValue::F64(1e6)), // valid...
-                    ("block_size".into(), TunableValue::U64(0)), // ...then invalid
+                    ("stripe_rate".into(), Value::F64(1e6)), // valid...
+                    ("block_size".into(), Value::U64(0)), // ...then invalid
                 ],
             )
             .unwrap_err();
@@ -319,13 +277,13 @@ mod tests {
     fn rejections_are_typed() {
         let slot = TunableSlot::new();
         let err =
-            slot.reload(base, &[("stripes".into(), TunableValue::U64(1))]).unwrap_err();
+            slot.reload(base, &[("stripes".into(), Value::U64(1))]).unwrap_err();
         assert_eq!(err, ReloadError::NotReloadable { field: "stripes".into() });
         let err =
-            slot.reload(base, &[("blocksize".into(), TunableValue::U64(1))]).unwrap_err();
+            slot.reload(base, &[("blocksize".into(), Value::U64(1))]).unwrap_err();
         assert_eq!(err, ReloadError::UnknownField { field: "blocksize".into() });
         let err = slot
-            .reload(base, &[("stall_timeout_ms".into(), TunableValue::Bool(true))])
+            .reload(base, &[("stall_timeout_ms".into(), Value::Bool(true))])
             .unwrap_err();
         assert_eq!(err.code(), "invalid-value");
     }
@@ -336,8 +294,8 @@ mod tests {
         slot.reload(
             base,
             &[
-                ("stripe_rate".into(), TunableValue::F64(5e5)),
-                ("control_idle_timeout_ms".into(), TunableValue::U64(2000)),
+                ("stripe_rate".into(), Value::F64(5e5)),
+                ("control_idle_timeout_ms".into(), Value::U64(2000)),
             ],
         )
         .unwrap();
@@ -345,8 +303,8 @@ mod tests {
             .reload(
                 base,
                 &[
-                    ("stripe_rate".into(), TunableValue::Null),
-                    ("control_idle_timeout_ms".into(), TunableValue::Null),
+                    ("stripe_rate".into(), Value::Null),
+                    ("control_idle_timeout_ms".into(), Value::Null),
                 ],
             )
             .unwrap();

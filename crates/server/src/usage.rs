@@ -27,7 +27,7 @@
 //! — the test oracle the differential property tests drive in lock-step
 //! with the sharded ledger.
 
-use parking_lot::Mutex;
+use ig_obs::sync::Mutex;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -294,7 +294,7 @@ pub mod oracle {
     use super::{
         aggregate_records, canonicalize, TransferRecord, UsageBucket, UsageSnapshot,
     };
-    use parking_lot::Mutex;
+    use ig_obs::sync::Mutex;
     use std::sync::Arc;
 
     /// The original ledger: one mutex around one `Vec`.

@@ -8,11 +8,14 @@
 //! seeded replays.
 
 use ig_client::{transfer, ClientConfig, ClientSession, RetryPolicy, TransferOpts};
+#[path = "../../obs/tests/hostile/mod.rs"]
+mod hostile;
+
 use ig_pki::cert::Validity;
 use ig_pki::time::Clock;
 use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, TrustStore};
+use ig_obs::json::{parse, Value};
 use ig_protocol::command::{Command, DcauMode};
-use ig_server::admin::wire::{self, Json};
 use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig};
 use ig_xio::test_support::eventually;
 use ig_xio::{FrameBuf, Link, TcpLink};
@@ -213,15 +216,15 @@ impl Admin {
         }
     }
 
-    fn request(&mut self, body: &str) -> Json {
+    fn request(&mut self, body: &str) -> Value {
         self.send(body);
         let text = self.recv_text();
-        wire::parse(&text).unwrap_or_else(|e| panic!("unparsable admin reply {text:?}: {e}"))
+        parse(&text).unwrap_or_else(|e| panic!("unparsable admin reply {text:?}: {e}"))
     }
 }
 
-fn ok(v: &Json) -> bool {
-    v.get("ok").and_then(Json::as_bool) == Some(true)
+fn ok(v: &Value) -> bool {
+    v.get("ok").and_then(Value::as_bool) == Some(true)
 }
 
 #[test]
@@ -294,6 +297,29 @@ fn overlarge_admin_frame_gets_a_typed_reply_then_close() {
     assert_eq!(reply, "{\"ok\":false,\"error\":\"frame-too-large\"}");
     assert!(drain_to_close(&mut admin.stream).is_empty(), "connection must close");
     assert_eq!(obs.metrics().counter_value("admin.requests"), 0);
+    world.server.shutdown();
+}
+
+/// Hostile request bodies — among them the full-size frame of `[` that
+/// overflowed the stack of the old recursive parser and took the whole
+/// daemon down — each get a typed `bad-request`, and the connection and
+/// the server carry on.
+#[test]
+fn hostile_frames_get_a_typed_reply_and_the_plane_survives() {
+    let obs = ig_obs::Obs::new("admin-hostile");
+    let (world, sock) = start_world("hostile", &obs, None, None);
+
+    let mut admin = Admin::connect(&sock);
+    for (why, body) in hostile::documents() {
+        assert!(body.len() <= ig_server::admin::ADMIN_MAX_FRAME);
+        admin.stream.write_all(&FrameBuf::encode(&body)).unwrap();
+        let reply = parse(&admin.recv_text()).unwrap();
+        assert_eq!(reply.get("ok"), Some(&Value::Bool(false)), "{why}");
+        let error = reply.get("error").and_then(Value::as_str);
+        // Well-formed JSON that names no command is `unknown-command`.
+        assert!(matches!(error, Some("bad-request" | "unknown-command")), "{why}: {error:?}");
+    }
+    assert!(ok(&admin.request("{\"cmd\":\"metrics\"}")));
     world.server.shutdown();
 }
 
@@ -421,9 +447,9 @@ fn drain_is_idempotent() {
     let mut admin = Admin::connect(&sock);
     let first = admin.request("{\"cmd\":\"drain\",\"deadline_ms\":2000}");
     assert!(ok(&first), "drain failed");
-    assert_eq!(first.get("already").and_then(Json::as_bool), Some(false));
-    assert_eq!(first.get("clean").and_then(Json::as_bool), Some(true));
-    assert_eq!(first.get("transfers_interrupted").and_then(Json::as_u64), Some(0));
+    assert_eq!(first.get("already").and_then(Value::as_bool), Some(false));
+    assert_eq!(first.get("clean").and_then(Value::as_bool), Some(true));
+    assert_eq!(first.get("transfers_interrupted").and_then(Value::as_u64), Some(0));
 
     // A completed drain stops the server (and with it the admin accept
     // loop), so idempotence of the underlying state machine is checked
@@ -458,32 +484,32 @@ fn invalid_reload_leaves_the_old_config_live() {
     let applied = admin.request("{\"cmd\":\"reload\",\"set\":{\"block_size\":8192}}");
     assert!(ok(&applied), "valid reload rejected");
     let tun = applied.get("tunables").expect("reload echoes active tunables");
-    assert_eq!(tun.get("block_size").and_then(Json::as_u64), Some(8192));
+    assert_eq!(tun.get("block_size").and_then(Value::as_u64), Some(8192));
 
     // A batch with one unknown field applies *nothing* — not even the
     // valid block_size riding in the same request.
     let rejected =
         admin.request("{\"cmd\":\"reload\",\"set\":{\"block_size\":4096,\"bogus\":1}}");
     assert!(!ok(&rejected));
-    assert_eq!(rejected.get("error").and_then(Json::as_str), Some("unknown-field"));
-    assert_eq!(rejected.get("field").and_then(Json::as_str), Some("bogus"));
+    assert_eq!(rejected.get("error").and_then(Value::as_str), Some("unknown-field"));
+    assert_eq!(rejected.get("field").and_then(Value::as_str), Some("bogus"));
 
     // Right knob, doesn't turn: typed as not-reloadable, not a typo.
     let fixed = admin.request("{\"cmd\":\"reload\",\"set\":{\"stripes\":2}}");
-    assert_eq!(fixed.get("error").and_then(Json::as_str), Some("not-reloadable"));
-    assert_eq!(fixed.get("field").and_then(Json::as_str), Some("stripes"));
+    assert_eq!(fixed.get("error").and_then(Value::as_str), Some("not-reloadable"));
+    assert_eq!(fixed.get("field").and_then(Value::as_str), Some("stripes"));
 
     // Out-of-range value on an otherwise reloadable field.
     let invalid = admin.request("{\"cmd\":\"reload\",\"set\":{\"block_size\":0}}");
-    assert_eq!(invalid.get("error").and_then(Json::as_str), Some("invalid-value"));
-    assert_eq!(invalid.get("field").and_then(Json::as_str), Some("block_size"));
+    assert_eq!(invalid.get("error").and_then(Value::as_str), Some("invalid-value"));
+    assert_eq!(invalid.get("field").and_then(Value::as_str), Some("block_size"));
 
     // After three rejections the old config is still live, bit for bit.
     let echo = admin.request("{\"cmd\":\"reload\",\"set\":{}}");
     assert!(ok(&echo));
     let tun = echo.get("tunables").unwrap();
     assert_eq!(
-        tun.get("block_size").and_then(Json::as_u64),
+        tun.get("block_size").and_then(Value::as_u64),
         Some(8192),
         "a rejected batch must leave the previous tunables untouched"
     );
@@ -505,18 +531,18 @@ fn follow_run(tag: &str) -> String {
         let mut cursor = 0u64;
         loop {
             let text = admin.recv_text();
-            let v = wire::parse(&text).unwrap();
+            let v = parse(&text).unwrap();
             assert!(ok(&v), "trace frame not ok: {text}");
-            let next = v.get("next").and_then(Json::as_u64).unwrap();
+            let next = v.get("next").and_then(Value::as_u64).unwrap();
             assert!(next >= cursor, "trace cursor went backwards: {next} < {cursor}");
             cursor = next;
             assert_eq!(
-                v.get("dropped").and_then(Json::as_u64),
+                v.get("dropped").and_then(Value::as_u64),
                 Some(0),
                 "stable ring must not drop under this load"
             );
-            jsonl.push_str(v.get("jsonl").and_then(Json::as_str).unwrap());
-            if v.get("done").and_then(Json::as_bool) == Some(true) {
+            jsonl.push_str(v.get("jsonl").and_then(Value::as_str).unwrap());
+            if v.get("done").and_then(Value::as_bool) == Some(true) {
                 return jsonl;
             }
         }

@@ -18,8 +18,8 @@
 
 use crate::link::Link;
 use crate::retry::splitmix64;
+use ig_obs::sync::Mutex;
 use ig_obs::{kv, Obs};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;

@@ -2,6 +2,7 @@
 
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc;
 use std::time::Duration;
 
 /// Maximum frame size accepted from the wire (16 MiB + sealing overhead).
@@ -106,16 +107,16 @@ impl<L: Link + ?Sized> Link for Box<L> {
 
 /// One end of an in-process message pipe.
 pub struct PipeLink {
-    tx: Option<crossbeam::channel::Sender<Vec<u8>>>,
-    rx: crossbeam::channel::Receiver<Vec<u8>>,
+    tx: Option<mpsc::SyncSender<Vec<u8>>>,
+    rx: mpsc::Receiver<Vec<u8>>,
     recv_timeout: Option<Duration>,
 }
 
 /// Create a connected pair of pipe links. The channel is bounded so a
 /// fast sender experiences backpressure like a real socket buffer.
 pub fn pipe() -> (PipeLink, PipeLink) {
-    let (tx_a, rx_a) = crossbeam::channel::bounded(64);
-    let (tx_b, rx_b) = crossbeam::channel::bounded(64);
+    let (tx_a, rx_a) = mpsc::sync_channel(64);
+    let (tx_b, rx_b) = mpsc::sync_channel(64);
     (
         PipeLink { tx: Some(tx_a), rx: rx_b, recv_timeout: None },
         PipeLink { tx: Some(tx_b), rx: rx_a, recv_timeout: None },
@@ -139,10 +140,10 @@ impl Link for PipeLink {
                 .recv()
                 .map_err(|_| io::Error::new(io::ErrorKind::UnexpectedEof, "pipe peer closed")),
             Some(t) => self.rx.recv_timeout(t).map_err(|e| match e {
-                crossbeam::channel::RecvTimeoutError::Timeout => {
+                mpsc::RecvTimeoutError::Timeout => {
                     io::Error::new(io::ErrorKind::TimedOut, "pipe recv timed out")
                 }
-                crossbeam::channel::RecvTimeoutError::Disconnected => {
+                mpsc::RecvTimeoutError::Disconnected => {
                     io::Error::new(io::ErrorKind::UnexpectedEof, "pipe peer closed")
                 }
             }),

@@ -93,7 +93,9 @@ const DEFAULT_RTT: Duration = Duration::from_millis(10);
 // Wire encoding
 // ---------------------------------------------------------------------------
 
-fn fnv1a(parts: &[&[u8]]) -> u32 {
+/// FNV-1a/32 over the concatenation of `parts`: the IGU1 header checksum,
+/// and the tree's one non-cryptographic fingerprint (E15's trace digest).
+pub fn fnv1a(parts: &[&[u8]]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for part in parts {
         for &b in *part {

@@ -29,7 +29,7 @@ fn main() {
 #[cfg(target_os = "linux")]
 mod linux {
     use instant_gridftp::pki::{Gridmap, TrustStore};
-    use instant_gridftp::server::admin::wire::{self, Json};
+    use ig_obs::json::{parse, Value};
     use instant_gridftp::server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig};
     use instant_gridftp::xio::FrameBuf;
     use std::io::{Read, Write};
@@ -190,10 +190,10 @@ mod linux {
             }
         };
         let text = String::from_utf8(frame).map_err(|e| e.to_string())?;
-        let ok = wire::parse(&text)
+        let ok = parse(&text)
             .map_err(|e| format!("bad reply: {e}"))?
             .get("ok")
-            .and_then(Json::as_bool)
+            .and_then(Value::as_bool)
             == Some(true);
         Ok((text, ok))
     }

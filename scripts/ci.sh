@@ -31,6 +31,36 @@ if grep -rnE "${second_core}" crates tests examples scripts; then
   exit 1
 fi
 
+# One JSON codec and std-only concurrency (DESIGN.md §3): `ig_obs::json`
+# encodes and parses every token, `ig_obs::sync` is the one place lock
+# poisoning is decided, channels are `std::sync::mpsc`. The three registry
+# crates they replaced were deleted in PR 17; the only manifests that may
+# still name them are the two benchmark/staged/ freezes (ROADMAP item 1).
+echo "==> one JSON codec, std-only locks and channels (no second parser, no replaced crate)"
+replaced='ser''de|cross''beam|parking''_lot'
+if grep -rnE "${replaced}" --include='*.rs' crates src tests examples; then
+  echo "a replaced registry crate is back in the sources; see DESIGN.md §3" >&2
+  exit 1
+fi
+if grep -nE "${replaced}" crates/*/Cargo.toml | grep -vE '^crates/(myproxy|core)/Cargo.toml:'; then
+  echo "a replaced registry crate is back in a manifest; see DESIGN.md §3" >&2
+  exit 1
+fi
+if grep -rn 'fn parse_''value' --include='*.rs' crates src tests examples | grep -v '^crates/obs/'; then
+  echo "a second JSON parser; extend ig_obs::json instead" >&2
+  exit 1
+fi
+
+# The parser's hostile-input battery needs nothing but rustc (ig-obs is
+# std-only), so it also runs where no registry answers.
+echo "==> ig-obs hostile-input battery (rustc alone)"
+obs_out="$(mktemp -d)"
+rustc --edition 2021 -O --crate-type rlib --crate-name ig_obs crates/obs/src/lib.rs --out-dir "${obs_out}"
+rustc --edition 2021 -O --test crates/obs/tests/hostile_json.rs \
+  --extern ig_obs="${obs_out}/libig_obs.rlib" -o "${obs_out}/hostile_json"
+"${obs_out}/hostile_json" -q
+rm -rf "${obs_out}"
+
 echo "==> cargo build --release"
 if [[ "${FAST:-0}" != "1" ]]; then
   cargo build --release
@@ -196,8 +226,8 @@ for out in "${e15_a}" "${e15_c}"; do
     exit 1
   fi
 done
-digest_a="$(grep -o 'e15:[0-9a-f]\{16\}' <<<"${e15_a}")"
-digest_c="$(grep -o 'e15:[0-9a-f]\{16\}' <<<"${e15_c}")"
+digest_a="$(grep -o 'e15:[0-9a-f]\{8\}' <<<"${e15_a}")"
+digest_c="$(grep -o 'e15:[0-9a-f]\{8\}' <<<"${e15_c}")"
 if [[ -z "${digest_a}" || "${digest_a}" == "${digest_c}" ]]; then
   echo "E15: digest missing or seed-insensitive (${digest_a:-none})" >&2
   exit 1
