@@ -1,21 +1,28 @@
 //! E4 — the lots-of-small-files optimizations (§II-A, §VII): session
-//! reuse, concurrency, control-channel **command pipelining** (`PIPE`
-//! windows of `PORT`+`RETR` pairs), and **streamed directory transfer**
-//! (`ERET DIR`: the whole tree over one MODE E data-channel setup).
+//! reuse with **data-channel caching**, concurrency, control-channel
+//! **command pipelining** (`PIPE` windows of `RETR`s on the cached
+//! channel), and **streamed directory transfer** (`ERET DIR`: the whole
+//! tree as one MODE E transfer).
 //!
 //! Measured: N 4 KiB files fetched
 //! (a) the naive way — one fresh authenticated session per file (what a
-//!     scripted `scp`/one-shot client does: full handshake per file),
-//! (b) one session, per-file round-trips — reuse amortizes login, but
-//!     every file still pays `PASV`+`RETR` turns and a fresh
-//!     DCAU-authenticated data connection,
-//! (c) concurrent — k sessions splitting the batch,
-//! (d) one session with a `PIPE` window — command latency overlaps,
-//!     data connections still per-file,
-//! (e) streamed dir — one `ERET DIR` moves the tree over a single data
-//!     connection: no per-file commands, no per-file DCAU.
+//!     scripted `scp`/one-shot client does: full handshake per file, and
+//!     a data channel that serves one file),
+//! (b) one session, per-file round-trips — reuse amortizes the login and,
+//!     since the session's authenticated data channel outlives each
+//!     transfer, the connect and the DCAU handshake too: what is left per
+//!     file is a `SIZE` and a `RETR` turn and one MODE E transfer,
+//! (c) concurrent — k sessions splitting the batch, a channel each,
+//! (d) one session with a `PIPE` window — the same channel, no `SIZE`,
+//!     and the server sends file k+1 while the client reads file k,
+//! (e) streamed dir — one `ERET DIR` moves the tree as one transfer: no
+//!     per-file commands, replies, markers or thread hand-offs at all.
+//!
+//! The naive row costs a login per file, thirty times any other row, so
+//! `--fast` trims only it (60 files); the rows whose ratios the ladder
+//! asserts always move the whole 200-file tree.
 
-use crate::experiments::common::{endpoint, session, stage, timed, NOW};
+use crate::experiments::common::{endpoint, session, stage, timed};
 use crate::table;
 use ig_client::{transfer, ClientSession, TransferOpts};
 use ig_server::{Dsi, MemDsi};
@@ -33,9 +40,18 @@ pub struct Row {
     pub files_per_sec: f64,
 }
 
+/// Seconds of the fastest of three passes of `pass` (its argument numbers
+/// them). Rows (b)-(e) last 20-150 ms on a host whose scheduler moves a
+/// single such pass by half as much again; each pass logs in afresh,
+/// outside its clock, so all three do the same work.
+fn best_pass(pass: impl FnMut(u64) -> f64) -> f64 {
+    (0..3).map(pass).fold(f64::INFINITY, f64::min)
+}
+
 /// Run the measurement.
 pub fn run(fast: bool) -> Vec<Row> {
-    let files = if fast { 60 } else { 200 };
+    let files = 200;
+    let naive_files = if fast { 60 } else { files };
     let size = 4 * 1024;
     let ep = endpoint("e4-small.example.org", 0xE4);
     // Ten subdirectories so the streamed-dir strategy exercises real
@@ -45,7 +61,7 @@ pub fn run(fast: bool) -> Vec<Row> {
     }
     let path_of = |i: usize| format!("/home/alice/small/d{}/f{i}.bin", i % 10);
     let mut rows = Vec::new();
-    let mut push = |strategy: &str, secs: f64| {
+    let mut push = |strategy: &str, files: usize, secs: f64| {
         rows.push(Row {
             strategy: strategy.into(),
             files,
@@ -55,9 +71,9 @@ pub fn run(fast: bool) -> Vec<Row> {
     };
 
     // (a) fresh session per file — pays login (5-token handshake +
-    // delegation) every time.
+    // delegation) and a data channel of its own every time.
     let (_, secs) = timed(|| {
-        for i in 0..files {
+        for i in 0..naive_files {
             let mut s = session(&ep, 0xE4_100 + i as u64 * 3);
             let d = transfer::get_bytes(&mut s, &path_of(i), &TransferOpts::default())
                 .expect("get");
@@ -65,76 +81,86 @@ pub fn run(fast: bool) -> Vec<Row> {
             let _ = s.quit();
         }
     });
-    push("session per file (naive)", secs);
+    push("session per file (naive)", naive_files, secs);
 
-    // (b) one session reused; still one PASV+RETR turn and one
-    // DCAU-authenticated data connection per file. The baseline the
-    // streamed-dir speedup is quoted against.
-    let mut s = session(&ep, 0xE4_500);
-    let (_, secs) = timed(|| {
-        for i in 0..files {
-            let d = transfer::get_bytes(&mut s, &path_of(i), &TransferOpts::default())
-                .expect("get");
-            assert_eq!(d.len(), size);
-        }
+    // (b) one session reused, and with it the data channel the first
+    // file authenticated: SIZE + RETR per file. The baseline the other
+    // rows are quoted against.
+    let secs = best_pass(|pass| {
+        let mut s = session(&ep, 0xE4_500 + pass);
+        let (_, secs) = timed(|| {
+            for i in 0..files {
+                let d = transfer::get_bytes(&mut s, &path_of(i), &TransferOpts::default())
+                    .expect("get");
+                assert_eq!(d.len(), size);
+            }
+        });
+        let _ = s.quit();
+        secs
     });
-    let _ = s.quit();
-    let per_file_baseline = files as f64 / secs;
-    push("one session, per-file", secs);
+    push("one session, per-file", files, secs);
 
     // (c) concurrency 4: four sessions splitting the batch, logged in
     // before the clock starts as in (b) — (a) is the row that prices a
-    // login, and four of them outweigh fifteen 2 ms files per session.
+    // login, and four of them outweigh fifty sub-millisecond files per
+    // session.
     let conc = 4usize;
-    let mut sessions: Vec<ClientSession> =
-        (0..conc).map(|c| session(&ep, 0xE4_901 + c as u64 * 3)).collect();
-    let (_, secs) = timed(|| {
-        std::thread::scope(|scope| {
-            for (c, s) in sessions.iter_mut().enumerate() {
-                let paths = (c..files).step_by(conc).map(path_of);
-                scope.spawn(move || {
-                    for p in paths {
-                        let d = transfer::get_bytes(s, &p, &TransferOpts::default()).expect("get");
-                        assert_eq!(d.len(), size);
-                    }
-                });
-            }
+    let secs = best_pass(|pass| {
+        let mut sessions: Vec<ClientSession> =
+            (0..conc).map(|c| session(&ep, 0xE4_901 + pass * 16 + c as u64 * 3)).collect();
+        let (_, secs) = timed(|| {
+            std::thread::scope(|scope| {
+                for (c, s) in sessions.iter_mut().enumerate() {
+                    let paths = (c..files).step_by(conc).map(path_of);
+                    scope.spawn(move || {
+                        for p in paths {
+                            let d =
+                                transfer::get_bytes(s, &p, &TransferOpts::default()).expect("get");
+                            assert_eq!(d.len(), size);
+                        }
+                    });
+                }
+            });
         });
+        for s in sessions {
+            let _ = s.quit();
+        }
+        secs
     });
-    for s in sessions {
-        let _ = s.quit();
-    }
-    push(&format!("concurrency {conc}"), secs);
+    push(&format!("concurrency {conc}"), files, secs);
 
-    // (d) one session, PIPE window 8: windows of PORT+RETR go out before
-    // any reply is read, overlapping command latency.
-    let mut s = session(&ep, 0xE4_950);
+    // (d) one session, PIPE window 8: windows of RETRs go out before any
+    // reply is read, and every file rides the one cached channel.
     let paths: Vec<String> = (0..files).map(path_of).collect();
     let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
-    let (got, secs) = timed(|| {
-        transfer::get_files_pipelined(&mut s, &refs, 8, &TransferOpts::default())
-            .expect("pipelined get")
+    let secs = best_pass(|pass| {
+        let mut s = session(&ep, 0xE4_950 + pass);
+        let (got, secs) = timed(|| {
+            transfer::get_files_pipelined(&mut s, &refs, 8, &TransferOpts::default())
+                .expect("pipelined get")
+        });
+        let _ = s.quit();
+        assert_eq!(got.len(), files);
+        assert!(got.iter().all(|d| d.len() == size));
+        secs
     });
-    let _ = s.quit();
-    assert_eq!(got.len(), files);
-    assert!(got.iter().all(|d| d.len() == size));
-    push("one session, PIPE window 8", secs);
+    push("one session, PIPE window 8", files, secs);
 
-    // (e) streamed dir: the whole tree over ONE data-channel setup.
-    let mut s = session(&ep, 0xE4_990);
-    let local = Arc::new(MemDsi::new());
-    let local_dyn: Arc<dyn Dsi> = Arc::clone(&local) as Arc<dyn Dsi>;
-    let (out, secs) = timed(|| {
-        transfer::get_dir(&mut s, &local_dyn, "/dl", "/home/alice/small", &TransferOpts::default())
-            .expect("get_dir")
+    // (e) streamed dir: the whole tree as ONE transfer.
+    let secs = best_pass(|pass| {
+        let mut s = session(&ep, 0xE4_990 + pass);
+        let local: Arc<dyn Dsi> = Arc::new(MemDsi::new());
+        let (out, secs) = timed(|| {
+            transfer::get_dir(&mut s, &local, "/dl", "/home/alice/small", &TransferOpts::default())
+                .expect("get_dir")
+        });
+        let _ = s.quit();
+        assert!(out.complete, "streamed dir must complete: {out:?}");
+        assert_eq!(out.entries_done as usize, files + 10, "files + 10 subdirs");
+        secs
     });
-    let _ = s.quit();
-    assert!(out.complete, "streamed dir must complete: {out:?}");
-    assert_eq!(out.entries_done as usize, files + 10, "files + 10 subdirs");
-    push("streamed dir (ERET DIR)", secs);
+    push("streamed dir (ERET DIR)", files, secs);
 
-    let dir_speedup = rows.last().unwrap().files_per_sec / per_file_baseline;
-    let _ = (NOW, dir_speedup);
     ep.shutdown();
     rows
 }
@@ -160,7 +186,7 @@ pub fn table(fast: bool) -> String {
         ]);
     }
     format!(
-        "{}(4 KiB files; naive = full GSI login per file; streamed dir = one\n MODE E channel and one DCAU handshake for the whole tree)\n",
+        "{}(4 KiB files; naive = full GSI login and a data channel per file; one\n session = one cached, DCAU-authenticated MODE E channel for every file;\n streamed dir = the whole tree as one transfer on it)\n",
         table::render(&t)
     )
 }
@@ -169,10 +195,15 @@ pub fn table(fast: bool) -> String {
 mod tests {
     use super::*;
 
-    /// Floors re-derived from EXPERIMENTS.md E4 (60 files, one CPU: per-file
-    /// 15-18x naive, concurrency 0.86-0.97x, PIPE 0.99-1.13x, dir 15-20x
-    /// per-file). Every row is CPU-bound, so the ratios move with the host's
-    /// load: a round that misses is re-measured, up to three times.
+    /// Floors re-derived from EXPERIMENTS.md E4 for a session that keeps its
+    /// data channel. Lowest ratio over sixteen runs on two CPUs / sixteen
+    /// pinned to one: per-file 51 / 105x naive, concurrency 0.90 / 0.66x
+    /// per-file, PIPE 1.20 / 0.995x, streamed dir 2.2 / 1.9x. Each floor is
+    /// well under the lower of its two except PIPE's, which is the ladder's
+    /// own minimum: a window must not lose to the round trips it replaces
+    /// (on one CPU it has only the `SIZE` turn to win, 1.0-1.8x). Every row
+    /// is CPU-bound, so the ratios move with the host's load: a round that
+    /// misses is re-measured, up to three times.
     #[test]
     fn reuse_concurrency_and_streaming_beat_naive() {
         let _serial = crate::experiments::common::bench_lock();
@@ -185,22 +216,24 @@ mod tests {
             let piped = rows[3].files_per_sec;
             let dir = rows[4].files_per_sec;
             let check = |ok: bool, what: String| if ok { Ok(()) } else { Err(what) };
-            // Reuse recovers the login, which is now most of a naive file.
-            check(per_file > 5.0 * naive, format!("per-file {per_file:.1} vs naive {naive:.1}"))?;
+            // Reuse recovers the login and, with the cached channel, the
+            // per-file connect and DCAU handshake: nearly all of a naive file.
+            check(per_file > 20.0 * naive, format!("per-file {per_file:.1} vs naive {naive:.1}"))?;
             // With nothing left to overlap but CPU work, concurrency gains
-            // what the host has cores for and must otherwise roughly hold.
+            // what the host has cores for; on one core four sessions pay for
+            // their context switches and must otherwise roughly hold.
             check(
-                concurrent > per_file * 0.7,
+                concurrent > per_file * 0.4,
                 format!("concurrency {concurrent:.1} vs per-file {per_file:.1}"),
             )?;
-            // Pipelining overlaps command turns but keeps per-file data
-            // connections: it must roughly hold the per-file rate.
-            check(piped > per_file * 0.8, format!("piped {piped:.1} vs per-file {per_file:.1}"))?;
-            // The headline: one data-channel setup for the whole tree is an
-            // order of magnitude past per-file round-trips on 4 KiB files.
+            // Pipelining rides the same channel, drops the SIZE turn and lets
+            // the server send the next file while the client reads this one.
+            check(piped >= per_file, format!("piped {piped:.1} vs per-file {per_file:.1}"))?;
+            // One transfer for the whole tree still beats one per file: no
+            // commands, replies, markers or thread hand-offs in between.
             check(
-                dir >= 10.0 * per_file,
-                format!("streamed dir {dir:.1} files/s must be >= 10x per-file {per_file:.1} files/s"),
+                dir >= 1.4 * per_file,
+                format!("streamed dir {dir:.1} files/s must be >= 1.4x per-file {per_file:.1} files/s"),
             )
         });
     }

@@ -13,6 +13,7 @@ use ig_protocol::command::{Command, DcauMode, ModeCode, ProtectedKind};
 use ig_protocol::secure_line;
 use ig_protocol::{HostPort, Reply};
 use ig_netsim::CcAlgo;
+use ig_server::data::CachedChannels;
 use ig_xio::{DataTransport, Link, RetryPolicy, TcpLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -103,6 +104,13 @@ pub struct ClientSession {
     pub(crate) dcau: DcauMode,
     pub(crate) prot: ProtectionLevel,
     pub(crate) parallelism: usize,
+    /// Transfer mode last asked of the server (`MODE`; it refuses none),
+    /// noted as the command leaves `send_cmd`.
+    mode: ModeCode,
+    /// The data channels of the last `get_bytes`/`put_bytes` (or pipelined
+    /// fetch) that completed, kept for the next one — the client's end of
+    /// what the server keeps (DESIGN §8, "Data-channel lifecycle").
+    pub(crate) channels: Option<CachedChannels>,
     /// Data-channel transport negotiated with the server (`OPTS DATA`).
     pub(crate) data_transport: DataTransport,
     /// Congestion controller for UDP data channels (mirrors the server).
@@ -147,6 +155,8 @@ impl ClientSession {
             dcau: DcauMode::Self_,
             prot: ProtectionLevel::Clear,
             parallelism: 1,
+            mode: ModeCode::Stream,
+            channels: None,
             data_transport: DataTransport::Tcp,
             udp_cc: CcAlgo::Bbr,
             dcsc: None,
@@ -179,8 +189,30 @@ impl ClientSession {
         }
     }
 
-    /// Send a command (wrapped in `ENC` once the channel is secured).
+    /// Send a command (wrapped in `ENC` once the channel is secured). The
+    /// one place commands leave the client, and so the one place its kept
+    /// data channels end: a verb that negotiates channels, or changes what
+    /// they would be built as, goes out over their closed remains.
     pub fn send_cmd(&mut self, cmd: &Command) -> Result<()> {
+        if matches!(
+            cmd,
+            Command::Pasv
+                | Command::Port(_)
+                | Command::Spas
+                | Command::Spor(_)
+                | Command::Mode(_)
+                | Command::Prot(_)
+                | Command::Dcau(_)
+                | Command::Dcsc { .. }
+                | Command::Opts { .. }
+        ) {
+            if let Some(kept) = self.channels.take() {
+                kept.close();
+            }
+        }
+        if let Command::Mode(mode) = cmd {
+            self.mode = *mode;
+        }
         let line = match self.ctx.as_mut() {
             Some(ctx) => secure_line::protect_command(ctx, ProtectedKind::Enc, cmd).to_string(),
             None => cmd.to_string(),
@@ -389,9 +421,12 @@ impl ClientSession {
         Ok(())
     }
 
-    /// `MODE E` (required before parallel transfers).
+    /// `MODE E` (required before parallel transfers) + local bookkeeping:
+    /// sent only while the session is in another mode.
     pub fn set_mode_extended(&mut self) -> Result<()> {
-        self.command(&Command::Mode(ModeCode::Extended))?;
+        if self.mode != ModeCode::Extended {
+            self.command(&Command::Mode(ModeCode::Extended))?;
+        }
         Ok(())
     }
 

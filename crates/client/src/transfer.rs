@@ -9,14 +9,16 @@
 
 use crate::error::{ClientError, Result};
 use crate::session::ClientSession;
-use ig_protocol::command::Command;
+use ig_protocol::command::{Command, ModeCode};
 use ig_protocol::markers::{PerfMarker, RestartMarker};
 use ig_netsim::CcAlgo;
 use ig_protocol::{ByteRanges, HostPort, Reply};
-use ig_server::data::{AnyDataListener, DataSecurity, DataStack};
-use ig_server::dtp::{send_dir, send_ranges, Progress, Receiver};
+use ig_server::data::{
+    AnyDataListener, CachedChannels, ChainExpiry, ChannelShape, DataSecurity, DataStack, Flow,
+};
+use ig_server::dtp::{close_streams, send_dir, send_ranges, Progress, Receiver, Streams};
 use ig_server::{Dsi, MemDsi, UserContext};
-use ig_xio::{ChaosHook, DataTransport, Link, RetryError, RetryPolicy, UdpConfig};
+use ig_xio::{ChaosHook, DataTransport, RetryError, RetryPolicy, UdpConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -179,6 +181,59 @@ fn client_data_stack(session: &ClientSession, opts: Option<&TransferOpts>) -> Da
         deadline: opts.and_then(|o| o.io_timeout),
         chaos: opts.and_then(|o| o.chaos.clone()),
         meter: None,
+        expiry: ChainExpiry::default(),
+    }
+}
+
+/// What a two-party transfer under `opts` opens its channels as.
+fn channel_shape(flow: Flow, opts: &TransferOpts) -> ChannelShape {
+    ChannelShape {
+        flow,
+        mode: ModeCode::Extended,
+        transport: opts.transport,
+        parallelism: opts.parallelism,
+    }
+}
+
+/// The session's kept data channels, if a transfer of `shape` building its
+/// streams with `stack` may use them now ([`CachedChannels::rearm`]).
+fn rearm_kept(
+    session: &mut ClientSession,
+    shape: &ChannelShape,
+    stack: &DataStack,
+) -> Option<Streams> {
+    let now = session.config.clock.now();
+    CachedChannels::rearm(&mut session.channels, shape, stack, now)
+}
+
+/// Try `cmd` (a `RETR`/`STOR`) on the session's kept data channels: sent
+/// with no `PORT`/`PASV` before it, and its opening reply read before
+/// anything touches the links — a refusal costs one round trip and parks
+/// no thread. `Some` is the 150, and the links it will be served on.
+/// `None` means dial afresh: nothing was kept, `stack` would not
+/// build what was kept, a chain on it has expired, or the server no longer
+/// holds its end (425 — reuse never fails a transfer a fresh channel would
+/// carry). Any other refusal is the command's own answer.
+fn open_on_kept(
+    session: &mut ClientSession,
+    cmd: &Command,
+    shape: &ChannelShape,
+    stack: &DataStack,
+) -> Result<Option<Streams>> {
+    let Some(kept) = rearm_kept(session, shape, stack) else {
+        return Ok(None);
+    };
+    session.send_cmd(cmd)?;
+    let opening = session.read_reply()?;
+    if opening.is_preliminary() {
+        return Ok(Some(kept));
+    }
+    // Our end goes; the server dropped its own, or will at the next PORT/PASV.
+    close_streams(kept);
+    if opening.code == 425 {
+        Ok(None)
+    } else {
+        Err(ClientError::ServerError(opening))
     }
 }
 
@@ -208,10 +263,10 @@ fn ensure_transport(session: &mut ClientSession, opts: &TransferOpts) -> Result<
 /// Dial the `opts.parallelism` data streams of an upload to `addr`.
 fn dial_streams(
     session: &mut ClientSession,
+    stack: &DataStack,
     addr: HostPort,
     opts: &TransferOpts,
-) -> Result<Vec<Box<dyn Link>>> {
-    let stack = client_data_stack(session, Some(opts));
+) -> Result<Streams> {
     let udp = udp_config(session, opts.udp_cc, opts.io_timeout);
     (0..opts.parallelism)
         .map(|_| Ok(stack.connect(addr, opts.transport, &udp, &mut session.rng)?))
@@ -261,23 +316,31 @@ pub fn put_bytes_resume(
 ) -> Result<u64> {
     session.set_mode_extended()?;
     ensure_transport(session, opts)?;
-    let addr = session.pasv()?;
     // An empty checkpoint (the attempt died before a block landed) has no
     // marker to send: the resumed transfer is a fresh one.
     if let Some(have) = have.filter(|h| h.total() > 0) {
         session.command(&Command::Rest(have.to_marker()))?;
     }
-    session.send_cmd(&Command::Stor(remote_path.into()))?;
-    let opening = session.read_reply()?;
-    if !opening.is_preliminary() {
-        return Err(ClientError::ServerError(opening));
-    }
+    let stack = client_data_stack(session, Some(opts));
+    let shape = channel_shape(Flow::Send, opts);
+    let stor = Command::Stor(remote_path.into());
+    let streams = match open_on_kept(session, &stor, &shape, &stack)? {
+        Some(kept) => kept,
+        None => {
+            let addr = session.pasv()?;
+            session.send_cmd(&stor)?;
+            let opening = session.read_reply()?;
+            if !opening.is_preliminary() {
+                return Err(ClientError::ServerError(opening));
+            }
+            dial_streams(session, &stack, addr, opts)?
+        }
+    };
     // Stage the buffer in a local DSI so ranged sends reuse the DTP.
     let staging = MemDsi::new();
     staging.put("/buf", data);
     let staging: Arc<dyn Dsi> = Arc::new(staging);
     let user = UserContext::superuser();
-    let streams = dial_streams(session, addr, opts)?;
     let ranges = match have {
         Some(have) => have.missing(data.len() as u64),
         None => vec![(0, data.len() as u64)],
@@ -291,7 +354,8 @@ pub fn put_bytes_resume(
     if final_reply.is_error() {
         return Err(ClientError::ServerError(final_reply));
     }
-    let sent = send_result?;
+    let (sent, streams) = send_result?;
+    session.channels = CachedChannels::keep(streams, shape, stack);
     Ok(sent)
 }
 
@@ -308,28 +372,39 @@ pub fn get_bytes(
         session.set_parallelism(opts.parallelism)?;
     }
     let size = session.size(remote_path)?;
-    let listener = data_listener(session, opts)?;
-    session.command(&Command::Port(listener.addr()?))?;
-    session.send_cmd(&Command::Retr(remote_path.into()))?;
-    // Accept the server's connections (it connects before replying 150).
     let stack = client_data_stack(session, Some(opts));
+    let shape = channel_shape(Flow::Receive, opts);
     let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
     let user = UserContext::superuser();
     let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Progress::new());
-    for _ in 0..opts.parallelism {
-        // A refused transfer never dials in — drain the queued error
-        // reply instead of hanging on accept.
-        let conn = match listener.accept_link(opts.accept_deadline()) {
-            Ok(c) => c,
-            Err(_) => {
-                let reply = read_until_final(session, |_| {})?;
-                if reply.is_error() {
-                    return Err(ClientError::ServerError(reply));
-                }
-                return Err(ClientError::Timeout("data connection never arrived".into()));
+    let retr = Command::Retr(remote_path.into());
+    match open_on_kept(session, &retr, &shape, &stack)? {
+        Some(streams) => {
+            for stream in streams {
+                receiver.add_stream(stream)?;
             }
-        };
-        receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
+        }
+        None => {
+            let listener = data_listener(session, opts)?;
+            session.command(&Command::Port(listener.addr()?))?;
+            session.send_cmd(&retr)?;
+            // Accept the server's connections (it connects before replying 150).
+            for _ in 0..opts.parallelism {
+                // A refused transfer never dials in — drain the queued error
+                // reply instead of hanging on accept.
+                let conn = match listener.accept_link(opts.accept_deadline()) {
+                    Ok(c) => c,
+                    Err(_) => {
+                        let reply = read_until_final(session, |_| {})?;
+                        if reply.is_error() {
+                            return Err(ClientError::ServerError(reply));
+                        }
+                        return Err(ClientError::Timeout("data connection never arrived".into()));
+                    }
+                };
+                receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
+            }
+        }
     }
     let obs = Arc::clone(&session.config.obs);
     let final_reply = read_until_final(session, |r| {
@@ -339,7 +414,8 @@ pub fn get_bytes(
     if final_reply.is_error() {
         return Err(ClientError::ServerError(final_reply));
     }
-    received.map_err(ClientError::from)?;
+    let (_, streams) = received.map_err(ClientError::from)?;
+    session.channels = CachedChannels::keep(streams, shape, stack);
     let out = ig_server::dsi::read_all(staging.as_ref(), &user, "/buf", 1 << 20)?;
     if out.len() as u64 != size {
         return Err(ClientError::Truncated(format!(
@@ -402,7 +478,8 @@ pub fn get_partial(
     if final_reply.is_error() {
         return Err(ClientError::ServerError(final_reply));
     }
-    let got = received.map_err(ClientError::from)?;
+    let (got, streams) = received.map_err(ClientError::from)?;
+    close_streams(streams);
     let data = staging.read(&user, "/buf", offset, got as usize)?;
     Ok(data)
 }
@@ -426,7 +503,9 @@ pub fn list(session: &mut ClientSession, path: &str) -> Result<Vec<String>> {
         receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
     }
     let final_reply = read_until_final(session, |_| {})?;
-    let _ = receiver.finish();
+    if let Ok((_, streams)) = receiver.finish() {
+        close_streams(streams);
+    }
     if final_reply.is_error() {
         return Err(ClientError::ServerError(final_reply));
     }
@@ -621,13 +700,19 @@ pub fn put_dir_resume(
     if !opening.is_preliminary() {
         return Err(ClientError::ServerError(opening));
     }
-    let streams = dial_streams(session, addr, opts)?;
+    let stack = client_data_stack(session, Some(opts));
+    let streams = dial_streams(session, &stack, addr, opts)?;
     let progress = Progress::new();
     let send_result =
         send_dir(streams, local, &user, local_root, skip, opts.block_size, &progress);
     // Always drain the final reply, even when our own send failed — it
     // carries the server's entry count, i.e. the resume point.
     let final_reply = read_until_final(session, |_| {})?;
+    // The 426's entry count is the ground truth; a send that did reach
+    // its EODs only has streams left to close.
+    if let Ok((_, streams)) = send_result {
+        close_streams(streams);
+    }
     if final_reply.is_success() {
         // The server decoded the whole stream and verified every
         // checksum; its verdict outranks any local send hiccup.
@@ -638,7 +723,6 @@ pub fn put_dir_resume(
             attempts: 1,
         });
     }
-    let _ = send_result; // the 426's entry count is the ground truth
     let done_now = parse_entry_count(&final_reply).unwrap_or(0);
     Ok(DirTransferOutcome {
         entries_done: skip + done_now,
@@ -711,7 +795,12 @@ pub fn get_dir_resume(
     let final_reply = read_until_final(session, |r| {
         let _ = opts.observe_marker(&obs, r);
     })?;
-    let fin = receiver.finish();
+    // The decoder's verdict below outranks transport noise: how the
+    // streams and the final reply ended only decides what is left to close.
+    let _ = final_reply;
+    if let Ok((_, streams)) = receiver.finish() {
+        close_streams(streams);
+    }
     // Expand the complete-entry prefix no matter how the stream ended:
     // holes left by lost blocks fail a header magic or trailer checksum
     // and stop the decoder at the last complete entry, never mid-file.
@@ -721,7 +810,6 @@ pub fn get_dir_resume(
         .map_err(ClientError::from)?;
     let complete = out.finished && out.error.is_none();
     let done = skip + out.entries;
-    let _ = (fin, final_reply); // decoder verdict outranks transport noise
     Ok(DirTransferOutcome {
         entries_done: done,
         entries_total: if complete { done } else { 0 },
@@ -806,13 +894,19 @@ fn budget_spent<T>(what: &str, run: std::result::Result<T, RetryError<Result<T>>
 }
 
 /// Fetch many small files over one session with control-channel
-/// pipelining: each window of `PORT`+`RETR` pairs is sent before any
-/// reply is read, so command latency overlaps instead of serialising
-/// (the `PIPE` declaration tells the server the window in play). Files
-/// are returned in request order; one data connection per file.
+/// pipelining on one kept data channel: the first file of the call opens
+/// the channel (or re-arms the one an earlier call left), then each window
+/// of `RETR`s is sent before any of its replies is read, and the files are
+/// read back to back off that one connection in reply order — command
+/// latency overlaps and no file but the first pays a connect or a DCAU
+/// handshake (the `PIPE` declaration tells the server the window in play).
+/// Files are returned in request order. Channels that cannot be kept
+/// (UDP) leave nothing to pipeline on: those files are fetched one
+/// [`get_bytes`] at a time.
 ///
-/// On a per-file server error the session is left with queued replies
-/// from the rest of the window — treat the session as dead.
+/// A refused file fails the call with the first such reply, but only
+/// after every reply of its window has been read, so the session stays in
+/// step and usable.
 pub fn get_files_pipelined(
     session: &mut ClientSession,
     remote_paths: &[&str],
@@ -820,62 +914,89 @@ pub fn get_files_pipelined(
     opts: &TransferOpts,
 ) -> Result<Vec<Vec<u8>>> {
     let window = window.clamp(1, 64);
+    // One stream per file, whatever `opts` says: the files are small.
+    let opts = &opts.clone().parallel(1);
+    if opts.transport != DataTransport::Tcp {
+        return remote_paths.iter().map(|p| get_bytes(session, p, opts)).collect();
+    }
     session.set_mode_extended()?;
+    ensure_transport(session, opts)?;
     if session.parallelism != 1 {
-        // One connection per file: the server dials per its OPTS RETR
-        // parallelism, and we accept exactly one stream each.
         session.set_parallelism(1)?;
     }
     session.command(&Command::Pipe(window as u32))?;
     let stack = client_data_stack(session, Some(opts));
+    let shape = channel_shape(Flow::Receive, opts);
+    let mut channel = rearm_kept(session, &shape, &stack);
+    // With nothing kept, the server dials this listener once, for the
+    // first file it can send.
+    let mut listener = None;
+    if channel.is_none() {
+        let l = data_listener(session, opts)?;
+        session.command(&Command::Port(l.addr()?))?;
+        listener = Some(l);
+    }
     let user = UserContext::superuser();
     let mut out = Vec::with_capacity(remote_paths.len());
+    // The first thing to go wrong; the rest of its window is still read.
+    let mut failed: Option<ClientError> = None;
+    let mut fail = |e: ClientError| {
+        failed.get_or_insert(e);
+    };
     for chunk in remote_paths.chunks(window) {
-        let mut listeners = Vec::with_capacity(chunk.len());
-        for _ in chunk {
-            let cfg = udp_config(session, session.udp_cc, opts.io_timeout);
-            listeners.push(AnyDataListener::bind(
-                std::net::Ipv4Addr::LOCALHOST,
-                session.data_transport,
-                &cfg,
-            )?);
-        }
         // The whole window goes out before any reply is read.
-        for (listener, path) in listeners.iter().zip(chunk) {
-            session.send_cmd(&Command::Port(listener.addr()?))?;
+        for path in chunk {
             session.send_cmd(&Command::Retr((*path).into()))?;
         }
-        for listener in &listeners {
-            // The server answers strictly in order, transferring as it
-            // goes; accept (and DCAU-handshake) this file's connection
-            // first — the server sends its 150 only after the
-            // handshake, so reading replies first would deadlock.
-            let conn = match listener.accept_link(opts.accept_deadline()) {
-                Ok(c) => c,
-                Err(_) => {
-                    let _port_ack = read_until_final(session, |_| {})?;
-                    let fin = read_until_final(session, |_| {})?;
-                    return Err(ClientError::ServerError(fin));
+        for _ in chunk {
+            if let Some(l) = listener.take() {
+                // The server sends its 150 only after the handshake, so
+                // the connection is taken before the reply is read. A file
+                // refused outright never dials: the next one to be sent
+                // does, and if none is, the replies are waiting.
+                if let Ok(conn) = l.accept_link(opts.accept_deadline()) {
+                    match stack.accept(conn, &mut session.rng) {
+                        Ok(stream) => channel = Some(vec![stream]),
+                        Err(e) => fail(e.into()),
+                    }
                 }
-            };
+            }
+            let opening = session.read_reply()?;
+            if !opening.is_preliminary() {
+                fail(ClientError::ServerError(opening));
+                continue;
+            }
             let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
             let receiver =
                 Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Progress::new());
-            receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
-            let port_ack = read_until_final(session, |_| {})?;
-            if port_ack.is_error() {
-                return Err(ClientError::ServerError(port_ack));
+            for stream in channel.take().unwrap_or_default() {
+                receiver.add_stream(stream)?;
             }
             let final_reply = read_until_final(session, |_| {})?;
-            let received = receiver.finish();
-            if final_reply.is_error() {
-                return Err(ClientError::ServerError(final_reply));
+            // A 426 means the server dropped its end; what is left of the
+            // window answers 425 and is drained like any refusal.
+            let fetched = match receiver.finish() {
+                _ if final_reply.is_error() => Err(ClientError::ServerError(final_reply)),
+                Ok((_, streams)) => {
+                    channel = Some(streams);
+                    ig_server::dsi::read_all(staging.as_ref(), &user, "/buf", 1 << 20)
+                        .map_err(ClientError::from)
+                }
+                Err(e) => Err(e.into()),
+            };
+            match fetched {
+                Ok(data) => out.push(data),
+                Err(e) => fail(e),
             }
-            received.map_err(ClientError::from)?;
-            out.push(ig_server::dsi::read_all(staging.as_ref(), &user, "/buf", 1 << 20)?);
         }
     }
-    Ok(out)
+    if let Some(streams) = channel {
+        session.channels = CachedChannels::keep(streams, shape, stack);
+    }
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(out),
+    }
 }
 
 /// Third-party transfer with checkpoint restart under a [`RetryPolicy`]:

@@ -466,8 +466,8 @@ fn dir_stream_roundtrip_with_dcau() {
 
 #[test]
 fn pipelined_small_file_fetch() {
-    // get_files_pipelined: windows of PORT+RETR pairs go out before any
-    // reply is read; files come back in request order over one session.
+    // get_files_pipelined: windows of RETRs go out before any reply is
+    // read; files come back in request order over one kept data channel.
     let w = world(18);
     let payloads: Vec<Vec<u8>> =
         (0..10).map(|i| (0..600).map(|j| ((j * 11 + i * 29) % 251) as u8).collect()).collect();
@@ -494,12 +494,20 @@ fn pipelined_fetch_surfaces_missing_file() {
     let w = world(19);
     w.dsi.put("/home/alice/ok.bin", b"fine");
     let mut s = login(&w);
-    let paths = ["/home/alice/ok.bin", "/home/alice/gone.bin"];
+    let paths = ["/home/alice/ok.bin", "/home/alice/gone.bin", "/home/alice/ok.bin"];
     let fast = TransferOpts::default().timeout(Some(Duration::from_millis(500)));
     let err = transfer::get_files_pipelined(&mut s, &paths, 8, &fast).unwrap_err();
-    // The good file transferred, then the missing one's 550 surfaced —
-    // the session is declared dead (queued replies), so just drop it.
+    // The missing file's 550 surfaces, mid-window, after the files around
+    // it transferred: every reply of the window was read, so the session
+    // is still in step, whatever leads the next window.
     assert!(err.to_string().contains("550"), "got {err}");
+    assert_eq!(s.command(&Command::Noop).unwrap().code, 200);
+    let err = transfer::get_files_pipelined(&mut s, &paths[1..], 8, &fast).unwrap_err();
+    assert!(err.to_string().contains("550"), "got {err}");
+    let got = transfer::get_files_pipelined(&mut s, &paths[..1], 8, &fast).unwrap();
+    assert_eq!(got, vec![b"fine".to_vec()]);
+    assert_eq!(transfer::get_bytes(&mut s, "/home/alice/ok.bin", &fast).unwrap(), b"fine");
+    s.quit().unwrap();
 }
 
 #[test]

@@ -133,6 +133,7 @@ impl Initiator {
                         identity: chain[0].subject().clone(),
                         anchor: chain[0].issuer().clone(),
                         online_ca_endpoint: chain[0].online_ca_endpoint().map(str::to_string),
+                        not_after: chain[0].tbs.validity.not_after,
                     }
                 } else {
                     ig_pki::validate_chain(&chain, &self.config.trust, now)?

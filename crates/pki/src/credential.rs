@@ -21,6 +21,14 @@ pub struct Credential {
     key: RsaPrivateKey,
 }
 
+/// Two credentials are the same when they present the same chain: the
+/// constructor ties the key to the leaf, so the chain decides the key.
+impl PartialEq for Credential {
+    fn eq(&self, other: &Self) -> bool {
+        self.chain == other.chain
+    }
+}
+
 impl std::fmt::Debug for Credential {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Credential")

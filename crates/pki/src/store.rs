@@ -13,7 +13,7 @@ use crate::policy::SigningPolicy;
 use std::collections::BTreeMap;
 
 /// A set of trusted root certificates plus per-CA signing policies.
-#[derive(Default, Clone)]
+#[derive(Default, Clone, PartialEq, Eq)]
 pub struct TrustStore {
     roots: Vec<Certificate>,
     policies: BTreeMap<String, SigningPolicy>,

@@ -28,6 +28,16 @@ pub struct ValidatedIdentity {
     /// If the end-entity certificate was issued by an online CA, the GCMU
     /// endpoint that issued it (drives the GCMU authz callout).
     pub online_ca_endpoint: Option<String>,
+    /// The first instant at which the validated path stops validating:
+    /// the earliest `not_after` over the presented chain and its anchor.
+    /// Whoever keeps something this validation vouched for (a cached data
+    /// channel) must stop using it then.
+    pub not_after: u64,
+}
+
+/// The earliest `not_after` among `certs` (`u64::MAX` for none).
+pub fn earliest_not_after<'a>(certs: impl IntoIterator<Item = &'a Certificate>) -> u64 {
+    certs.into_iter().map(|c| c.tbs.validity.not_after).min().unwrap_or(u64::MAX)
 }
 
 /// Validate `chain` (leaf first) against `store` at instant `now`.
@@ -65,6 +75,7 @@ pub fn validate_chain(
                 identity: leaf.subject().clone(),
                 anchor: leaf.subject().clone(),
                 online_ca_endpoint: leaf.online_ca_endpoint().map(str::to_string),
+                not_after: leaf.tbs.validity.not_after,
             });
         }
         return Err(PkiError::UntrustedIssuer(format!(
@@ -202,6 +213,7 @@ pub fn validate_chain(
         identity: eec.subject().clone(),
         anchor: anchor.subject().clone(),
         online_ca_endpoint: eec.online_ca_endpoint().map(str::to_string),
+        not_after: earliest_not_after(chain[..=current].iter().chain([anchor])),
     })
 }
 
@@ -249,6 +261,29 @@ mod tests {
         assert_eq!(id.identity, id.subject);
         assert_eq!(id.anchor.to_string(), "/O=CA-A");
         assert!(id.online_ca_endpoint.is_none());
+    }
+
+    #[test]
+    fn not_after_is_the_earliest_on_the_validated_path() {
+        // fixture: CA to 1,000,000, alice to 10,000.
+        let f = fixture(1);
+        assert_eq!(validate_chain(f.cred.chain(), &f.store, 100).unwrap().not_after, 10_000);
+        // A proxy shorter than its issuer shortens the path; a proxy
+        // issued to outlive it does not lengthen it.
+        let mut rng = seeded(70);
+        for (lifetime, expect) in [(50, 150), (1_000_000, 10_000)] {
+            let options = proxy::ProxyOptions { lifetime, path_len: None };
+            let cred = proxy::delegate(&mut rng, &f.cred, 512, 100, options).unwrap();
+            let id = validate_chain(cred.chain(), &f.store, 120).unwrap();
+            assert_eq!(id.not_after, expect, "lifetime {lifetime}");
+            // Valid strictly before it, refused from it on.
+            assert!(validate_chain(cred.chain(), &f.store, expect - 1).is_ok());
+            assert!(matches!(
+                validate_chain(cred.chain(), &f.store, expect),
+                Err(PkiError::Expired { .. })
+            ));
+        }
+        assert_eq!(earliest_not_after([]), u64::MAX);
     }
 
     #[test]

@@ -144,6 +144,7 @@ mod tests {
             identity: d,
             anchor: DistinguishedName::parse("/O=CA").unwrap(),
             online_ca_endpoint: endpoint.map(str::to_string),
+            not_after: u64::MAX,
         }
     }
 

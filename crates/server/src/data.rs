@@ -1,16 +1,26 @@
-//! Data-channel establishment: listeners, and the one [`DataStack`]
-//! every data stream — server or client side — is assembled by.
+//! Data-channel establishment and keeping: listeners, the one
+//! [`DataStack`] every data stream — server or client side — is assembled
+//! by, and the one [`CachedChannels`] entry in which an endpoint keeps a
+//! finished transfer's streams for the next one.
 //!
 //! The GridFTP rule (§IIC): "the receiver [is] the listener and the
 //! sender issue[s] the TCP connect". The connector therefore plays GSI
 //! initiator and the listener GSI acceptor when DCAU is on.
+//!
+//! In MODE E an EOD ends a *transfer* on a channel; closing the channel is
+//! a separate act. So the authenticated connections of a transfer that
+//! completed outlive it, and the session's next `RETR`/`STOR` is sent on
+//! them again with no connect and no DCAU handshake of its own — provided
+//! it would have built exactly the same streams ([`CachedChannels::rearm`]).
 
+use crate::dtp::{close_streams, Streams};
 use crate::error::{Result, ServerError};
 use ig_gsi::context::GsiConfig;
 use ig_gsi::ProtectionLevel;
 use ig_pki::time::Clock;
+use ig_pki::validate::earliest_not_after;
 use ig_pki::{Credential, DistinguishedName, TrustStore};
-use ig_protocol::command::DcauMode;
+use ig_protocol::command::{DcauMode, ModeCode};
 use ig_protocol::HostPort;
 use ig_obs::Obs;
 use ig_xio::{
@@ -20,12 +30,13 @@ use ig_xio::{
 use rand::Rng;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Security posture of a data channel, assembled per transfer from the
 /// session state (DCAU mode, PROT level, DCSC override).
-#[derive(Clone)]
+#[derive(Clone, PartialEq)]
 pub struct DataSecurity {
     /// DCAU mode.
     pub dcau: DcauMode,
@@ -125,9 +136,49 @@ pub struct DataStack {
     pub chaos: Option<Arc<ChaosHook>>,
     /// Hub and metric label for the per-block [`ObsLink`] meter.
     pub meter: Option<(Arc<Obs>, &'static str)>,
+    /// Until when this stack's streams may be used
+    /// ([`DataStack::not_after`]); starts as "forever".
+    pub expiry: ChainExpiry,
+}
+
+/// The earliest `not_after` over the certificate chains presented, by
+/// either end, on one [`DataStack`]'s streams: those it built, and those
+/// it took over from the stack that built them ([`CachedChannels::rearm`]).
+/// A stack is assembled per transfer, so this is the instant at which that
+/// transfer's channels stop being ones a fresh handshake would grant.
+pub struct ChainExpiry(AtomicU64);
+
+impl Default for ChainExpiry {
+    fn default() -> Self {
+        ChainExpiry(AtomicU64::new(u64::MAX))
+    }
 }
 
 impl DataStack {
+    /// The first instant at which a chain presented on one of this
+    /// stack's streams is no longer valid (`u64::MAX` while it has none,
+    /// or none that authenticated).
+    pub fn not_after(&self) -> u64 {
+        self.expiry.0.load(Ordering::Relaxed)
+    }
+
+    /// Would `other` build the same streams? Everything a stream is
+    /// assembled from takes part: the whole security posture (credential
+    /// and trust roots included, so a `DCSC P` or `DCSC D` in between is a
+    /// difference), the stripe rate, the I/O deadline, and which chaos hook
+    /// and meter it is threaded through.
+    pub fn builds_like(&self, other: &DataStack) -> bool {
+        // Hooks and hubs are compared by identity: the same object, not
+        // an equal one.
+        let chaos = |s: &DataStack| s.chaos.as_ref().map(Arc::as_ptr);
+        let meter = |s: &DataStack| s.meter.as_ref().map(|(hub, label)| (Arc::as_ptr(hub), *label));
+        self.security == other.security
+            && self.stripe_rate == other.stripe_rate
+            && self.deadline == other.deadline
+            && chaos(self) == chaos(other)
+            && meter(self) == meter(other)
+    }
+
     /// Dial `target` over `transport` and push the drivers (we are the
     /// sender, the canonical case).
     pub fn connect<R: Rng + ?Sized>(
@@ -179,6 +230,9 @@ impl DataStack {
             .map_err(|e| ServerError::Data(format!("data-channel handshake: {e}")))?;
             check_peer(&secured, &sec.expected_identity())?;
             secured.require_recv_level(sec.prot);
+            let ours = earliest_not_after(sec.credential.iter().flat_map(|c| c.chain()));
+            let theirs = secured.peer().map_or(u64::MAX, |p| p.not_after);
+            self.expiry.0.fetch_min(ours.min(theirs), Ordering::Relaxed);
             stream = Box::new(secured);
         }
         if self.deadline.is_some() {
@@ -189,9 +243,98 @@ impl DataStack {
             stream = hook.wrap(stream);
         }
         if let Some((obs, label)) = &self.meter {
+            obs.metrics().add(&format!("{label}.channels_opened"), 1);
             stream = Box::new(ObsLink::new(stream, Arc::clone(obs), label));
         }
         Ok(stream)
+    }
+}
+
+/// Which way payload moves on a channel, seen from the endpoint holding it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// This endpoint sends (and, by §IIC, dialled).
+    Send,
+    /// This endpoint receives (and listened).
+    Receive,
+}
+
+/// What a transfer's set of channels was opened as — the part of a
+/// [`CachedChannels`] key that is not in the [`DataStack`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelShape {
+    /// Direction of the payload.
+    pub flow: Flow,
+    /// The session's `MODE`.
+    pub mode: ModeCode,
+    /// The session's data transport.
+    pub transport: DataTransport,
+    /// Streams per listener/target the session asks for.
+    pub parallelism: usize,
+}
+
+impl ChannelShape {
+    /// Can channels of this shape outlive a transfer? Not in MODE S, where
+    /// closing the connection *is* the end of file, and not over UDP, whose
+    /// driver's stall timer reads an idle connection as a dead one.
+    fn keepable(&self) -> bool {
+        self.mode == ModeCode::Extended && self.transport == DataTransport::Tcp
+    }
+}
+
+/// The data channels a session keeps between transfers: the streams of
+/// the last transfer that completed, in opening order, with the key they
+/// were built under. A session has at most one (`Option<CachedChannels>`),
+/// on the server and on the client alike.
+pub struct CachedChannels {
+    links: Streams,
+    shape: ChannelShape,
+    stack: DataStack,
+}
+
+impl CachedChannels {
+    /// Keep `links` after a transfer that completed on them: `shape` and
+    /// `stack` are what that transfer built (or re-armed) them under, the
+    /// stack's [`DataStack::not_after`] their expiry. A shape that cannot
+    /// be kept closes them instead — the close after EOD of a MODE S or
+    /// UDP transfer.
+    pub fn keep(links: Streams, shape: ChannelShape, stack: DataStack) -> Option<CachedChannels> {
+        let entry = CachedChannels { links, shape, stack };
+        if entry.shape.keepable() {
+            Some(entry)
+        } else {
+            entry.close();
+            None
+        }
+    }
+
+    /// Take the entry out of `slot` for a transfer of `shape` whose streams
+    /// `stack` would build, at instant `now`: its links, if a fresh set of
+    /// channels would be indistinguishable from them — same shape, same
+    /// stack ([`DataStack::builds_like`]) and every presented chain still
+    /// valid — with `stack` taking over their expiry; otherwise nothing,
+    /// the links closed. Either way the slot is empty afterwards. The only
+    /// way links leave an entry to be used again.
+    pub fn rearm(
+        slot: &mut Option<CachedChannels>,
+        shape: &ChannelShape,
+        stack: &DataStack,
+        now: u64,
+    ) -> Option<Streams> {
+        let entry = slot.take()?;
+        let not_after = entry.stack.not_after();
+        if entry.shape == *shape && entry.stack.builds_like(stack) && now < not_after {
+            stack.expiry.0.fetch_min(not_after, Ordering::Relaxed);
+            Some(entry.links)
+        } else {
+            entry.close();
+            None
+        }
+    }
+
+    /// Close every kept stream.
+    pub fn close(self) {
+        close_streams(self.links);
     }
 }
 
@@ -329,7 +472,14 @@ mod tests {
 
     /// A stack with only the security layer configured.
     fn bare(security: DataSecurity) -> DataStack {
-        DataStack { security, stripe_rate: None, deadline: None, chaos: None, meter: None }
+        DataStack {
+            security,
+            stripe_rate: None,
+            deadline: None,
+            chaos: None,
+            meter: None,
+            expiry: ChainExpiry::default(),
+        }
     }
 
     #[test]
@@ -449,6 +599,141 @@ mod tests {
         assert!(bare(sec).push_drivers(Box::new(a), Role::Connector, &mut rng).is_err());
     }
 
+    fn shape(flow: Flow) -> ChannelShape {
+        ChannelShape {
+            flow,
+            mode: ModeCode::Extended,
+            transport: DataTransport::Tcp,
+            parallelism: 1,
+        }
+    }
+
+    /// An entry over one pipe, expiring at 2000, and the pipe's far end.
+    fn kept(stack: DataStack) -> (Option<CachedChannels>, ig_xio::PipeLink) {
+        let (a, b) = ig_xio::pipe();
+        stack.expiry.0.store(2000, Ordering::Relaxed);
+        (CachedChannels::keep(vec![Box::new(a)], shape(Flow::Send), stack), b)
+    }
+
+    #[test]
+    fn rearm_hands_back_exactly_what_a_fresh_open_would_build() {
+        let mut rng = seeded(20);
+        let (ca, cred) = ca_and_credential(&mut rng, "/O=CA", "/O=Grid/CN=alice");
+        let (_, other_cred) = ca_and_credential(&mut rng, "/O=CA", "/O=Grid/CN=alice");
+        let mut trust = TrustStore::new();
+        trust.add_root(ca.root_cert().clone());
+        let secure = |credential: &Credential, trust: &TrustStore, prot| DataSecurity {
+            dcau: DcauMode::Self_,
+            prot,
+            credential: Some(credential.clone()),
+            trust: trust.clone(),
+            clock: Clock::Fixed(1000),
+        };
+        let base = || bare(secure(&cred, &trust, ProtectionLevel::Clear));
+
+        // Same shape, same stack, chains still valid: the links come back,
+        // the new stack inherits their expiry, and the slot is left empty.
+        let (mut slot, mut far) = kept(base());
+        let next = base();
+        let mut links =
+            CachedChannels::rearm(&mut slot, &shape(Flow::Send), &next, 1999).expect("a match");
+        assert!(slot.is_none());
+        assert_eq!(next.not_after(), 2000);
+        links[0].send(b"again").unwrap();
+        assert_eq!(far.recv().unwrap(), b"again");
+
+        // Everything else closes the links (the far end reads EOF) and
+        // yields nothing. The clock: valid means `now < not_after`.
+        let mut extra_root = trust.clone();
+        extra_root.add_root(other_cred.leaf().clone());
+        let hook = ChaosHook::new(ChaosConfig { seed: 1, faults: Vec::new() });
+        let misses: Vec<(&str, ChannelShape, DataStack, u64)> = vec![
+            ("expired", shape(Flow::Send), base(), 2000),
+            ("long expired", shape(Flow::Send), base(), u64::MAX),
+            ("direction", shape(Flow::Receive), base(), 1000),
+            ("mode", ChannelShape { mode: ModeCode::Stream, ..shape(Flow::Send) }, base(), 1000),
+            ("transport", ChannelShape { transport: DataTransport::Udp, ..shape(Flow::Send) }, base(), 1000),
+            ("parallelism", ChannelShape { parallelism: 2, ..shape(Flow::Send) }, base(), 1000),
+            ("PROT", shape(Flow::Send), bare(secure(&cred, &trust, ProtectionLevel::Private)), 1000),
+            ("DCAU", shape(Flow::Send), bare(DataSecurity::open()), 1000),
+            ("credential", shape(Flow::Send), bare(secure(&other_cred, &trust, ProtectionLevel::Clear)), 1000),
+            ("trust", shape(Flow::Send), bare(secure(&cred, &extra_root, ProtectionLevel::Clear)), 1000),
+            ("stripe rate", shape(Flow::Send), DataStack { stripe_rate: Some(1e6), ..base() }, 1000),
+            ("deadline", shape(Flow::Send), DataStack { deadline: Some(Duration::from_secs(1)), ..base() }, 1000),
+            ("chaos hook", shape(Flow::Send), DataStack { chaos: Some(hook), ..base() }, 1000),
+        ];
+        for (what, shape, stack, now) in misses {
+            let (mut slot, mut far) = kept(base());
+            assert!(CachedChannels::rearm(&mut slot, &shape, &stack, now).is_none(), "{what}");
+            assert!(slot.is_none(), "{what}: a miss empties the slot too");
+            assert!(far.recv().is_err(), "{what}: the kept link must have been closed");
+        }
+        assert!(CachedChannels::rearm(&mut None, &shape(Flow::Send), &base(), 0).is_none());
+    }
+
+    #[test]
+    fn channels_that_cannot_be_kept_are_closed_not_cached() {
+        for unkeepable in [
+            ChannelShape { mode: ModeCode::Stream, ..shape(Flow::Send) },
+            ChannelShape { transport: DataTransport::Udp, ..shape(Flow::Receive) },
+        ] {
+            let (a, mut far) = ig_xio::pipe();
+            let entry =
+                CachedChannels::keep(vec![Box::new(a)], unkeepable, bare(DataSecurity::open()));
+            assert!(entry.is_none(), "{unkeepable:?}");
+            assert!(far.recv().is_err(), "{unkeepable:?}: close after EOD survives here");
+        }
+    }
+
+    #[test]
+    fn a_stack_remembers_the_earliest_expiry_it_authenticated() {
+        // The root is good until 9000, alice's certificate until 5000: the
+        // handshake at t=1000 sees chains that stop validating at 5000.
+        let mut rng = seeded(21);
+        let mut ca = ig_pki::CertificateAuthority::create(
+            &mut rng,
+            DistinguishedName::parse("/O=CA").unwrap(),
+            512,
+            0,
+            9000,
+        )
+        .unwrap();
+        let keys = ig_crypto::RsaKeyPair::generate(&mut rng, 512).unwrap();
+        let cert = ca
+            .issue(
+                DistinguishedName::parse("/O=Grid/CN=alice").unwrap(),
+                &keys.public,
+                ig_pki::cert::Validity::starting_at(0, 5000),
+                vec![],
+            )
+            .unwrap();
+        let mut trust = TrustStore::new();
+        trust.add_root(ca.root_cert().clone());
+        let sec = DataSecurity {
+            dcau: DcauMode::Self_,
+            prot: ProtectionLevel::Clear,
+            credential: Some(Credential::new(vec![cert], keys.private).unwrap()),
+            trust,
+            clock: Clock::Fixed(1000),
+        };
+        let (a, b) = ig_xio::pipe();
+        let sec2 = sec.clone();
+        let acceptor = std::thread::spawn(move || {
+            let stack = bare(sec2);
+            stack.accept(Box::new(b), &mut seeded(22)).unwrap();
+            stack.not_after()
+        });
+        let stack = bare(sec);
+        assert_eq!(stack.not_after(), u64::MAX, "nothing built yet");
+        stack.push_drivers(Box::new(a), Role::Connector, &mut rng).unwrap();
+        assert_eq!(stack.not_after(), 5000);
+        assert_eq!(acceptor.join().unwrap(), 5000);
+        // No handshake, no expiry.
+        let open = bare(DataSecurity::open());
+        open.accept(Box::new(ig_xio::pipe().0), &mut rng).unwrap();
+        assert_eq!(open.not_after(), u64::MAX);
+    }
+
     #[test]
     fn full_stack_order_shows_in_its_effects() {
         // PROT P + a one-shot Reset after 64 sent bytes + a meter, over a
@@ -474,6 +759,7 @@ mod tests {
             deadline: Some(Duration::from_secs(5)),
             chaos: Some(Arc::clone(&hook)),
             meter: Some((Arc::clone(&obs), "stack")),
+            expiry: ChainExpiry::default(),
         };
         let (a, b) = ig_xio::pipe();
         let receiver = std::thread::spawn(move || {

@@ -5,6 +5,12 @@
 //! receiver runs one thread per accepted connection, all writing through
 //! the DSI at block offsets — order never matters. This is the §II-B DTP,
 //! separated from the protocol interpreter exactly as in Fig 2.
+//!
+//! An EOD ends the transfer on a stream, not the stream: senders and the
+//! receiver hand every stream that carried its EOD back to the caller, in
+//! the order they were given, and the caller decides whether it is kept
+//! for the next transfer ([`crate::data::CachedChannels`]) or closed. Only
+//! a transfer that failed closes here.
 
 use crate::dsi::Dsi;
 use crate::error::{Result, ServerError};
@@ -55,14 +61,27 @@ impl Progress {
     }
 }
 
+/// A transfer's data streams, in opening order.
+pub type Streams = Vec<Box<dyn Link>>;
+
+/// A stream worker's end: its stream back once the EOD is on it.
+type StreamWorker = std::thread::JoinHandle<Result<Box<dyn Link>>>;
+
+/// Close streams that will not be used again.
+pub fn close_streams(streams: Streams) {
+    for mut stream in streams {
+        let _ = stream.close();
+    }
+}
+
 /// Spawn one block-sending worker per stream, each draining its own
 /// bounded queue. Worker 0 announces the EOD count first; every worker
-/// ends with EOD + close when its queue disconnects — the GridFTP close
-/// protocol. Shared by the single-file and directory-stream senders.
+/// ends with EOD when its queue disconnects and returns its stream.
+/// Shared by the single-file and directory-stream senders.
 fn spawn_block_workers(
-    streams: Vec<Box<dyn Link>>,
+    streams: Streams,
     progress: &Arc<Progress>,
-) -> Result<(Vec<BlockQueue>, Vec<std::thread::JoinHandle<Result<()>>>)> {
+) -> Result<(Vec<BlockQueue>, Vec<StreamWorker>)> {
     assert!(!streams.is_empty(), "need at least one stream");
     let n = streams.len();
     // One bounded queue per stream: strict round-robin. A shared queue
@@ -81,7 +100,7 @@ fn spawn_block_workers(
         let progress = Arc::clone(progress);
         let spawned = std::thread::Builder::new()
             .name(format!("dtp-stream-{i}"))
-            .spawn(move || -> Result<()> {
+            .spawn(move || -> Result<Box<dyn Link>> {
                 // First stream announces how many EODs to expect.
                 if i == 0 {
                     stream
@@ -102,18 +121,15 @@ fn spawn_block_workers(
                 stream
                     .send(&Block::eod().encode())
                     .map_err(|e| ServerError::Data(format!("send EOD: {e}")))?;
-                let _ = stream.close();
-                Ok(())
+                Ok(stream)
             });
         match spawned {
             Ok(w) => workers.push(w),
             Err(e) => {
                 // Dropping `txs` ends already-spawned workers cleanly
-                // (their queues disconnect and they send EOD/close).
+                // (their queues disconnect and they send EOD).
                 drop(txs);
-                for w in workers {
-                    let _ = w.join();
-                }
+                let _ = join_block_workers(workers, None).map(close_streams);
                 return Err(ServerError::Spawn(format!("dtp stream worker {i}: {e}")));
             }
         }
@@ -121,43 +137,44 @@ fn spawn_block_workers(
     Ok((txs, workers))
 }
 
-/// Join block workers after the feed finished (or failed): worker errors
-/// win over feed errors only when the feed succeeded.
-fn join_block_workers(
-    workers: Vec<std::thread::JoinHandle<Result<()>>>,
-    feed_err: Option<ServerError>,
-) -> Result<()> {
+/// Join block workers after the feed finished (or failed) and collect
+/// their streams: worker errors win over feed errors only when the feed
+/// succeeded. Any error closes the streams that did reach their EOD.
+fn join_block_workers(workers: Vec<StreamWorker>, feed_err: Option<ServerError>) -> Result<Streams> {
     let mut worker_err = None;
+    let mut streams = Vec::with_capacity(workers.len());
     for w in workers {
         match w.join() {
-            Ok(Ok(())) => {}
+            Ok(Ok(stream)) => streams.push(stream),
             Ok(Err(e)) => worker_err = worker_err.or(Some(e)),
             Err(_) => {
                 worker_err = worker_err.or(Some(ServerError::Data("stream worker panicked".into())))
             }
         }
     }
-    match (worker_err, feed_err) {
-        (Some(e), _) => Err(e),
-        (None, Some(e)) => Err(e),
-        (None, None) => Ok(()),
+    match worker_err.or(feed_err) {
+        Some(e) => {
+            close_streams(streams);
+            Err(e)
+        }
+        None => Ok(streams),
     }
 }
 
 /// Send `ranges` of `path` over `streams` as MODE E blocks.
 ///
-/// Returns the payload bytes sent. Stream workers send data blocks; the
-/// first stream additionally announces the EOD count (one per stream),
-/// and every stream ends with EOD — the GridFTP close protocol.
+/// Returns the payload bytes sent and the streams. Stream workers send
+/// data blocks; the first stream additionally announces the EOD count (one
+/// per stream), and every stream ends with EOD.
 pub fn send_ranges(
-    streams: Vec<Box<dyn Link>>,
+    streams: Streams,
     dsi: &Arc<dyn Dsi>,
     user: &UserContext,
     path: &str,
     ranges: &[(u64, u64)],
     block_size: usize,
     progress: &Arc<Progress>,
-) -> Result<u64> {
+) -> Result<(u64, Streams)> {
     let n = streams.len();
     let (txs, workers) = spawn_block_workers(streams, progress)?;
     // Reader: stream file ranges into the queues in block-sized pieces,
@@ -201,14 +218,13 @@ pub fn send_ranges(
         }
     }
     drop(txs); // signals workers to send EODs
-    join_block_workers(workers, feed_err)?;
-    Ok(total)
+    Ok((total, join_block_workers(workers, feed_err)?))
 }
 
 /// Send the directory tree under `root` over `streams` as one streamed
 /// MODE E transfer in [`ig_protocol::stream_dir`] framing, skipping the
 /// first `skip` walk entries (file-granular resume). Returns the stream
-/// bytes sent.
+/// bytes sent and the streams.
 ///
 /// The walk is sorted depth-first pre-order, so the entry sequence is
 /// deterministic and `skip` means the same thing to sender and receiver.
@@ -216,14 +232,14 @@ pub fn send_ranges(
 /// self-contained stream whose end marker counts only the entries it
 /// carried.
 pub fn send_dir(
-    streams: Vec<Box<dyn Link>>,
+    streams: Streams,
     dsi: &Arc<dyn Dsi>,
     user: &UserContext,
     root: &str,
     skip: u64,
     block_size: usize,
     progress: &Arc<Progress>,
-) -> Result<u64> {
+) -> Result<(u64, Streams)> {
     use ig_protocol::stream_dir::{encode_end, encode_header, encode_trailer, StreamEntry};
 
     let entries = crate::dsi::walk(dsi.as_ref(), user, root)?;
@@ -298,30 +314,30 @@ pub fn send_dir(
     };
     let feed_err = run().err();
     drop(txs); // signals workers to send EODs
-    join_block_workers(workers, feed_err)?;
-    Ok(total)
+    let streams = join_block_workers(workers, feed_err)?;
+    Ok((total, streams))
 }
 
 /// Send an in-memory buffer as MODE E blocks over `streams`
 /// (directory listings, client-side uploads of in-memory data).
 pub fn send_buffer(
-    streams: Vec<Box<dyn Link>>,
+    streams: Streams,
     data: &[u8],
     block_size: usize,
     progress: &Arc<Progress>,
-) -> Result<u64> {
+) -> Result<(u64, Streams)> {
     send_buffer_at(streams, 0, data, block_size, progress)
 }
 
 /// Like [`send_buffer`] but places the buffer at file offset `base`
 /// (resumed uploads send only the missing tail/holes).
 pub fn send_buffer_at(
-    mut streams: Vec<Box<dyn Link>>,
+    mut streams: Streams,
     base: u64,
     data: &[u8],
     block_size: usize,
     progress: &Arc<Progress>,
-) -> Result<u64> {
+) -> Result<(u64, Streams)> {
     let n = streams.len();
     assert!(n > 0, "need at least one stream");
     assert!(block_size > 0, "block size must be positive");
@@ -346,9 +362,8 @@ pub fn send_buffer_at(
         stream
             .send(&Block::eod().encode())
             .map_err(|e| ServerError::Data(format!("send EOD: {e}")))?;
-        let _ = stream.close();
     }
-    Ok(data.len() as u64)
+    Ok((data.len() as u64, streams))
 }
 
 /// Typed classification of a receive-side failure, so the session layer
@@ -409,9 +424,12 @@ impl RecvShared {
     }
 }
 
-/// One data connection's receive loop: returns when the stream ends, by
-/// EOD or by a fault recorded in `shared`.
-fn receive_stream(shared: &RecvShared, mut link: Box<dyn Link>) {
+/// A receive thread's end: its link back, if the stream reached its EOD.
+type RecvWorker = std::thread::JoinHandle<Option<Box<dyn Link>>>;
+
+/// One data connection's receive loop: returns when the stream ends — the
+/// link itself after its EOD, nothing after a fault recorded in `shared`.
+fn receive_stream(shared: &RecvShared, mut link: Box<dyn Link>) -> Option<Box<dyn Link>> {
     // One receive buffer per connection, reused for every block;
     // blocks are parsed as borrowed views straight out of it.
     let mut msg = Vec::new();
@@ -427,13 +445,13 @@ fn receive_stream(shared: &RecvShared, mut link: Box<dyn Link>) {
                 _ => RecvFault::Truncated(format!("data connection dropped: {e}")),
             };
             shared.fault(fault);
-            return;
+            return None;
         }
         let block = match BlockView::parse(&msg) {
             Ok(b) => b,
             Err(e) => {
                 shared.fault(RecvFault::Corrupt(format!("bad block: {e}")));
-                return;
+                return None;
             }
         };
         if block.is_eof_count() {
@@ -446,15 +464,14 @@ fn receive_stream(shared: &RecvShared, mut link: Box<dyn Link>) {
                 shared.dsi.write(&shared.user, &shared.path, block.offset, block.payload)
             {
                 shared.fault(RecvFault::Storage(format!("storage write: {e}")));
-                return;
+                return None;
             }
             shared.progress.bytes.fetch_add(block.payload.len() as u64, Ordering::Relaxed);
             shared.progress.ranges.lock().add(block.offset, end);
         }
         if block.is_eod() {
             shared.eods.fetch_add(1, Ordering::SeqCst);
-            let _ = link.close();
-            return;
+            return Some(link);
         }
     }
 }
@@ -462,7 +479,7 @@ fn receive_stream(shared: &RecvShared, mut link: Box<dyn Link>) {
 /// Receiver for one transfer: feed it connections as they arrive.
 pub struct Receiver {
     shared: Arc<RecvShared>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    threads: Mutex<Vec<RecvWorker>>,
     idle: Option<Duration>,
     wake: Option<Arc<WakeFd>>,
 }
@@ -537,10 +554,11 @@ impl Receiver {
         let shared = Arc::clone(&self.shared);
         let wake = self.wake.clone();
         let spawned = std::thread::Builder::new().name("dtp-recv".into()).spawn(move || {
-            receive_stream(&shared, link);
+            let ended = receive_stream(&shared, link);
             if let Some(wake) = wake {
                 wake.wake();
             }
+            ended
         });
         match spawned {
             Ok(handle) => {
@@ -567,12 +585,22 @@ impl Receiver {
         self.shared.error.lock().clone()
     }
 
-    /// Wait for completion (all threads joined). Returns bytes received.
-    pub fn finish(self) -> Result<u64> {
+    /// Wait for completion (all threads joined). Returns bytes received
+    /// and the streams, in the order they were added.
+    pub fn finish(self) -> Result<(u64, Streams)> {
         let threads = std::mem::take(&mut *self.threads.lock());
-        for t in threads {
-            let _ = t.join();
+        let streams: Streams = threads.into_iter().filter_map(|t| t.join().ok().flatten()).collect();
+        match self.verdict() {
+            Ok(bytes) => Ok((bytes, streams)),
+            Err(e) => {
+                close_streams(streams);
+                Err(e)
+            }
         }
+    }
+
+    /// What the joined streams amount to.
+    fn verdict(&self) -> Result<u64> {
         if let Some(f) = self.shared.error.lock().clone() {
             return Err(f.into());
         }
@@ -620,7 +648,7 @@ mod tests {
         }
         let progress_tx = Progress::new();
         let len = data.len() as u64;
-        let sent = send_ranges(
+        let (sent, kept) = send_ranges(
             sender_links,
             &dsi,
             &user,
@@ -631,9 +659,11 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sent, len);
+        assert_eq!(kept.len(), streams, "every stream comes back after its EOD");
         assert_eq!(progress_tx.bytes(), len);
-        let received = receiver.finish().unwrap();
+        let (received, kept) = receiver.finish().unwrap();
         assert_eq!(received, len);
+        assert_eq!(kept.len(), streams);
         crate::dsi::read_all(dst_dsi.as_ref(), &user, "/dst.bin", 1 << 16).unwrap()
     }
 
@@ -649,6 +679,42 @@ mod tests {
         for streams in [2usize, 4, 8] {
             assert_eq!(transfer(&data, streams, 4096), data, "streams={streams}");
         }
+    }
+
+    #[test]
+    fn streams_carry_one_transfer_after_another() {
+        // EOD ends a transfer, not a stream: what `send_ranges` and
+        // `finish` hand back carries the next file over the same pipes.
+        let first: Vec<u8> = (0..9_000u32).map(|i| (i % 241) as u8).collect();
+        let second: Vec<u8> = (0..5_000u32).map(|i| (i % 239) as u8).collect();
+        let src = MemDsi::new();
+        src.put("/one", &first);
+        src.put("/two", &second);
+        let src: Arc<dyn Dsi> = Arc::new(src);
+        let dst: Arc<dyn Dsi> = Arc::new(MemDsi::new());
+        let user = UserContext::superuser();
+        let mut sending: Streams = Vec::new();
+        let mut receiving: Streams = Vec::new();
+        for _ in 0..3 {
+            let (a, b) = pipe();
+            sending.push(Box::new(a));
+            receiving.push(Box::new(b));
+        }
+        for (path, data) in [("/one", &first), ("/two", &second)] {
+            let receiver = Receiver::new(Arc::clone(&dst), user.clone(), path, Progress::new());
+            for link in receiving.drain(..) {
+                receiver.add_stream(link).unwrap();
+            }
+            let len = data.len() as u64;
+            let (sent, kept) =
+                send_ranges(sending, &src, &user, path, &[(0, len)], 1024, &Progress::new()).unwrap();
+            sending = kept;
+            let (received, kept) = receiver.finish().unwrap();
+            receiving = kept;
+            assert_eq!((sent, received), (len, len), "{path}");
+            assert_eq!(&crate::dsi::read_all(dst.as_ref(), &user, path, 1 << 16).unwrap(), data);
+        }
+        assert_eq!((sending.len(), receiving.len()), (3, 3));
     }
 
     #[test]
@@ -676,7 +742,7 @@ mod tests {
         let receiver = Receiver::new(Arc::clone(&dst), user.clone(), "/out", Arc::clone(&progress));
         let (a, b) = pipe();
         receiver.add_stream(Box::new(b)).unwrap();
-        let sent = send_ranges(
+        let (sent, _) = send_ranges(
             vec![Box::new(a)],
             &dsi,
             &user,
@@ -717,9 +783,9 @@ mod tests {
             sender_links.push(Box::new(a));
             receiver.add_stream(Box::new(b)).unwrap();
         }
-        let sent =
+        let (sent, _) =
             send_dir(sender_links, &src, &user, "/tree", skip, block, &Progress::new()).unwrap();
-        let received = receiver.finish().unwrap();
+        let (received, _) = receiver.finish().unwrap();
         assert_eq!(sent, received);
         let data = crate::dsi::read_all(staging.as_ref(), &user, "/stream", 1 << 16).unwrap();
         let dst: Arc<dyn Dsi> = Arc::new(MemDsi::new());
@@ -771,16 +837,9 @@ mod tests {
         let user = UserContext::superuser();
         let (a, b) = pipe();
         drop(b);
-        let err = send_dir(
-            vec![Box::new(a)],
-            &src,
-            &user,
-            "/tree",
-            9,
-            256,
-            &Progress::new(),
-        )
-        .unwrap_err();
+        let err = send_dir(vec![Box::new(a)], &src, &user, "/tree", 9, 256, &Progress::new())
+            .err()
+            .unwrap();
         assert!(err.to_string().contains("skip"), "{err}");
     }
 
@@ -796,7 +855,7 @@ mod tests {
         a.send(&Block::eof_count(1).encode()).unwrap();
         a.send(&Block::data(0, vec![1, 2, 3]).encode()).unwrap();
         drop(a);
-        let err = receiver.finish().unwrap_err();
+        let err = receiver.finish().err().unwrap();
         assert!(err.to_string().contains("dropped"));
     }
 
@@ -811,7 +870,7 @@ mod tests {
         a.send(&Block::data(0, vec![1, 2, 3]).encode()).unwrap();
         a.send(&Block::data(6, vec![7, 8, 9]).encode()).unwrap();
         a.send(&Block::eod().encode()).unwrap();
-        let err = receiver.finish().unwrap_err();
+        let err = receiver.finish().err().unwrap();
         assert!(matches!(err, ServerError::Truncated(_)), "{err}");
         assert!(err.to_string().contains("hole at 3"), "{err}");
     }
@@ -823,7 +882,7 @@ mod tests {
         let (mut a, b) = pipe();
         receiver.add_stream(Box::new(b)).unwrap();
         a.send(b"definitely not a block").unwrap();
-        let err = receiver.finish().unwrap_err();
+        let err = receiver.finish().err().unwrap();
         assert!(err.to_string().contains("bad block"));
     }
 
@@ -836,7 +895,7 @@ mod tests {
             .with_idle(std::time::Duration::from_millis(50));
         let (a, b) = pipe();
         receiver.add_stream(Box::new(b)).unwrap();
-        let err = receiver.finish().unwrap_err();
+        let err = receiver.finish().err().unwrap();
         assert!(matches!(err, ServerError::Timeout(_)), "{err}");
         drop(a); // keep the peer open for the whole test
     }
@@ -849,14 +908,14 @@ mod tests {
         let (a, b) = pipe();
         receiver.add_stream(Box::new(b)).unwrap();
         drop(a);
-        assert!(matches!(receiver.finish().unwrap_err(), ServerError::Truncated(_)));
+        assert!(matches!(receiver.finish().err().unwrap(), ServerError::Truncated(_)));
         // ...while an unparseable frame surfaces as Corrupt.
         let dst: Arc<dyn Dsi> = Arc::new(MemDsi::new());
         let receiver = Receiver::new(dst, UserContext::superuser(), "/out", Progress::new());
         let (mut a, b) = pipe();
         receiver.add_stream(Box::new(b)).unwrap();
         a.send(b"not mode e").unwrap();
-        assert!(matches!(receiver.finish().unwrap_err(), ServerError::Corrupt(_)));
+        assert!(matches!(receiver.finish().err().unwrap(), ServerError::Corrupt(_)));
     }
 
     #[test]
@@ -865,16 +924,9 @@ mod tests {
         let user = UserContext::superuser();
         let (a, b) = pipe();
         drop(b);
-        let err = send_ranges(
-            vec![Box::new(a)],
-            &dsi,
-            &user,
-            "/missing",
-            &[(0, 100)],
-            64,
-            &Progress::new(),
-        )
-        .unwrap_err();
+        let err = send_ranges(vec![Box::new(a)], &dsi, &user, "/missing", &[(0, 100)], 64, &Progress::new())
+            .err()
+            .unwrap();
         assert!(err.to_string().contains("no such file") || err.to_string().contains("data"));
     }
 }

@@ -7,8 +7,10 @@
 //! channel protected by default).
 
 use crate::config::ServerConfig;
-use crate::data::{AnyDataListener, DataSecurity, DataStack};
-use crate::dtp::{send_dir, send_ranges, Progress, Receiver};
+use crate::data::{
+    AnyDataListener, CachedChannels, ChainExpiry, ChannelShape, DataSecurity, DataStack, Flow,
+};
+use crate::dtp::{send_dir, send_ranges, Progress, Receiver, Streams};
 use crate::error::{Result, ServerError};
 use crate::usage::TransferRecord;
 use crate::users::UserContext;
@@ -65,6 +67,9 @@ pub struct Session<R: Rng> {
     pipe_window: u32,
     listeners: Vec<AnyDataListener>,
     port_targets: Vec<HostPort>,
+    /// The data channels of the last transfer that completed, kept for the
+    /// next `RETR`/`STOR` (DESIGN §8, "Data-channel lifecycle").
+    cached: Option<CachedChannels>,
     /// Data-channel transport for subsequent PASV/SPAS/PORT channels
     /// (`OPTS DATA Transport=<tcp|udp>`).
     data_transport: DataTransport,
@@ -152,6 +157,7 @@ impl<R: Rng> Session<R> {
             data_cc: udp_cc,
             listeners: Vec::new(),
             port_targets: Vec::new(),
+            cached: None,
             cwd: "/".to_string(),
             span,
             cmd_rtt,
@@ -287,7 +293,40 @@ impl<R: Rng> Session<R> {
             deadline: Some(self.config.live().stall_timeout),
             chaos: self.config.data_chaos.clone(),
             meter: Some((Arc::clone(&self.config.obs), "server.dtp")),
+            expiry: ChainExpiry::default(),
         }
+    }
+
+    /// What a transfer moving payload `flow`-wards opens its channels as.
+    fn channel_shape(&self, flow: Flow) -> ChannelShape {
+        ChannelShape {
+            flow,
+            mode: self.mode,
+            transport: self.data_transport,
+            parallelism: self.parallelism,
+        }
+    }
+
+    /// Forget every data channel this session has negotiated or kept: the
+    /// one place listeners, `PORT` targets and cached channels are dropped.
+    fn drop_data_channels(&mut self) {
+        self.listeners.clear();
+        self.port_targets.clear();
+        if let Some(cached) = self.cached.take() {
+            cached.close();
+        }
+    }
+
+    /// The kept channels, for a transfer that arrived with no
+    /// `PASV`/`PORT`/`SPAS`/`SPOR` since the last one — if `stack` and the
+    /// session's state would build exactly them again, and their chains are
+    /// still valid. Anything else has closed them.
+    fn rearm_cached(&mut self, stack: &DataStack, flow: Flow) -> Option<Streams> {
+        let shape = self.channel_shape(flow);
+        let now = self.config.clock.now();
+        let rearmed = CachedChannels::rearm(&mut self.cached, &shape, stack, now)?;
+        self.config.obs.metrics().add("server.dtp.channels_reused", rearmed.len() as u64);
+        Some(rearmed)
     }
 
     /// Dispatch one command, recording a replay-stable `cmd.dispatch`
@@ -472,8 +511,7 @@ impl<R: Rng> Session<R> {
                 }
             }
             Command::Pasv => {
-                self.listeners.clear();
-                self.port_targets.clear();
+                self.drop_data_channels();
                 let udp = self.udp_config();
                 let l = AnyDataListener::bind(self.config.data_ip, self.data_transport, &udp)?;
                 let addr = l.addr()?;
@@ -489,8 +527,7 @@ impl<R: Rng> Session<R> {
                     self.reply(link, wrap, Reply::syntax_error("Server is not striped."))?;
                     return Ok(LoopControl::Continue);
                 }
-                self.listeners.clear();
-                self.port_targets.clear();
+                self.drop_data_channels();
                 let udp = self.udp_config();
                 let mut lines = vec!["Entering Striped Passive Mode".to_string()];
                 for _ in 0..self.config.stripes {
@@ -501,12 +538,12 @@ impl<R: Rng> Session<R> {
                 self.reply(link, wrap, Reply::multiline(229, lines))?;
             }
             Command::Port(hp) => {
-                self.listeners.clear();
+                self.drop_data_channels();
                 self.port_targets = vec![hp];
                 self.reply(link, wrap, Reply::ok("PORT ok."))?;
             }
             Command::Spor(list) => {
-                self.listeners.clear();
+                self.drop_data_channels();
                 self.port_targets = list;
                 self.reply(link, wrap, Reply::ok("SPOR ok."))?;
             }
@@ -901,9 +938,9 @@ impl<R: Rng> Session<R> {
         }
         self.data_transport = transport;
         self.data_cc = cc;
-        // A transport change invalidates any channel already negotiated.
-        self.listeners.clear();
-        self.port_targets.clear();
+        // A transport change invalidates any channel already negotiated,
+        // or kept.
+        self.drop_data_channels();
         self.reply(
             link,
             wrap,
@@ -940,9 +977,11 @@ impl<R: Rng> Session<R> {
         (ActiveTransferGuard(gauge), self.ticket.transfer_scope())
     }
 
-    /// Build the data streams for an outgoing (sending) transfer.
-    fn open_send_streams(&mut self, stack: &DataStack) -> Result<Vec<Box<dyn Link>>> {
-        let mut streams: Vec<Box<dyn Link>> = Vec::new();
+    /// The data streams of an outgoing (sending) transfer: dialled or
+    /// accepted now, or — with no `PORT`/`PASV` since the last transfer —
+    /// the kept ones.
+    fn open_send_streams(&mut self, stack: &DataStack) -> Result<Streams> {
+        let mut streams: Streams = Vec::new();
         if !self.port_targets.is_empty() {
             // Active: connect out (we are the sender, the canonical case).
             let udp = self.udp_config();
@@ -961,9 +1000,25 @@ impl<R: Rng> Session<R> {
                 }
             }
         } else {
-            return Err(ServerError::Data("no data channel established (use PASV/PORT)".into()));
+            return self.rearm_cached(stack, Flow::Send).ok_or_else(no_data_channel);
         }
         Ok(streams)
+    }
+
+    /// Where an inbound transfer's streams come from: `None` when they
+    /// will arrive through the negotiated listeners or targets, the kept
+    /// ones when nothing was negotiated since the last transfer, and with
+    /// neither the 425 that refuses the command before its 150.
+    fn inbound_channels(
+        &mut self,
+        stack: &DataStack,
+    ) -> std::result::Result<Option<Streams>, Reply> {
+        if !self.listeners.is_empty() || !self.port_targets.is_empty() {
+            return Ok(None);
+        }
+        self.rearm_cached(stack, Flow::Receive).map(Some).ok_or_else(|| {
+            Reply::new(425, format!("Cannot open data channel: {}", no_data_channel()))
+        })
     }
 
     /// Close one transfer's books and send its terminal reply. The only
@@ -975,13 +1030,15 @@ impl<R: Rng> Session<R> {
         link: &mut Box<dyn Link>,
         wrap: bool,
         tspan: ig_obs::Span,
+        stack: DataStack,
         end: TransferEnd,
     ) -> Result<()> {
-        self.port_targets.clear();
-        self.listeners.clear();
+        // Whatever this transfer was negotiated on is spent; only one that
+        // completed leaves its channels behind for the next.
+        self.drop_data_channels();
         let metrics = self.config.obs.metrics();
         match end {
-            TransferEnd::Complete { inbound, streams, bytes, reply } => {
+            TransferEnd::Complete { inbound, streams, bytes, reply, ran_on } => {
                 self.config.usage.record(TransferRecord {
                     timestamp: self.config.clock.now(),
                     bytes,
@@ -998,7 +1055,14 @@ impl<R: Rng> Session<R> {
                 metrics.add(volume, bytes);
                 self.ticket.add_bytes(inbound, bytes);
                 tspan.end_with(vec![kv("outcome", "ok"), kv("bytes", bytes)]);
-                self.reply(link, wrap, reply)
+                self.reply(link, wrap, reply)?;
+                // After the 226, so that channels which cannot be kept are
+                // closed while the peer, done as well, closes its ends.
+                if let Some(links) = ran_on {
+                    let flow = if inbound { Flow::Receive } else { Flow::Send };
+                    self.cached = CachedChannels::keep(links, self.channel_shape(flow), stack);
+                }
+                Ok(())
             }
             TransferEnd::Failed { counter, outcome, reply } => {
                 if let Some(counter) = counter {
@@ -1124,7 +1188,7 @@ impl<R: Rng> Session<R> {
                 // session-fatal bug: count it, fail this transfer, keep
                 // the control channel up.
                 let failed = TransferEnd::spawn_error(format!("cannot spawn sender: {e}"));
-                return self.finish_transfer(link, wrap, tspan, failed);
+                return self.finish_transfer(link, wrap, tspan, stack, failed);
             }
         };
         // 112 perf markers at `MARKER_PERIOD` while the worker runs, and one
@@ -1163,15 +1227,16 @@ impl<R: Rng> Session<R> {
         };
         let _ = worker.join();
         let end = match outcome {
-            Ok(bytes) => TransferEnd::Complete {
+            Ok((bytes, streams)) => TransferEnd::Complete {
                 inbound: false,
                 streams: stream_count,
                 bytes,
                 reply: Reply::transfer_complete(),
+                ran_on: Some(streams),
             },
             Err(e) => TransferEnd::error(Reply::new(426, format!("Transfer failed: {e}"))),
         };
-        self.finish_transfer(link, wrap, tspan, end)
+        self.finish_transfer(link, wrap, tspan, stack, end)
     }
 
     fn run_receive_transfer(
@@ -1182,6 +1247,10 @@ impl<R: Rng> Session<R> {
     ) -> Result<()> {
         let user = self.user.clone().expect("authed");
         let stack = self.data_stack();
+        let rearmed = match self.inbound_channels(&stack) {
+            Ok(rearmed) => rearmed,
+            Err(refusal) => return self.reply(link, wrap, refusal),
+        };
         let resuming = self.restart.take();
         if resuming.is_none() {
             // Fresh upload: start from scratch.
@@ -1209,25 +1278,29 @@ impl<R: Rng> Session<R> {
         )
         .with_idle(self.config.live().stall_timeout)
         .with_wake(WakeFd::new()?);
-        let (streams, fin) = match self.pump_receiver(link, wrap, &stack, receiver, &progress)? {
-            Ok(pumped) => pumped,
-            Err(failed) => return self.finish_transfer(link, wrap, tspan, failed),
-        };
+        let (streams, fin) =
+            match self.pump_receiver(link, wrap, &stack, receiver, &progress, rearmed)? {
+                Ok(pumped) => pumped,
+                Err(failed) => return self.finish_transfer(link, wrap, tspan, stack, failed),
+            };
         let end = match fin {
-            Ok(bytes) => TransferEnd::Complete {
+            Ok((bytes, links)) => TransferEnd::Complete {
                 inbound: true,
                 streams,
                 bytes,
                 reply: Reply::transfer_complete(),
+                ran_on: Some(links),
             },
             Err(e) => TransferEnd::error(Reply::new(426, format!("Transfer failed: {e}"))),
         };
-        self.finish_transfer(link, wrap, tspan, end)
+        self.finish_transfer(link, wrap, tspan, stack, end)
     }
 
     /// Drive the accept/connect + 111-marker loop for an inbound
     /// transfer until the receiver drains, errors, or stalls, then join
-    /// its streams: returns how many connected and what they received.
+    /// its streams: returns how many there were (connected now, or
+    /// `rearmed` — the kept ones, which then are all there will be) and
+    /// what they received.
     /// Emits only in-transfer markers; the terminal reply is the caller's
     /// job — an inner `Err` is the ready-made [`TransferEnd::Failed`] for
     /// a stream that could not be added. Shared by plain `STOR` and
@@ -1240,10 +1313,17 @@ impl<R: Rng> Session<R> {
         stack: &DataStack,
         receiver: Receiver,
         progress: &Arc<Progress>,
-    ) -> Result<std::result::Result<(u32, Result<u64>), TransferEnd>> {
+        rearmed: Option<Streams>,
+    ) -> Result<std::result::Result<Pumped, TransferEnd>> {
         let live = self.config.live();
         let listening: Vec<RawFd> = self.listeners.iter().map(|l| l.as_raw_fd()).collect();
         let mut connected = 0u32;
+        for stream in rearmed.unwrap_or_default() {
+            if let Err(e) = receiver.add_stream(stream) {
+                return Ok(Err(TransferEnd::spawn_error(e.to_string())));
+            }
+            connected += 1;
+        }
         let mut last_marker = ByteRanges::new();
         let mut last_progress = Instant::now();
         loop {
@@ -1329,6 +1409,10 @@ impl<R: Rng> Session<R> {
     ) -> Result<()> {
         let user = self.user.clone().expect("authed");
         let stack = self.data_stack();
+        let rearmed = match self.inbound_channels(&stack) {
+            Ok(rearmed) => rearmed,
+            Err(refusal) => return self.reply(link, wrap, refusal),
+        };
         // REST does not apply here; resume is entry-granular via the
         // count in the terminal reply. Drop any stale marker so it
         // cannot leak into this transfer.
@@ -1349,10 +1433,11 @@ impl<R: Rng> Session<R> {
             Receiver::new(Arc::clone(&staging), su.clone(), "/stream", Arc::clone(&progress))
                 .with_idle(self.config.live().stall_timeout)
                 .with_wake(WakeFd::new()?);
-        let (streams, fin) = match self.pump_receiver(link, wrap, &stack, receiver, &progress)? {
-            Ok(pumped) => pumped,
-            Err(failed) => return self.finish_transfer(link, wrap, tspan, failed),
-        };
+        let (streams, fin) =
+            match self.pump_receiver(link, wrap, &stack, receiver, &progress, rearmed)? {
+                Ok(pumped) => pumped,
+                Err(failed) => return self.finish_transfer(link, wrap, tspan, stack, failed),
+            };
         // Expand whatever complete prefix landed — holes left by lost
         // blocks fail a header magic or trailer checksum and stop the
         // decoder at the last complete entry, never mid-file.
@@ -1374,6 +1459,9 @@ impl<R: Rng> Session<R> {
                     226,
                     format!("Directory stream complete ({} entries).", out.entries),
                 ),
+                // Channels are kept only if the transport agrees it ended
+                // cleanly, whatever the decoder made of what arrived.
+                ran_on: fin.ok().map(|(_, links)| links),
             },
             Ok(out) => {
                 let reason = out
@@ -1391,14 +1479,26 @@ impl<R: Rng> Session<R> {
                 }
             }
         };
-        self.finish_transfer(link, wrap, tspan, end)
+        self.finish_transfer(link, wrap, tspan, stack, end)
     }
 }
 
+/// What [`Session::pump_receiver`] got out of an inbound transfer: how many
+/// streams it had, and what [`Receiver::finish`] made of them.
+type Pumped = (u32, Result<(u64, Streams)>);
+
 /// How a transfer ended after its 150, for [`Session::finish_transfer`].
 enum TransferEnd {
-    /// Everything landed: book it, then send `reply` (a 226).
-    Complete { inbound: bool, streams: u32, bytes: u64, reply: Reply },
+    /// Everything landed: book it, send `reply` (a 226), then keep the
+    /// channels it ran on — or close them, if they are not of a kind that
+    /// can be kept.
+    Complete {
+        inbound: bool,
+        streams: u32,
+        bytes: u64,
+        reply: Reply,
+        ran_on: Option<Streams>,
+    },
     /// It did not: bump `counter` if this kind of failure has one, close
     /// the span with `outcome`, then send `reply` (a 425/426).
     Failed {
@@ -1426,6 +1526,11 @@ impl TransferEnd {
             reply: Reply::new(426, format!("Transfer failed: {why}")),
         }
     }
+}
+
+/// What a transfer command gets when there is nothing to run it on.
+fn no_data_channel() -> ServerError {
+    ServerError::Data("no data channel established (use PASV/PORT)".into())
 }
 
 enum TransferSource {

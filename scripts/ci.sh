@@ -148,25 +148,39 @@ IG_PROPTEST_CASES=8 timeout 300 cargo test -q -p ig-server --test dir_stream_pro
 IG_PROPTEST_CASES=8 timeout 300 cargo test -q -p ig-server --test core_differential
 
 # Small-files smoke: E4 drives the 200-file 4 KiB tree through every
-# strategy — including PIPE-windowed fetches and the streamed ERET DIR
-# transfer — wall-clock guarded, and the gate re-checks the headline
-# ratio from the rendered table: streamed dir >= 10x the one-session
-# per-file baseline in files/s. (The mid-directory chaos cells above
-# already cover the same paths under both CHAOS_SEED values.)
-echo "==> E4 small-files smoke (200-file tree, streamed dir >= 10x per-file)"
-e4_out="$(timeout 600 cargo run -q --release -p ig-bench --bin report -- --exp e4)"
-echo "${e4_out}"
-per_file_rate="$(echo "${e4_out}" | awk '/^one session, per-file/ {print $(NF-1)}')"
-dir_rate="$(echo "${e4_out}" | awk '/^streamed dir/ {print $(NF-1)}')"
-if [[ -z "${per_file_rate}" || -z "${dir_rate}" ]]; then
-  echo "E4: could not parse files/s rates from the table" >&2
+# strategy — including PIPE-windowed fetches on the session's cached data
+# channel and the streamed ERET DIR transfer — wall-clock guarded, and the
+# gate re-checks the ladder from the rendered table with the floors of
+# `e4_small_files.rs` (EXPERIMENTS.md E4): one session >= 20x naive, PIPE
+# >= 1.0x the one-session per-file baseline, streamed dir >= 1.4x it, all
+# in files/s. The rows are CPU-bound, so as in the test a round that
+# misses is re-measured, up to three times. (The mid-directory chaos cells
+# above already cover the same paths under both CHAOS_SEED values.)
+echo "==> E4 small-files smoke (200-file tree: per-file >= 20x naive, PIPE >= 1.0x and streamed dir >= 1.4x per-file)"
+e4_ok=0
+for e4_round in 1 2 3; do
+  e4_out="$(timeout 600 cargo run -q --release -p ig-bench --bin report -- --exp e4)"
+  echo "${e4_out}"
+  naive_rate="$(echo "${e4_out}" | awk '/^session per file/ {print $(NF-1)}')"
+  per_file_rate="$(echo "${e4_out}" | awk '/^one session, per-file/ {print $(NF-1)}')"
+  pipe_rate="$(echo "${e4_out}" | awk '/^one session, PIPE/ {print $(NF-1)}')"
+  dir_rate="$(echo "${e4_out}" | awk '/^streamed dir/ {print $(NF-1)}')"
+  if [[ -z "${naive_rate}" || -z "${per_file_rate}" || -z "${pipe_rate}" || -z "${dir_rate}" ]]; then
+    echo "E4: could not parse files/s rates from the table" >&2
+    exit 1
+  fi
+  if awk -v n="${naive_rate}" -v p="${per_file_rate}" -v w="${pipe_rate}" -v d="${dir_rate}" \
+      'BEGIN {exit !(p >= 20 * n && w >= p && d >= 1.4 * p)}'; then
+    e4_ok=1
+    break
+  fi
+  echo "    E4 round ${e4_round} missed a floor: naive ${naive_rate}, per-file ${per_file_rate}, PIPE ${pipe_rate}, streamed dir ${dir_rate} files/s"
+done
+if [[ "${e4_ok}" != 1 ]]; then
+  echo "E4: ladder floors missed three times (per-file >= 20x naive, PIPE >= 1.0x per-file, streamed dir >= 1.4x per-file)" >&2
   exit 1
 fi
-if ! awk -v d="${dir_rate}" -v p="${per_file_rate}" 'BEGIN {exit !(d >= 10 * p)}'; then
-  echo "E4: streamed dir ${dir_rate} files/s < 10x per-file ${per_file_rate} files/s" >&2
-  exit 1
-fi
-echo "    streamed dir ${dir_rate} files/s vs per-file ${per_file_rate} files/s (>=10x)"
+echo "    per-file ${per_file_rate} vs naive ${naive_rate}, PIPE ${pipe_rate}, streamed dir ${dir_rate} files/s"
 
 # Transport-crossover smoke: the reduced E2x grid must show the
 # crossover in BOTH directions — the single BBR reliable-UDP flow beats
