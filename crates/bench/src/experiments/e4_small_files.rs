@@ -11,12 +11,15 @@
 //! (b) one session, per-file round-trips — reuse amortizes the login and,
 //!     since the session's authenticated data channel outlives each
 //!     transfer, the connect and the DCAU handshake too: what is left per
-//!     file is a `SIZE` and a `RETR` turn and one MODE E transfer,
+//!     file is one `RETR` turn (its 150 carries the length) and one MODE E
+//!     transfer, sent and received on threads that already exist,
 //! (c) concurrent — k sessions splitting the batch, a channel each,
-//! (d) one session with a `PIPE` window — the same channel, no `SIZE`,
-//!     and the server sends file k+1 while the client reads file k,
+//! (d) one session with a `PIPE` window — the same channel, the same one
+//!     command per file; what the window adds is that the server sends
+//!     file k+1 while the client reads file k,
 //! (e) streamed dir — one `ERET DIR` moves the tree as one transfer: no
-//!     per-file commands, replies, markers or thread hand-offs at all.
+//!     per-file commands, replies or markers at all, but a SHA-256 of
+//!     every file on each end, a staging copy and an expansion pass.
 //!
 //! The naive row costs a login per file, thirty times any other row, so
 //! `--fast` trims only it (60 files); the rows whose ratios the ladder
@@ -84,7 +87,7 @@ pub fn run(fast: bool) -> Vec<Row> {
     push("session per file (naive)", naive_files, secs);
 
     // (b) one session reused, and with it the data channel the first
-    // file authenticated: SIZE + RETR per file. The baseline the other
+    // file authenticated: one RETR per file. The baseline the other
     // rows are quoted against.
     let secs = best_pass(|pass| {
         let mut s = session(&ep, 0xE4_500 + pass);
@@ -195,15 +198,20 @@ pub fn table(fast: bool) -> String {
 mod tests {
     use super::*;
 
-    /// Floors re-derived from EXPERIMENTS.md E4 for a session that keeps its
-    /// data channel. Lowest ratio over sixteen runs on two CPUs / sixteen
-    /// pinned to one: per-file 51 / 105x naive, concurrency 0.90 / 0.66x
-    /// per-file, PIPE 1.20 / 0.995x, streamed dir 2.2 / 1.9x. Each floor is
-    /// well under the lower of its two except PIPE's, which is the ladder's
-    /// own minimum: a window must not lose to the round trips it replaces
-    /// (on one CPU it has only the `SIZE` turn to win, 1.0-1.8x). Every row
-    /// is CPU-bound, so the ratios move with the host's load: a round that
-    /// misses is re-measured, up to three times.
+    /// Floors re-derived from EXPERIMENTS.md E4 for a per-file GET that is
+    /// one command and starts no thread (PR 19: the per-file row itself is
+    /// 3.1x what it was, PIPE 2.2x, streamed dir unmoved). Lowest ratio over
+    /// eight runs on two CPUs / eight pinned to one: per-file 160 / 260x
+    /// naive, concurrency 1.47 / 0.68x per-file, PIPE 1.02 / 0.97x,
+    /// streamed dir 1.34 / 0.87x. Each floor is well under the lower of its
+    /// two. A window no longer saves a `SIZE` turn, so all it has to win is
+    /// overlap, which one CPU does not have: it must not lose. A streamed
+    /// dir no longer beats per-file GETs in files/s on loopback — the
+    /// commands it saves now cost less than the checksums it adds — so its
+    /// rung says it stays in the same league; what it saves is round trips,
+    /// which loopback does not charge for. Every row is CPU-bound, so the
+    /// ratios move with the host's load: a round that misses is re-measured,
+    /// up to three times.
     #[test]
     fn reuse_concurrency_and_streaming_beat_naive() {
         let _serial = crate::experiments::common::bench_lock();
@@ -218,7 +226,7 @@ mod tests {
             let check = |ok: bool, what: String| if ok { Ok(()) } else { Err(what) };
             // Reuse recovers the login and, with the cached channel, the
             // per-file connect and DCAU handshake: nearly all of a naive file.
-            check(per_file > 20.0 * naive, format!("per-file {per_file:.1} vs naive {naive:.1}"))?;
+            check(per_file > 60.0 * naive, format!("per-file {per_file:.1} vs naive {naive:.1}"))?;
             // With nothing left to overlap but CPU work, concurrency gains
             // what the host has cores for; on one core four sessions pay for
             // their context switches and must otherwise roughly hold.
@@ -226,14 +234,17 @@ mod tests {
                 concurrent > per_file * 0.4,
                 format!("concurrency {concurrent:.1} vs per-file {per_file:.1}"),
             )?;
-            // Pipelining rides the same channel, drops the SIZE turn and lets
-            // the server send the next file while the client reads this one.
-            check(piped >= per_file, format!("piped {piped:.1} vs per-file {per_file:.1}"))?;
-            // One transfer for the whole tree still beats one per file: no
-            // commands, replies, markers or thread hand-offs in between.
+            // Pipelining rides the same channel with the same commands and
+            // lets the server send the next file while the client reads this.
             check(
-                dir >= 1.4 * per_file,
-                format!("streamed dir {dir:.1} files/s must be >= 1.4x per-file {per_file:.1} files/s"),
+                piped >= 0.9 * per_file,
+                format!("piped {piped:.1} vs per-file {per_file:.1}"),
+            )?;
+            // One transfer for the whole tree trades the per-file commands
+            // for per-file checksums.
+            check(
+                dir >= 0.75 * per_file,
+                format!("streamed dir {dir:.1} files/s must be >= 0.75x per-file {per_file:.1} files/s"),
             )
         });
     }

@@ -209,7 +209,7 @@ fn rearm_kept(
 /// Try `cmd` (a `RETR`/`STOR`) on the session's kept data channels: sent
 /// with no `PORT`/`PASV` before it, and its opening reply read before
 /// anything touches the links — a refusal costs one round trip and parks
-/// no thread. `Some` is the 150, and the links it will be served on.
+/// no thread. `Some` is the 150 and the links it will be served on.
 /// `None` means dial afresh: nothing was kept, `stack` would not
 /// build what was kept, a chain on it has expired, or the server no longer
 /// holds its end (425 — reuse never fails a transfer a fresh channel would
@@ -219,14 +219,14 @@ fn open_on_kept(
     cmd: &Command,
     shape: &ChannelShape,
     stack: &DataStack,
-) -> Result<Option<Streams>> {
+) -> Result<Option<(Reply, Streams)>> {
     let Some(kept) = rearm_kept(session, shape, stack) else {
         return Ok(None);
     };
     session.send_cmd(cmd)?;
     let opening = session.read_reply()?;
     if opening.is_preliminary() {
-        return Ok(Some(kept));
+        return Ok(Some((opening, kept)));
     }
     // Our end goes; the server dropped its own, or will at the next PORT/PASV.
     close_streams(kept);
@@ -325,7 +325,7 @@ pub fn put_bytes_resume(
     let shape = channel_shape(Flow::Send, opts);
     let stor = Command::Stor(remote_path.into());
     let streams = match open_on_kept(session, &stor, &shape, &stack)? {
-        Some(kept) => kept,
+        Some((_, kept)) => kept,
         None => {
             let addr = session.pasv()?;
             session.send_cmd(&stor)?;
@@ -345,9 +345,17 @@ pub fn put_bytes_resume(
         Some(have) => have.missing(data.len() as u64),
         None => vec![(0, data.len() as u64)],
     };
-    let progress = Progress::new();
-    let send_result =
-        send_ranges(streams, &staging, &user, "/buf", &ranges, opts.block_size, &progress);
+    let progress = Progress::on(&session.config.obs);
+    let send_result = send_ranges(
+        streams,
+        &staging,
+        &user,
+        "/buf",
+        &ranges,
+        opts.block_size,
+        &progress,
+        &mut || Ok(()),
+    );
     // Always drain the final reply, even when our own send failed —
     // otherwise the 426 stays queued and poisons the next command.
     let final_reply = read_until_final(session, |_| {})?;
@@ -359,8 +367,67 @@ pub fn put_bytes_resume(
     Ok(sent)
 }
 
+/// What is left of a `RETR` once its 150 is read: receive the file off
+/// `streams`, then read the control channel to the final reply, feeding the
+/// 112s to `opts`' observer. The outer error means the control channel is
+/// out of step; otherwise the session is at its command loop again, with
+/// the streams if both ends finished the transfer on them (they can carry
+/// the next) and the file's bytes or what went wrong with it.
+fn receive_file(
+    session: &mut ClientSession,
+    opts: &TransferOpts,
+    streams: Streams,
+) -> Result<(Option<Streams>, Result<Vec<u8>>)> {
+    let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
+    let user = UserContext::superuser();
+    let progress = Progress::on(&session.config.obs);
+    let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", progress);
+    match <[_; 1]>::try_from(streams) {
+        // One stream leaves nothing to wait for but its end, so it is
+        // received right here. The server never waits on a 112: those it
+        // sent meanwhile are queued on the control channel, in order.
+        Ok([only]) => receiver.receive_here(only),
+        Err(streams) => {
+            for stream in streams {
+                receiver.add_stream(stream)?;
+            }
+        }
+    }
+    let obs = Arc::clone(&session.config.obs);
+    let final_reply = read_until_final(session, |r| {
+        let _ = opts.observe_marker(&obs, r);
+    })?;
+    let received = receiver.finish();
+    if final_reply.is_error() {
+        // A 426 means the server dropped its end; ours went with `received`.
+        return Ok((None, Err(ClientError::ServerError(final_reply))));
+    }
+    Ok(match received {
+        Ok((_, streams)) => {
+            let data = ig_server::dsi::read_all(staging.as_ref(), &user, "/buf", 1 << 20);
+            (Some(streams), data.map_err(ClientError::from))
+        }
+        Err(e) => (None, Err(e.into())),
+    })
+}
+
+/// `data` if it is all `expected` bytes of `remote_path`. Every EOD can
+/// arrive and the tail of the file — all of it, when it is one block —
+/// still be missing: only a length from the sender tells.
+fn whole(remote_path: &str, data: Vec<u8>, expected: u64) -> Result<Vec<u8>> {
+    if data.len() as u64 == expected {
+        Ok(data)
+    } else {
+        Err(ClientError::Truncated(format!(
+            "{remote_path}: expected {expected} bytes, received {}",
+            data.len()
+        )))
+    }
+}
+
 /// Download `remote_path` into memory (client is the receiver and
-/// therefore the listener; the server connects in).
+/// therefore the listener; the server connects in). On a kept channel this
+/// is one command: the 150 says how long the file is.
 pub fn get_bytes(
     session: &mut ClientSession,
     remote_path: &str,
@@ -371,24 +438,17 @@ pub fn get_bytes(
     if session.parallelism != opts.parallelism {
         session.set_parallelism(opts.parallelism)?;
     }
-    let size = session.size(remote_path)?;
     let stack = client_data_stack(session, Some(opts));
     let shape = channel_shape(Flow::Receive, opts);
-    let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
-    let user = UserContext::superuser();
-    let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Progress::new());
     let retr = Command::Retr(remote_path.into());
-    match open_on_kept(session, &retr, &shape, &stack)? {
-        Some(streams) => {
-            for stream in streams {
-                receiver.add_stream(stream)?;
-            }
-        }
+    let (opening, streams) = match open_on_kept(session, &retr, &shape, &stack)? {
+        Some(opened) => opened,
         None => {
             let listener = data_listener(session, opts)?;
             session.command(&Command::Port(listener.addr()?))?;
             session.send_cmd(&retr)?;
             // Accept the server's connections (it connects before replying 150).
+            let mut streams = Streams::new();
             for _ in 0..opts.parallelism {
                 // A refused transfer never dials in — drain the queued error
                 // reply instead of hanging on accept.
@@ -402,28 +462,27 @@ pub fn get_bytes(
                         return Err(ClientError::Timeout("data connection never arrived".into()));
                     }
                 };
-                receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
+                streams.push(stack.accept(conn, &mut session.rng)?);
             }
+            let opening = session.read_reply()?;
+            if !opening.is_preliminary() {
+                return Err(ClientError::ServerError(opening));
+            }
+            (opening, streams)
         }
+    };
+    let (kept, fetched) = receive_file(session, opts, streams)?;
+    if let Some(streams) = kept {
+        session.channels = CachedChannels::keep(streams, shape, stack);
     }
-    let obs = Arc::clone(&session.config.obs);
-    let final_reply = read_until_final(session, |r| {
-        let _ = opts.observe_marker(&obs, r);
-    })?;
-    let received = receiver.finish();
-    if final_reply.is_error() {
-        return Err(ClientError::ServerError(final_reply));
-    }
-    let (_, streams) = received.map_err(ClientError::from)?;
-    session.channels = CachedChannels::keep(streams, shape, stack);
-    let out = ig_server::dsi::read_all(staging.as_ref(), &user, "/buf", 1 << 20)?;
-    if out.len() as u64 != size {
-        return Err(ClientError::Truncated(format!(
-            "expected {size} bytes, received {}",
-            out.len()
-        )));
-    }
-    Ok(out)
+    let data = fetched?;
+    // A 150 with no figure (a stock server) costs one `SIZE`, after the
+    // transfer: the length check is never skipped.
+    let expected = match opening.announced_bytes() {
+        Some(announced) => announced,
+        None => session.size(remote_path)?,
+    };
+    whole(remote_path, data, expected)
 }
 
 /// Partial retrieval via `ERET P <offset>,<length> <path>` — fetch just
@@ -454,7 +513,7 @@ pub fn get_partial(
     let user = UserContext::superuser();
     // The blocks land at their file offsets: what precedes `offset` is not
     // a hole (`Receiver::finish` wants one run from 0).
-    let progress = Progress::new();
+    let progress = Progress::on(&session.config.obs);
     progress.ranges.lock().add(0, offset);
     let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Arc::clone(&progress));
     for _ in 0..opts.parallelism {
@@ -497,7 +556,8 @@ pub fn list(session: &mut ClientSession, path: &str) -> Result<Vec<String>> {
     let stack = client_data_stack(session, None);
     let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
     let user = UserContext::superuser();
-    let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Progress::new());
+    let progress = Progress::on(&session.config.obs);
+    let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", progress);
     for _ in 0..session.parallelism {
         let conn = listener.accept_link(Duration::from_secs(30))?;
         receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
@@ -702,9 +762,17 @@ pub fn put_dir_resume(
     }
     let stack = client_data_stack(session, Some(opts));
     let streams = dial_streams(session, &stack, addr, opts)?;
-    let progress = Progress::new();
-    let send_result =
-        send_dir(streams, local, &user, local_root, skip, opts.block_size, &progress);
+    let progress = Progress::on(&session.config.obs);
+    let send_result = send_dir(
+        streams,
+        local,
+        &user,
+        local_root,
+        skip,
+        opts.block_size,
+        &progress,
+        &mut || Ok(()),
+    );
     // Always drain the final reply, even when our own send failed — it
     // carries the server's entry count, i.e. the resume point.
     let final_reply = read_until_final(session, |_| {})?;
@@ -770,7 +838,7 @@ pub fn get_dir_resume(
     let stack = client_data_stack(session, Some(opts));
     let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
     let user = UserContext::superuser();
-    let progress = Progress::new();
+    let progress = Progress::on(&session.config.obs);
     let receiver =
         Receiver::new(Arc::clone(&staging), user.clone(), "/stream", Arc::clone(&progress));
     let mut connected = 0usize;
@@ -904,9 +972,10 @@ fn budget_spent<T>(what: &str, run: std::result::Result<T, RetryError<Result<T>>
 /// (UDP) leave nothing to pipeline on: those files are fetched one
 /// [`get_bytes`] at a time.
 ///
-/// A refused file fails the call with the first such reply, but only
-/// after every reply of its window has been read, so the session stays in
-/// step and usable.
+/// A refused file, or one that arrived shorter than its own 150 said
+/// ([`ClientError::Truncated`], naming it), fails the call with the first
+/// such error, but only after every reply of its window has been read, so
+/// the session stays in step and usable.
 pub fn get_files_pipelined(
     session: &mut ClientSession,
     remote_paths: &[&str],
@@ -936,7 +1005,6 @@ pub fn get_files_pipelined(
         session.command(&Command::Port(l.addr()?))?;
         listener = Some(l);
     }
-    let user = UserContext::superuser();
     let mut out = Vec::with_capacity(remote_paths.len());
     // The first thing to go wrong; the rest of its window is still read.
     let mut failed: Option<ClientError> = None;
@@ -948,7 +1016,7 @@ pub fn get_files_pipelined(
         for path in chunk {
             session.send_cmd(&Command::Retr((*path).into()))?;
         }
-        for _ in chunk {
+        for path in chunk {
             if let Some(l) = listener.take() {
                 // The server sends its 150 only after the handshake, so
                 // the connection is taken before the reply is read. A file
@@ -966,24 +1034,19 @@ pub fn get_files_pipelined(
                 fail(ClientError::ServerError(opening));
                 continue;
             }
-            let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
-            let receiver =
-                Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Progress::new());
-            for stream in channel.take().unwrap_or_default() {
-                receiver.add_stream(stream)?;
-            }
-            let final_reply = read_until_final(session, |_| {})?;
-            // A 426 means the server dropped its end; what is left of the
-            // window answers 425 and is drained like any refusal.
-            let fetched = match receiver.finish() {
-                _ if final_reply.is_error() => Err(ClientError::ServerError(final_reply)),
-                Ok((_, streams)) => {
-                    channel = Some(streams);
-                    ig_server::dsi::read_all(staging.as_ref(), &user, "/buf", 1 << 20)
-                        .map_err(ClientError::from)
-                }
-                Err(e) => Err(e.into()),
-            };
+            // After a 426 the server has dropped its end; what is left of
+            // the window answers 425 and is drained like any refusal.
+            let (kept, fetched) = receive_file(session, opts, channel.take().unwrap_or_default())?;
+            channel = kept;
+            // No `SIZE` can be put between a window's replies, and a server
+            // that takes `PIPE` announces every file's length.
+            let fetched = fetched.and_then(|data| match opening.announced_bytes() {
+                Some(announced) => whole(path, data, announced),
+                None => Err(ClientError::UnexpectedReply {
+                    expected: "150 ... (<n> bytes)",
+                    got: opening,
+                }),
+            });
             match fetched {
                 Ok(data) => out.push(data),
                 Err(e) => fail(e),

@@ -145,6 +145,28 @@ impl Reply {
         Reply::new(150, "Opening data connection.")
     }
 
+    /// `150 Opening data connection (<bytes> bytes).` — the opening reply
+    /// of a transfer this end sends, announcing how many payload bytes it
+    /// is about to put on the data channel, in the form stock servers use.
+    pub fn sending_data(bytes: u64) -> Self {
+        Reply::new(150, format!("Opening data connection ({bytes} bytes)."))
+    }
+
+    /// The figure of a `… (<n> bytes)` opening reply, ours or a stock
+    /// server's. The last such group of the last line counts (an echoed
+    /// file name before it may hold parentheses of its own); `None` when
+    /// there is none, or `<n>` is anything but the digits of a `u64`.
+    pub fn announced_bytes(&self) -> Option<u64> {
+        let line = self.lines.last()?;
+        let end = line.rfind(" bytes)")?;
+        let digits = &line[line[..end].rfind('(')? + 1..end];
+        // `u64::from_str` would let a leading `+` through.
+        if !digits.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        digits.parse().ok()
+    }
+
     /// `500 Syntax error`
     pub fn syntax_error(msg: &str) -> Self {
         Reply::new(500, msg)
@@ -249,6 +271,35 @@ mod tests {
         assert_eq!(done.code, 235);
         assert_eq!(done.adat_payload(), Some("ZmluYWw="));
         assert_eq!(Reply::adat_done(None).adat_payload(), None);
+    }
+
+    #[test]
+    fn announced_bytes_reads_the_last_figure_or_nothing() {
+        assert_eq!(Reply::sending_data(4096).announced_bytes(), Some(4096));
+        assert_eq!(Reply::sending_data(0).announced_bytes(), Some(0));
+        assert_eq!(Reply::sending_data(u64::MAX).announced_bytes(), Some(u64::MAX));
+        assert_eq!(Reply::opening_data().announced_bytes(), None);
+        let stock = |text: &str| Reply::new(150, text).announced_bytes();
+        assert_eq!(stock("Opening BINARY mode data connection for f (12 bytes)."), Some(12));
+        // A file name with a group of its own: the server's figure is last.
+        assert_eq!(stock("Opening connection for a(99 bytes).bin (7 bytes)"), Some(7));
+        assert_eq!(stock("Opening connection (7 bytes) for (x)"), Some(7));
+        for hostile in [
+            "(-1 bytes)",
+            "(+1 bytes)",
+            "( bytes)",
+            "(1 2 bytes)",
+            "(18446744073709551616 bytes)",
+            "(0x10 bytes)",
+            "12 bytes)",
+            "(12 bytes",
+            "(12bytes)",
+            "",
+        ] {
+            assert_eq!(stock(hostile), None, "{hostile:?}");
+        }
+        let multiline = Reply::multiline(150, vec!["(1 bytes)".into(), "go (2 bytes)".into()]);
+        assert_eq!(multiline.announced_bytes(), Some(2));
     }
 
     #[test]

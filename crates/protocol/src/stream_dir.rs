@@ -137,6 +137,14 @@ pub fn encode_header(entry: &StreamEntry) -> Result<Vec<u8>> {
     Ok(out)
 }
 
+/// Bytes one entry takes in the stream: its header and, for a file of
+/// `file_size` bytes, the payload and trailer — so a sender can announce a
+/// stream's length before encoding it.
+pub fn framed_len(path: &str, file_size: Option<u64>) -> u64 {
+    (HEADER_FIXED_LEN + path.len() + SIZE_LEN) as u64
+        + file_size.map_or(0, |size| size + TRAILER_LEN as u64)
+}
+
 /// Encode a file trailer from the payload's SHA-256 digest.
 pub fn encode_trailer(digest: &[u8; 32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(TRAILER_LEN);
@@ -428,6 +436,15 @@ mod tests {
             events.extend(dec.push(piece));
         }
         (dec, events)
+    }
+
+    #[test]
+    fn framed_len_is_what_the_encoders_emit() {
+        let announced: u64 = tree()
+            .iter()
+            .map(|(entry, _)| framed_len(&entry.path, (!entry.is_dir).then_some(entry.size)))
+            .sum();
+        assert_eq!(announced + END_LEN as u64, encode_tree(&tree()).unwrap().len() as u64);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! The Data Transfer Process: MODE E senders and receivers.
 //!
-//! The sender fans blocks out round-robin over N parallel streams from a
-//! bounded queue (so a slow stream backpressures the reader); the
-//! receiver runs one thread per accepted connection, all writing through
-//! the DSI at block offsets — order never matters. This is the §II-B DTP,
-//! separated from the protocol interpreter exactly as in Fig 2.
+//! A sender's blocks leave from the thread that feeds it when there is one
+//! stream — there is nothing to fan out, so there is no queue and no worker
+//! — and round-robin over one worker per stream, each behind a bounded
+//! queue (so a slow stream backpressures the reader), when there are more.
+//! The receiver likewise runs a transfer's only stream on the caller that
+//! asks it to ([`Receiver::receive_here`]) and otherwise one thread per
+//! connection, all writing through the DSI at block offsets — order never
+//! matters. This is the §II-B DTP, separated from the protocol interpreter
+//! exactly as in Fig 2.
 //!
 //! An EOD ends the transfer on a stream, not the stream: senders and the
 //! receiver hand every stream that carried its EOD back to the caller, in
@@ -42,12 +46,21 @@ pub struct Progress {
     pub bytes: AtomicU64,
     /// Completed byte ranges (receiver side).
     pub ranges: Mutex<ByteRanges>,
+    /// The hub of the endpoint the transfer runs at, for
+    /// `server.dtp.threads_spawned`.
+    obs: Option<Arc<ig_obs::Obs>>,
 }
 
 impl Progress {
     /// Fresh shared progress.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
+    }
+
+    /// Fresh shared progress of a transfer that counts the threads its DTP
+    /// spawns as `server.dtp.threads_spawned` on `obs`.
+    pub fn on(obs: &Arc<ig_obs::Obs>) -> Arc<Self> {
+        Arc::new(Progress { obs: Some(Arc::clone(obs)), ..Self::default() })
     }
 
     /// Bytes so far.
@@ -64,8 +77,9 @@ impl Progress {
 /// A transfer's data streams, in opening order.
 pub type Streams = Vec<Box<dyn Link>>;
 
-/// A stream worker's end: its stream back once the EOD is on it.
-type StreamWorker = std::thread::JoinHandle<Result<Box<dyn Link>>>;
+/// What a sender calls between blocks, on the thread that feeds it: the
+/// session's chance to report progress. An `Err` ends the transfer.
+pub type BetweenBlocks<'a> = &'a mut dyn FnMut() -> Result<()>;
 
 /// Close streams that will not be used again.
 pub fn close_streams(streams: Streams) {
@@ -74,73 +88,191 @@ pub fn close_streams(streams: Streams) {
     }
 }
 
-/// Spawn one block-sending worker per stream, each draining its own
-/// bounded queue. Worker 0 announces the EOD count first; every worker
-/// ends with EOD when its queue disconnects and returns its stream.
-/// Shared by the single-file and directory-stream senders.
-fn spawn_block_workers(
-    streams: Streams,
-    progress: &Arc<Progress>,
-) -> Result<(Vec<BlockQueue>, Vec<StreamWorker>)> {
-    assert!(!streams.is_empty(), "need at least one stream");
-    let n = streams.len();
-    // One bounded queue per stream: strict round-robin. A shared queue
-    // lets one fast worker drain everything (guaranteed on a single-core
-    // host), collapsing all traffic onto one connection.
-    let mut txs = Vec::with_capacity(n);
-    let mut rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<BlockPiece>(4);
-        txs.push(tx);
-        rxs.push(rx);
+/// The one place the DTP makes a thread, counted on the transfer's hub. A
+/// refused spawn (thread exhaustion) is a typed [`ServerError::Spawn`].
+fn spawn_worker<T: Send + 'static>(
+    name: String,
+    progress: &Progress,
+    work: impl FnOnce() -> T + Send + 'static,
+) -> Result<std::thread::JoinHandle<T>> {
+    let worker = std::thread::Builder::new()
+        .name(name.clone())
+        .spawn(work)
+        .map_err(|e| ServerError::Spawn(format!("{name}: {e}")))?;
+    if let Some(obs) = &progress.obs {
+        obs.metrics().add("server.dtp.threads_spawned", 1);
     }
-    let mut workers = Vec::with_capacity(n);
-    for (i, mut stream) in streams.into_iter().enumerate() {
-        let rx = rxs.remove(0);
-        let progress = Arc::clone(progress);
-        let spawned = std::thread::Builder::new()
-            .name(format!("dtp-stream-{i}"))
-            .spawn(move || -> Result<Box<dyn Link>> {
-                // First stream announces how many EODs to expect.
-                if i == 0 {
-                    stream
-                        .send(&Block::eof_count(n as u64).encode())
-                        .map_err(|e| ServerError::Data(format!("send EOF count: {e}")))?;
+    Ok(worker)
+}
+
+fn send_failed(what: &str) -> impl FnOnce(std::io::Error) -> ServerError + '_ {
+    move |e| ServerError::Data(format!("send {what}: {e}"))
+}
+
+/// A stream worker's end: its stream back once the EOD is on it.
+type StreamWorker = std::thread::JoinHandle<Result<Box<dyn Link>>>;
+
+/// Where a sender's blocks go.
+enum Lanes {
+    /// The only stream: blocks are framed and sent by the feeding thread,
+    /// straight out of the chunk it read.
+    Inline(Box<dyn Link>),
+    /// One worker per stream, each draining its own bounded queue, fed
+    /// strictly round-robin. A shared queue lets one fast worker drain
+    /// everything (guaranteed on a single-core host), collapsing all
+    /// traffic onto one connection.
+    Workers { queues: Vec<BlockQueue>, workers: Vec<StreamWorker>, next: usize },
+}
+
+/// The sending side of one transfer: announces the EOD count (one per
+/// stream) on the first stream, cuts what it is fed into blocks, and ends
+/// every stream with EOD. Shared by the single-file and directory-stream
+/// senders.
+struct Fanout<'a> {
+    lanes: Lanes,
+    block_size: usize,
+    progress: &'a Arc<Progress>,
+    between: BetweenBlocks<'a>,
+    /// Payload bytes fed so far.
+    fed: u64,
+}
+
+impl<'a> Fanout<'a> {
+    fn open(
+        mut streams: Streams,
+        block_size: usize,
+        progress: &'a Arc<Progress>,
+        between: BetweenBlocks<'a>,
+    ) -> Result<Self> {
+        assert!(!streams.is_empty(), "need at least one stream");
+        assert!(block_size > 0, "block size must be positive");
+        let n = streams.len();
+        let lanes = if n == 1 {
+            let mut stream = streams.pop().expect("one stream");
+            stream.send(&Block::eof_count(1).encode()).map_err(send_failed("EOF count"))?;
+            Lanes::Inline(stream)
+        } else {
+            let mut queues = Vec::with_capacity(n);
+            let mut workers = Vec::with_capacity(n);
+            for (i, stream) in streams.into_iter().enumerate() {
+                let (tx, rx) = std::sync::mpsc::sync_channel::<BlockPiece>(4);
+                let counted = Arc::clone(progress);
+                // The first stream announces how many EODs to expect.
+                let eof_count = (i == 0).then_some(n as u64);
+                let work = move || stream_worker(stream, eof_count, rx, &counted);
+                match spawn_worker(format!("dtp-stream-{i}"), progress, work) {
+                    Ok(w) => workers.push(w),
+                    Err(e) => {
+                        // Dropping the queues ends already-spawned workers
+                        // cleanly (they disconnect and the workers send EOD).
+                        drop(queues);
+                        close_streams(join_block_workers(workers, Ok(())).0);
+                        return Err(e);
+                    }
                 }
-                while let Ok((offset, chunk, start, end)) = rx.recv() {
-                    let len = (end - start) as u64;
-                    let header = mode_e::encode_header(0, len, offset);
-                    stream
-                        .send_vectored(&[
-                            IoSlice::new(&header),
-                            IoSlice::new(&chunk[start..end]),
-                        ])
-                        .map_err(|e| ServerError::Data(format!("send block: {e}")))?;
-                    progress.bytes.fetch_add(len, Ordering::Relaxed);
+                queues.push(tx);
+            }
+            Lanes::Workers { queues, workers, next: 0 }
+        };
+        Ok(Fanout { lanes, block_size, progress, between, fed: 0 })
+    }
+
+    /// Send `chunk`, which belongs at file offset `offset`, as blocks of at
+    /// most `block_size`, calling `between` after each.
+    fn feed(&mut self, offset: u64, chunk: &[u8]) -> Result<()> {
+        let block_size = self.block_size;
+        let cuts = (0..chunk.len())
+            .step_by(block_size)
+            .map(|start| (start, (start + block_size).min(chunk.len())));
+        match &mut self.lanes {
+            Lanes::Inline(stream) => {
+                for (start, end) in cuts {
+                    let at = offset + start as u64;
+                    send_block(stream.as_mut(), at, &chunk[start..end], self.progress)?;
+                    (self.between)()?;
                 }
-                stream
-                    .send(&Block::eod().encode())
-                    .map_err(|e| ServerError::Data(format!("send EOD: {e}")))?;
-                Ok(stream)
-            });
-        match spawned {
-            Ok(w) => workers.push(w),
+            }
+            Lanes::Workers { queues, next, .. } => {
+                // The chunk is shared with the workers by reference: a queue
+                // item carries an offset and a sub-range, never a payload.
+                let shared: Arc<[u8]> = Arc::from(chunk);
+                for (start, end) in cuts {
+                    let piece = (offset + start as u64, Arc::clone(&shared), start, end);
+                    if queues[*next].send(piece).is_err() {
+                        return Err(ServerError::Data("stream workers died".into()));
+                    }
+                    *next = (*next + 1) % queues.len();
+                    (self.between)()?;
+                }
+            }
+        }
+        self.fed += chunk.len() as u64;
+        Ok(())
+    }
+
+    /// End the transfer after the feed finished (or failed): every stream
+    /// gets its EOD and comes back, with the payload bytes fed. Any error
+    /// closes the streams.
+    fn finish(self, fed: Result<()>) -> Result<(u64, Streams)> {
+        let (streams, ended) = match self.lanes {
+            Lanes::Inline(mut stream) => {
+                let ended = fed.and_then(|()| {
+                    stream.send(&Block::eod().encode()).map_err(send_failed("EOD"))
+                });
+                (vec![stream], ended)
+            }
+            Lanes::Workers { queues, workers, .. } => {
+                drop(queues); // signals workers to send EODs
+                join_block_workers(workers, fed)
+            }
+        };
+        match ended {
+            Ok(()) => Ok((self.fed, streams)),
             Err(e) => {
-                // Dropping `txs` ends already-spawned workers cleanly
-                // (their queues disconnect and they send EOD).
-                drop(txs);
-                let _ = join_block_workers(workers, None).map(close_streams);
-                return Err(ServerError::Spawn(format!("dtp stream worker {i}: {e}")));
+                close_streams(streams);
+                Err(e)
             }
         }
     }
-    Ok((txs, workers))
 }
 
-/// Join block workers after the feed finished (or failed) and collect
-/// their streams: worker errors win over feed errors only when the feed
-/// succeeded. Any error closes the streams that did reach their EOD.
-fn join_block_workers(workers: Vec<StreamWorker>, feed_err: Option<ServerError>) -> Result<Streams> {
+/// One data block as a vectored header + payload-slice send.
+fn send_block(
+    stream: &mut dyn Link,
+    offset: u64,
+    payload: &[u8],
+    progress: &Progress,
+) -> Result<()> {
+    let header = mode_e::encode_header(0, payload.len() as u64, offset);
+    stream
+        .send_vectored(&[IoSlice::new(&header), IoSlice::new(payload)])
+        .map_err(send_failed("block"))?;
+    progress.bytes.fetch_add(payload.len() as u64, Ordering::Relaxed);
+    Ok(())
+}
+
+/// One stream's worker: announce the EOD count if this is the first stream,
+/// send what the queue yields, end with EOD when it disconnects.
+fn stream_worker(
+    mut stream: Box<dyn Link>,
+    eof_count: Option<u64>,
+    queue: std::sync::mpsc::Receiver<BlockPiece>,
+    progress: &Progress,
+) -> Result<Box<dyn Link>> {
+    if let Some(n) = eof_count {
+        stream.send(&Block::eof_count(n).encode()).map_err(send_failed("EOF count"))?;
+    }
+    while let Ok((offset, chunk, start, end)) = queue.recv() {
+        send_block(stream.as_mut(), offset, &chunk[start..end], progress)?;
+    }
+    stream.send(&Block::eod().encode()).map_err(send_failed("EOD"))?;
+    Ok(stream)
+}
+
+/// Join block workers after the feed ended as `fed`: the streams that
+/// reached their EOD, and how the transfer ended — a worker's error wins
+/// over the feed's, which then only says the workers died.
+fn join_block_workers(workers: Vec<StreamWorker>, fed: Result<()>) -> (Streams, Result<()>) {
     let mut worker_err = None;
     let mut streams = Vec::with_capacity(workers.len());
     for w in workers {
@@ -152,20 +284,14 @@ fn join_block_workers(workers: Vec<StreamWorker>, feed_err: Option<ServerError>)
             }
         }
     }
-    match worker_err.or(feed_err) {
-        Some(e) => {
-            close_streams(streams);
-            Err(e)
-        }
-        None => Ok(streams),
-    }
+    (streams, worker_err.map_or(fed, Err))
 }
 
-/// Send `ranges` of `path` over `streams` as MODE E blocks.
+/// Send `ranges` of `path` over `streams` as MODE E blocks, calling
+/// `between` after each block is sent (one stream) or queued (more).
 ///
-/// Returns the payload bytes sent and the streams. Stream workers send
-/// data blocks; the first stream additionally announces the EOD count (one
-/// per stream), and every stream ends with EOD.
+/// Returns the payload bytes sent and the streams.
+#[allow(clippy::too_many_arguments)]
 pub fn send_ranges(
     streams: Streams,
     dsi: &Arc<dyn Dsi>,
@@ -174,51 +300,27 @@ pub fn send_ranges(
     ranges: &[(u64, u64)],
     block_size: usize,
     progress: &Arc<Progress>,
+    between: BetweenBlocks<'_>,
 ) -> Result<(u64, Streams)> {
-    let n = streams.len();
-    let (txs, workers) = spawn_block_workers(streams, progress)?;
-    // Reader: stream file ranges into the queues in block-sized pieces,
-    // strictly round-robin over streams. Each read chunk is shared with
-    // the workers by reference; the per-block queue items carry only an
-    // offset and a sub-range, never a copy of the payload.
-    let mut total = 0u64;
+    let mut out = Fanout::open(streams, block_size, progress, between)?;
     let read_chunk = block_size.max(64 * 1024);
-    let mut feed_err: Option<ServerError> = None;
-    let mut next_stream = 0usize;
-    'outer: for &(start, end) in ranges {
-        let mut offset = start;
-        while offset < end {
-            let want = read_chunk.min((end - offset) as usize);
-            let data = match dsi.read(user, path, offset, want) {
-                Ok(d) => d,
-                Err(e) => {
-                    feed_err = Some(e);
-                    break 'outer;
+    let mut feed = || -> Result<()> {
+        for &(start, end) in ranges {
+            let mut offset = start;
+            while offset < end {
+                let want = read_chunk.min((end - offset) as usize);
+                let data = dsi.read(user, path, offset, want)?;
+                if data.is_empty() {
+                    break; // EOF inside the range
                 }
-            };
-            if data.is_empty() {
-                break; // EOF inside the range
+                out.feed(offset, &data)?;
+                offset += data.len() as u64;
             }
-            let got = data.len() as u64;
-            let chunk: Arc<[u8]> = Arc::from(data);
-            let mut piece_start = 0usize;
-            while piece_start < chunk.len() {
-                let piece_end = (piece_start + block_size).min(chunk.len());
-                let piece =
-                    (offset + piece_start as u64, Arc::clone(&chunk), piece_start, piece_end);
-                if txs[next_stream].send(piece).is_err() {
-                    feed_err = Some(ServerError::Data("stream workers died".into()));
-                    break 'outer;
-                }
-                next_stream = (next_stream + 1) % n;
-                piece_start = piece_end;
-            }
-            offset += got;
-            total += got;
         }
-    }
-    drop(txs); // signals workers to send EODs
-    Ok((total, join_block_workers(workers, feed_err)?))
+        Ok(())
+    };
+    let fed = feed();
+    out.finish(fed)
 }
 
 /// Send the directory tree under `root` over `streams` as one streamed
@@ -231,6 +333,7 @@ pub fn send_ranges(
 /// Stream offsets start at 0 on every attempt: each resume attempt is a
 /// self-contained stream whose end marker counts only the entries it
 /// carried.
+#[allow(clippy::too_many_arguments)]
 pub fn send_dir(
     streams: Streams,
     dsi: &Arc<dyn Dsi>,
@@ -239,6 +342,7 @@ pub fn send_dir(
     skip: u64,
     block_size: usize,
     progress: &Arc<Progress>,
+    between: BetweenBlocks<'_>,
 ) -> Result<(u64, Streams)> {
     use ig_protocol::stream_dir::{encode_end, encode_header, encode_trailer, StreamEntry};
 
@@ -249,32 +353,14 @@ pub fn send_dir(
             entries.len()
         )));
     }
-    let n = streams.len();
-    let (txs, workers) = spawn_block_workers(streams, progress)?;
-
+    let mut out = Fanout::open(streams, block_size, progress, between)?;
     // The feed walks the tree and pushes the framing + payload bytes as
-    // sequential-offset blocks, strict round-robin — the receiver's
-    // contiguous reassembled prefix is then exactly a decodable prefix of
-    // the entry stream.
-    let mut offset = 0u64;
-    let mut next_stream = 0usize;
-    let mut total = 0u64;
-    let mut feed = |chunk: Arc<[u8]>| -> Result<()> {
-        let mut start = 0usize;
-        while start < chunk.len() {
-            let end = (start + block_size).min(chunk.len());
-            let piece = (offset, Arc::clone(&chunk), start, end);
-            if txs[next_stream].send(piece).is_err() {
-                return Err(ServerError::Data("stream workers died".into()));
-            }
-            offset += (end - start) as u64;
-            total += (end - start) as u64;
-            next_stream = (next_stream + 1) % n;
-            start = end;
-        }
-        Ok(())
+    // sequential-offset blocks — the receiver's contiguous reassembled
+    // prefix is then exactly a decodable prefix of the entry stream.
+    let mut append = |bytes: &[u8]| {
+        let offset = out.fed;
+        out.feed(offset, bytes)
     };
-
     let read_chunk = block_size.max(64 * 1024);
     let mut run = || -> Result<()> {
         for entry in &entries[skip as usize..] {
@@ -283,7 +369,7 @@ pub fn send_dir(
             } else {
                 StreamEntry::file(entry.rel_path.clone(), entry.size)
             };
-            feed(Arc::from(encode_header(&meta)?))?;
+            append(&encode_header(&meta)?)?;
             if entry.is_dir {
                 continue;
             }
@@ -305,17 +391,14 @@ pub fn send_dir(
                 }
                 sent += data.len() as u64;
                 hasher.update(&data);
-                feed(Arc::from(data))?;
+                append(&data)?;
             }
-            feed(Arc::from(encode_trailer(&hasher.finalize())))?;
+            append(&encode_trailer(&hasher.finalize()))?;
         }
-        feed(Arc::from(encode_end(entries.len() as u64 - skip)))?;
-        Ok(())
+        append(&encode_end(entries.len() as u64 - skip))
     };
-    let feed_err = run().err();
-    drop(txs); // signals workers to send EODs
-    let streams = join_block_workers(workers, feed_err)?;
-    Ok((total, streams))
+    let fed = run();
+    out.finish(fed)
 }
 
 /// Send an in-memory buffer as MODE E blocks over `streams`
@@ -330,7 +413,9 @@ pub fn send_buffer(
 }
 
 /// Like [`send_buffer`] but places the buffer at file offset `base`
-/// (resumed uploads send only the missing tail/holes).
+/// (resumed uploads send only the missing tail/holes). Vectored header +
+/// payload-slice sends straight out of the caller's buffer, round-robin
+/// over `streams` on the calling thread.
 pub fn send_buffer_at(
     mut streams: Streams,
     base: u64,
@@ -341,27 +426,12 @@ pub fn send_buffer_at(
     let n = streams.len();
     assert!(n > 0, "need at least one stream");
     assert!(block_size > 0, "block size must be positive");
-    streams[0]
-        .send(&Block::eof_count(n as u64).encode())
-        .map_err(|e| ServerError::Data(format!("send EOF count: {e}")))?;
-    // Vectored header + payload-slice sends straight out of the caller's
-    // buffer: no per-block `Block` materialization or payload copy.
-    let mut off = 0usize;
-    let mut i = 0usize;
-    while off < data.len() {
-        let end = (off + block_size).min(data.len());
-        let header = mode_e::encode_header(0, (end - off) as u64, base + off as u64);
-        streams[i % n]
-            .send_vectored(&[IoSlice::new(&header), IoSlice::new(&data[off..end])])
-            .map_err(|e| ServerError::Data(format!("send block: {e}")))?;
-        progress.bytes.fetch_add((end - off) as u64, Ordering::Relaxed);
-        off = end;
-        i += 1;
+    streams[0].send(&Block::eof_count(n as u64).encode()).map_err(send_failed("EOF count"))?;
+    for (i, block) in data.chunks(block_size).enumerate() {
+        send_block(streams[i % n].as_mut(), base + (i * block_size) as u64, block, progress)?;
     }
     for stream in streams.iter_mut() {
-        stream
-            .send(&Block::eod().encode())
-            .map_err(|e| ServerError::Data(format!("send EOD: {e}")))?;
+        stream.send(&Block::eod().encode()).map_err(send_failed("EOD"))?;
     }
     Ok((data.len() as u64, streams))
 }
@@ -424,12 +494,21 @@ impl RecvShared {
     }
 }
 
-/// A receive thread's end: its link back, if the stream reached its EOD.
-type RecvWorker = std::thread::JoinHandle<Option<Box<dyn Link>>>;
+/// How one stream of a receiving transfer ends up: its link back, if it
+/// reached its EOD.
+type StreamEnd = Option<Box<dyn Link>>;
+
+/// One stream of a receiving transfer, in the order it was added.
+enum RecvLane {
+    /// Being received on a thread of its own.
+    Worker(std::thread::JoinHandle<StreamEnd>),
+    /// Received on the caller, to its end.
+    Ended(StreamEnd),
+}
 
 /// One data connection's receive loop: returns when the stream ends — the
 /// link itself after its EOD, nothing after a fault recorded in `shared`.
-fn receive_stream(shared: &RecvShared, mut link: Box<dyn Link>) -> Option<Box<dyn Link>> {
+fn receive_stream(shared: &RecvShared, mut link: Box<dyn Link>) -> StreamEnd {
     // One receive buffer per connection, reused for every block;
     // blocks are parsed as borrowed views straight out of it.
     let mut msg = Vec::new();
@@ -479,7 +558,7 @@ fn receive_stream(shared: &RecvShared, mut link: Box<dyn Link>) -> Option<Box<dy
 /// Receiver for one transfer: feed it connections as they arrive.
 pub struct Receiver {
     shared: Arc<RecvShared>,
-    threads: Mutex<Vec<RecvWorker>>,
+    lanes: Mutex<Vec<RecvLane>>,
     idle: Option<Duration>,
     wake: Option<Arc<WakeFd>>,
 }
@@ -506,7 +585,7 @@ impl Receiver {
                 eof_expected: AtomicU64::new(0),
                 error: Mutex::new(None),
             }),
-            threads: Mutex::new(Vec::new()),
+            lanes: Mutex::new(Vec::new()),
             idle: None,
             wake: None,
         }
@@ -548,24 +627,34 @@ impl Receiver {
     /// A refused spawn (thread exhaustion) surfaces as
     /// [`ServerError::Spawn`] instead of panicking mid-transfer.
     pub fn add_stream(&self, mut link: Box<dyn Link>) -> Result<()> {
-        if let Some(idle) = self.idle {
-            let _ = link.set_recv_timeout(Some(idle));
-        }
+        self.arm(&mut link);
         let shared = Arc::clone(&self.shared);
         let wake = self.wake.clone();
-        let spawned = std::thread::Builder::new().name("dtp-recv".into()).spawn(move || {
+        let worker = spawn_worker("dtp-recv".into(), &self.shared.progress, move || {
             let ended = receive_stream(&shared, link);
             if let Some(wake) = wake {
                 wake.wake();
             }
             ended
-        });
-        match spawned {
-            Ok(handle) => {
-                self.threads.lock().push(handle);
-                Ok(())
-            }
-            Err(e) => Err(ServerError::Spawn(format!("dtp receive worker: {e}"))),
+        })?;
+        self.lanes.lock().push(RecvLane::Worker(worker));
+        Ok(())
+    }
+
+    /// Receive one data connection to its end — EOD or fault — on the
+    /// calling thread: what a transfer with a single stream, and a caller
+    /// with nothing else to wait for meanwhile, does instead of
+    /// [`Receiver::add_stream`]. The verdict is [`Receiver::finish`]'s, as
+    /// for any stream.
+    pub fn receive_here(&self, mut link: Box<dyn Link>) {
+        self.arm(&mut link);
+        let ended = receive_stream(&self.shared, link);
+        self.lanes.lock().push(RecvLane::Ended(ended));
+    }
+
+    fn arm(&self, link: &mut Box<dyn Link>) {
+        if let Some(idle) = self.idle {
+            let _ = link.set_recv_timeout(Some(idle));
         }
     }
 
@@ -588,8 +677,14 @@ impl Receiver {
     /// Wait for completion (all threads joined). Returns bytes received
     /// and the streams, in the order they were added.
     pub fn finish(self) -> Result<(u64, Streams)> {
-        let threads = std::mem::take(&mut *self.threads.lock());
-        let streams: Streams = threads.into_iter().filter_map(|t| t.join().ok().flatten()).collect();
+        let lanes = std::mem::take(&mut *self.lanes.lock());
+        let streams: Streams = lanes
+            .into_iter()
+            .filter_map(|lane| match lane {
+                RecvLane::Worker(thread) => thread.join().ok().flatten(),
+                RecvLane::Ended(ended) => ended,
+            })
+            .collect();
         match self.verdict() {
             Ok(bytes) => Ok((bytes, streams)),
             Err(e) => {
@@ -656,6 +751,7 @@ mod tests {
             &[(0, len)],
             block,
             &progress_tx,
+            &mut || Ok(()),
         )
         .unwrap();
         assert_eq!(sent, len);
@@ -706,8 +802,9 @@ mod tests {
                 receiver.add_stream(link).unwrap();
             }
             let len = data.len() as u64;
+            let (whole, idle) = ([(0, len)], &mut || Ok(()));
             let (sent, kept) =
-                send_ranges(sending, &src, &user, path, &[(0, len)], 1024, &Progress::new()).unwrap();
+                send_ranges(sending, &src, &user, path, &whole, 1024, &Progress::new(), idle).unwrap();
             sending = kept;
             let (received, kept) = receiver.finish().unwrap();
             receiving = kept;
@@ -750,6 +847,7 @@ mod tests {
             &[(100, 200), (300, 400)],
             64,
             &Progress::new(),
+            &mut || Ok(()),
         )
         .unwrap();
         assert_eq!(sent, 200);
@@ -783,8 +881,10 @@ mod tests {
             sender_links.push(Box::new(a));
             receiver.add_stream(Box::new(b)).unwrap();
         }
+        let idle = &mut || Ok(());
         let (sent, _) =
-            send_dir(sender_links, &src, &user, "/tree", skip, block, &Progress::new()).unwrap();
+            send_dir(sender_links, &src, &user, "/tree", skip, block, &Progress::new(), idle)
+                .unwrap();
         let (received, _) = receiver.finish().unwrap();
         assert_eq!(sent, received);
         let data = crate::dsi::read_all(staging.as_ref(), &user, "/stream", 1 << 16).unwrap();
@@ -837,7 +937,8 @@ mod tests {
         let user = UserContext::superuser();
         let (a, b) = pipe();
         drop(b);
-        let err = send_dir(vec![Box::new(a)], &src, &user, "/tree", 9, 256, &Progress::new())
+        let idle = &mut || Ok(());
+        let err = send_dir(vec![Box::new(a)], &src, &user, "/tree", 9, 256, &Progress::new(), idle)
             .err()
             .unwrap();
         assert!(err.to_string().contains("skip"), "{err}");
@@ -924,9 +1025,11 @@ mod tests {
         let user = UserContext::superuser();
         let (a, b) = pipe();
         drop(b);
-        let err = send_ranges(vec![Box::new(a)], &dsi, &user, "/missing", &[(0, 100)], 64, &Progress::new())
-            .err()
-            .unwrap();
+        let (range, idle) = ([(0, 100)], &mut || Ok(()));
+        let err =
+            send_ranges(vec![Box::new(a)], &dsi, &user, "/missing", &range, 64, &Progress::new(), idle)
+                .err()
+                .unwrap();
         assert!(err.to_string().contains("no such file") || err.to_string().contains("data"));
     }
 }

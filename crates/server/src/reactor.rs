@@ -124,6 +124,11 @@ impl Link for WriterLink {
     fn close(&mut self) -> io::Result<()> {
         Ok(()) // the reactor owns the fd; closing is its decision
     }
+
+    fn send_would_block(&self) -> bool {
+        // A socket `poll` cannot vouch for takes the send, which reports it.
+        !wait_writable(self.stream.as_raw_fd(), Duration::ZERO).unwrap_or(true)
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -25,16 +25,16 @@ use ig_protocol::command::{Command, DcauMode, ModeCode, ProtectedKind};
 use ig_protocol::markers::{PerfMarker, RestartMarker};
 use ig_protocol::secure_line;
 use ig_obs::kv;
-use ig_protocol::{dcsc, ByteRanges, HostPort, Reply};
+use ig_protocol::{dcsc, stream_dir, ByteRanges, HostPort, Reply};
 use ig_netsim::CcAlgo;
 use ig_xio::{DataTransport, Link, UdpConfig, WakeFd};
 use rand::Rng;
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// 112 perf-marker period of a sending transfer: the timeout of the
-/// session's wait for its worker, never a sleep.
+/// 112 perf-marker period of a sending transfer: checked between blocks,
+/// never slept.
 const MARKER_PERIOD: Duration = Duration::from_millis(50);
 /// 111 restart-marker period of a receiving transfer, likewise the
 /// timeout of the pump's wait.
@@ -1082,8 +1082,9 @@ impl<R: Rng> Session<R> {
     ) -> Result<()> {
         let user = self.user.clone().expect("authed");
         let stack = self.data_stack();
-        // Determine ranges before opening data channels.
-        let (ranges, total_len) = match &source {
+        // Determine ranges before opening data channels, and with them
+        // `announced`: the payload bytes the 150 says are about to be sent.
+        let (ranges, total_len, announced) = match &source {
             TransferSource::File(path) => {
                 let size = match self.config.dsi.size(&user, path) {
                     Ok(s) => s,
@@ -1098,7 +1099,8 @@ impl<R: Rng> Session<R> {
                     Some(have) => have.missing(size),
                     None => vec![(0, size)],
                 };
-                (ranges, size)
+                let missing = ranges.iter().map(|(from, to)| to - from).sum();
+                (ranges, size, missing)
             }
             TransferSource::Partial { path, offset, length } => {
                 let size = match self.config.dsi.size(&user, path) {
@@ -1110,9 +1112,12 @@ impl<R: Rng> Session<R> {
                 };
                 let start = (*offset).min(size);
                 let end = start.saturating_add(*length).min(size);
-                (vec![(start, end)], end - start)
+                (vec![(start, end)], end - start, end - start)
             }
-            TransferSource::Buffer(buf) => (vec![(0, buf.len() as u64)], buf.len() as u64),
+            TransferSource::Buffer(buf) => {
+                let len = buf.len() as u64;
+                (vec![(0, len)], len, len)
+            }
             TransferSource::Dir { path, skip } => {
                 // Validate root + skip before the 150 so a bad request
                 // fails cheaply, without opening data channels.
@@ -1134,9 +1139,14 @@ impl<R: Rng> Session<R> {
                     )?;
                     return Ok(());
                 }
-                // Approximate payload bytes for the span; the stream
-                // adds framing on top.
-                (Vec::new(), entries.iter().map(|e| e.size).sum())
+                // Payload bytes for the span; the stream adds the framing
+                // the 150's figure includes.
+                let framed: u64 = entries[*skip as usize..]
+                    .iter()
+                    .map(|e| stream_dir::framed_len(&e.rel_path, (!e.is_dir).then_some(e.size)))
+                    .sum();
+                let payload = entries.iter().map(|e| e.size).sum();
+                (Vec::new(), payload, framed + stream_dir::END_LEN as u64)
             }
         };
         let streams = match self.open_send_streams(&stack) {
@@ -1156,76 +1166,48 @@ impl<R: Rng> Session<R> {
             ],
         );
         let _active = self.begin_transfer();
-        self.reply(link, wrap, Reply::opening_data())?;
+        self.reply(link, wrap, Reply::sending_data(announced))?;
         // One coherent tunable snapshot for the whole transfer: a
         // reload mid-flight affects the next transfer, not this one.
-        let live = self.config.live();
-        let progress = Progress::new();
-        let progress2 = Arc::clone(&progress);
+        let block_size = self.config.live().block_size;
+        let progress = Progress::on(&self.config.obs);
         let dsi = Arc::clone(&self.config.dsi);
-        let user2 = user.clone();
-        let block_size = live.block_size;
-        // The worker reports its end over `done`, so the session sleeps in
-        // `recv_timeout` and completion costs no tick.
-        let (done_tx, done) = mpsc::channel();
-        let spawned = std::thread::Builder::new().name("dtp-send".into()).spawn(move || {
-            let _ = done_tx.send(match source {
-                TransferSource::File(path) | TransferSource::Partial { path, .. } => {
-                    send_ranges(streams, &dsi, &user2, &path, &ranges, block_size, &progress2)
-                }
-                TransferSource::Buffer(buf) => {
-                    crate::dtp::send_buffer(streams, &buf, block_size, &progress2)
-                }
-                TransferSource::Dir { path, skip } => {
-                    send_dir(streams, &dsi, &user2, &path, skip, block_size, &progress2)
-                }
-            });
-        });
-        let worker = match spawned {
-            Ok(w) => w,
-            Err(e) => {
-                // Thread exhaustion is an operational signal, not a
-                // session-fatal bug: count it, fail this transfer, keep
-                // the control channel up.
-                let failed = TransferEnd::spawn_error(format!("cannot spawn sender: {e}"));
-                return self.finish_transfer(link, wrap, tspan, stack, failed);
-            }
-        };
-        // 112 perf markers at `MARKER_PERIOD` while the worker runs, and one
-        // closing marker when it ended past the last one sent: every
-        // non-empty transfer, however short, reports its final count. There
-        // is no stall check here: a peer that stops reading fails the
-        // worker's blocked send on the stack's write deadline (UDP: the
-        // driver's stall timer), and that arrives over `done` like any end.
+        // This thread is the feeder: with one stream it also puts the
+        // blocks on the wire, with more it fills the stream workers'
+        // queues. Between blocks it reports: a 112 once `MARKER_PERIOD`
+        // has passed and bytes moved, and one closing marker when the
+        // transfer ended past the last one sent — every non-empty transfer,
+        // however short, reports its final count. There is no stall check
+        // here: a peer that stops reading fails the blocked send on the
+        // stack's write deadline (UDP: the driver's stall timer).
         let start = Instant::now();
-        let mut last_bytes = 0u64;
-        let outcome = loop {
-            let ended = match done.recv_timeout(MARKER_PERIOD) {
-                Ok(outcome) => Some(outcome),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    Some(Err(ServerError::Data("sender worker panicked".into())))
-                }
-            };
-            // The marker carries this transfer's own count; the gauge (the
-            // latest count of any session) is for `SITE STATS`.
-            let bytes = progress.bytes();
-            if bytes != last_bytes {
-                last_bytes = bytes;
-                self.config.obs.metrics().set_gauge("server.transfer_progress_bytes", bytes as f64);
-                let marker = PerfMarker {
-                    timestamp: start.elapsed().as_secs_f64(),
-                    stripe_index: 0,
-                    total_stripes: self.config.stripes as u32,
-                    stripe_bytes: bytes,
-                };
-                self.reply(link, wrap, marker.to_reply())?;
+        let total_stripes = self.config.stripes as u32;
+        let mut markers = PerfMarkers { start, total_stripes, last: start, last_bytes: 0 };
+        let mut between = || -> Result<()> {
+            if markers.last.elapsed() >= MARKER_PERIOD {
+                self.perf_marker(link, wrap, &mut markers, &progress)?;
             }
-            if let Some(outcome) = ended {
-                break outcome;
+            Ok(())
+        };
+        let outcome = match source {
+            TransferSource::File(path) | TransferSource::Partial { path, .. } => send_ranges(
+                streams,
+                &dsi,
+                &user,
+                &path,
+                &ranges,
+                block_size,
+                &progress,
+                &mut between,
+            ),
+            TransferSource::Buffer(buf) => {
+                crate::dtp::send_buffer(streams, &buf, block_size, &progress)
+            }
+            TransferSource::Dir { path, skip } => {
+                send_dir(streams, &dsi, &user, &path, skip, block_size, &progress, &mut between)
             }
         };
-        let _ = worker.join();
+        self.perf_marker(link, wrap, &mut markers, &progress)?;
         let end = match outcome {
             Ok((bytes, streams)) => TransferEnd::Complete {
                 inbound: false,
@@ -1234,9 +1216,45 @@ impl<R: Rng> Session<R> {
                 reply: Reply::transfer_complete(),
                 ran_on: Some(streams),
             },
+            // Thread exhaustion is an operational signal, not a
+            // session-fatal bug: count it, fail this transfer, keep the
+            // control channel up.
+            Err(ServerError::Spawn(why)) => TransferEnd::spawn_error(why),
             Err(e) => TransferEnd::error(Reply::new(426, format!("Transfer failed: {e}"))),
         };
         self.finish_transfer(link, wrap, tspan, stack, end)
+    }
+
+    /// Report a sending transfer's progress as a 112, if bytes moved since
+    /// the last one. A 112 is advisory: whether to send it is decided
+    /// before it is sealed (a sealed reply that is not sent leaves a hole
+    /// in the context's sequence numbers), and one the control socket has
+    /// no room for is skipped, never waited for — a client that reads the
+    /// control channel only once the data has arrived cannot stall the
+    /// data by it.
+    fn perf_marker(
+        &mut self,
+        link: &mut Box<dyn Link>,
+        wrap: bool,
+        markers: &mut PerfMarkers,
+        progress: &Progress,
+    ) -> Result<()> {
+        // The marker carries this transfer's own count; the gauge (the
+        // latest count of any session) is for `SITE STATS`.
+        let bytes = progress.bytes();
+        markers.last = Instant::now();
+        if bytes == markers.last_bytes || link.send_would_block() {
+            return Ok(());
+        }
+        markers.last_bytes = bytes;
+        self.config.obs.metrics().set_gauge("server.transfer_progress_bytes", bytes as f64);
+        let marker = PerfMarker {
+            timestamp: markers.start.elapsed().as_secs_f64(),
+            stripe_index: 0,
+            total_stripes: markers.total_stripes,
+            stripe_bytes: bytes,
+        };
+        self.reply(link, wrap, marker.to_reply())
     }
 
     fn run_receive_transfer(
@@ -1262,7 +1280,7 @@ impl<R: Rng> Session<R> {
         );
         let _active = self.begin_transfer();
         self.reply(link, wrap, Reply::opening_data())?;
-        let progress = Progress::new();
+        let progress = Progress::on(&self.config.obs);
         if let Some(have) = &resuming {
             // Seed progress with what already landed so markers are global.
             let mut r = progress.ranges.lock();
@@ -1423,7 +1441,7 @@ impl<R: Rng> Session<R> {
             .span("transfer", vec![kv("direction", "recv-dir")]);
         let _active = self.begin_transfer();
         self.reply(link, wrap, Reply::opening_data())?;
-        let progress = Progress::new();
+        let progress = Progress::on(&self.config.obs);
         // Stage the raw stream in session-private memory: expansion must
         // be entry-atomic even though MODE E blocks land out of order.
         let staging = crate::dsi::memory::MemDsi::new();
@@ -1528,6 +1546,15 @@ impl TransferEnd {
     }
 }
 
+/// Where a sending transfer's 112 series stands.
+struct PerfMarkers {
+    start: Instant,
+    total_stripes: u32,
+    /// When the last marker was sent or skipped, and the count it carried.
+    last: Instant,
+    last_bytes: u64,
+}
+
 /// What a transfer command gets when there is nothing to run it on.
 fn no_data_channel() -> ServerError {
     ServerError::Data("no data channel established (use PASV/PORT)".into())
@@ -1568,4 +1595,127 @@ fn checksum(
         hasher.update(&chunk);
     }
     Ok(ig_crypto::encode::hex_encode(&hasher.finalize()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dsi::memory::MemDsi;
+    use ig_gsi::context::test_support::{ca_and_credential, config_with};
+    use ig_obs::sync::Mutex;
+    use ig_pki::TrustStore;
+    use ig_protocol::mode_e::Block;
+    use ig_xio::TcpLink;
+    use rand::SeedableRng;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// A control link that keeps what is sent on it and says, for the
+    /// first `blocked` times it is asked, that a send would have to wait.
+    struct FullFor {
+        blocked: AtomicU32,
+        sent: Arc<Mutex<Vec<Vec<u8>>>>,
+    }
+
+    impl Link for FullFor {
+        fn send(&mut self, data: &[u8]) -> std::io::Result<()> {
+            self.sent.lock().push(data.to_vec());
+            Ok(())
+        }
+        fn recv(&mut self) -> std::io::Result<Vec<u8>> {
+            Err(std::io::ErrorKind::Unsupported.into())
+        }
+        fn close(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+        fn send_would_block(&self) -> bool {
+            let decrement = |left: u32| left.checked_sub(1);
+            self.blocked.fetch_update(Ordering::Relaxed, Ordering::Relaxed, decrement).is_ok()
+        }
+    }
+
+    #[test]
+    fn a_112_the_control_link_has_no_room_for_is_skipped_unsealed() {
+        // A secured session past its login, with `PORT` given: what
+        // `AUTH`/`ADAT`, `DCAU N`, `MODE E` and `PORT` would have left.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x112);
+        let (ca, host) = ca_and_credential(&mut rng, "/O=CA", "/CN=host");
+        let (client, server) = ig_gsi::handshake::pump(
+            config_with(Some(host.clone()), &[&ca], true),
+            config_with(Some(host.clone()), &[&ca], true),
+            &mut rng,
+        )
+        .unwrap();
+        let mut client = SecureContext::from_established(client);
+        let dsi = MemDsi::new();
+        // 1 KiB blocks at 100 kB/s, 32 of them past the throttle's 16 KiB
+        // burst: a block every 10 ms for 0.3 s, six marker periods.
+        let file = vec![5u8; 48 * 1024];
+        dsi.put("/home/alice/f", &file);
+        let obs = ig_obs::Obs::new("advisory-112");
+        let config = ServerConfig::new(
+            "host",
+            host,
+            TrustStore::new(),
+            Arc::new(crate::authz::GcmuAuthz::new("host")),
+            Arc::new(dsi),
+        )
+        .with_stripes(1, Some(100_000.0))
+        .with_block_size(1024)
+        .with_obs(Arc::clone(&obs));
+        let sink = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut session = Session::new(Arc::new(config), rng);
+        session.ctx = Some(SecureContext::from_established(server));
+        session.user = Some(UserContext::user("alice"));
+        session.dcau = DcauMode::None;
+        session.mode = ModeCode::Extended;
+        let sink_addr = HostPort::from_socket_addr(sink.local_addr().unwrap()).unwrap();
+        session.port_targets = vec![sink_addr];
+
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        let mut link: Box<dyn Link> =
+            Box::new(FullFor { blocked: AtomicU32::new(2), sent: Arc::clone(&sent) });
+        let retr = secure_line::protect_command(
+            &mut client,
+            ProtectedKind::Enc,
+            &Command::Retr("/home/alice/f".into()),
+        );
+        session.process_message(&mut link, retr.to_string().into_bytes()).unwrap();
+
+        // The data arrived whole (loopback buffered it; nobody had to read).
+        let mut peer = TcpLink::new(sink.accept().unwrap().0);
+        let mut got = 0;
+        loop {
+            let block = Block::decode(&peer.recv().unwrap()).unwrap();
+            got += block.payload.len();
+            if block.is_eod() {
+                break;
+            }
+        }
+        assert_eq!(got, file.len());
+        // Every reply that was sealed was sent: the client's context opens
+        // them all, in order, with no sequence number missing.
+        let replies: Vec<Reply> = sent
+            .lock()
+            .iter()
+            .map(|wire| {
+                let sealed = Reply::parse(std::str::from_utf8(wire).unwrap()).unwrap();
+                secure_line::unprotect_reply(&mut client, &sealed).expect("dense sequence numbers")
+            })
+            .collect();
+        let codes: Vec<u16> = replies.iter().map(|r| r.code).collect();
+        assert_eq!(codes.first(), Some(&150), "{codes:?}");
+        assert_eq!(codes.last(), Some(&226), "{codes:?}");
+        let markers: Vec<u64> = replies
+            .iter()
+            .filter(|r| r.code == 112)
+            .map(|r| PerfMarker::from_reply(r).unwrap().stripe_bytes)
+            .collect();
+        assert_eq!(codes.len(), markers.len() + 2, "{codes:?}");
+        // Two periods' markers were skipped, not queued: the series starts
+        // late, still rises, and ends at the file's size.
+        assert!(markers.len() >= 2 && markers.windows(2).all(|w| w[0] < w[1]), "{markers:?}");
+        assert!(markers[0] > 16 * 1024, "{markers:?}");
+        assert_eq!(markers.last(), Some(&(file.len() as u64)), "{markers:?}");
+        assert_eq!(obs.metrics().counter_value("server.reply_112"), markers.len() as u64);
+    }
 }

@@ -21,17 +21,22 @@ use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, Trust
 use ig_protocol::command::{Command, DcauMode};
 use ig_protocol::mode_e::Block;
 use ig_protocol::{HostPort, Reply};
-use ig_server::dsi::read_all;
-use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, UserContext};
+use ig_server::dsi::{read_all, DirEntry};
+use ig_server::{
+    Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, ServerError, UserContext,
+};
 use ig_xio::test_support::eventually;
 use ig_xio::{
     ChaosConfig, ChaosHook, DataTransport, FaultKind, FaultSpec, Link, TcpLink, Trigger,
 };
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
 
 const NOW: u64 = 1_000_000;
 const SMALL: usize = 4 * 1024;
+
+type ServerResult<T> = Result<T, ServerError>;
 
 fn dn(s: &str) -> DistinguishedName {
     DistinguishedName::parse(s).unwrap()
@@ -344,11 +349,7 @@ fn a_reset_on_a_kept_link_is_a_typed_426_and_the_retry_dials_afresh() {
     let world = World::new(0xC9, Clock::Fixed(NOW), |c| c.with_data_chaos(Arc::clone(&hook)));
     let mut session = world.session();
     get(&mut session, 0, &opts());
-    let err = transfer::get_bytes(&mut session, "/home/alice/f1", &opts()).unwrap_err();
-    match &err {
-        ClientError::ServerError(reply) => assert_eq!(reply.code, 426, "{reply}"),
-        other => panic!("expected the server's 426, got {other}"),
-    }
+    expect_prompt_426(&mut session, "/home/alice/f1");
     assert_eq!(hook.total_fires(), 1);
     assert_eq!(world.channels(), (1, 1), "the failed transfer was the re-armed one");
     // Neither end kept what failed: the server has nothing to re-arm...
@@ -356,6 +357,117 @@ fn a_reset_on_a_kept_link_is_a_typed_426_and_the_retry_dials_afresh() {
     // ...and the client's retry opens link 1.
     get(&mut session, 1, &opts());
     assert_eq!(world.channels(), (2, 1));
+    session.quit().unwrap();
+}
+
+/// A one-stream GET is received on the caller, which is therefore blocked
+/// on the data link when the server gives up: the server's closing its end
+/// is what releases it, so the 426 arrives at once, not at `io_timeout`.
+fn expect_prompt_426(session: &mut ClientSession, path: &str) {
+    let t0 = std::time::Instant::now();
+    let err = transfer::get_bytes(session, path, &opts()).unwrap_err();
+    match &err {
+        ClientError::ServerError(reply) => assert_eq!(reply.code, 426, "{reply}"),
+        other => panic!("expected the server's 426, got {other}"),
+    }
+    let waited = t0.elapsed();
+    assert!(waited < Duration::from_secs(2), "426 after {waited:?}; io_timeout is 10 s");
+}
+
+/// A `MemDsi` whose reads at or past `fail_from` fail.
+struct FailingReads {
+    inner: MemDsi,
+    fail_from: AtomicU64,
+}
+
+impl Dsi for FailingReads {
+    fn read(&self, user: &UserContext, path: &str, at: u64, len: usize) -> ServerResult<Vec<u8>> {
+        if at >= self.fail_from.load(Ordering::SeqCst) {
+            return Err(ServerError::Storage(format!("injected read error at {at}")));
+        }
+        self.inner.read(user, path, at, len)
+    }
+    fn write(&self, user: &UserContext, path: &str, offset: u64, data: &[u8]) -> ServerResult<()> {
+        self.inner.write(user, path, offset, data)
+    }
+    fn size(&self, user: &UserContext, path: &str) -> ServerResult<u64> {
+        self.inner.size(user, path)
+    }
+    fn truncate(&self, user: &UserContext, path: &str, len: u64) -> ServerResult<()> {
+        self.inner.truncate(user, path, len)
+    }
+    fn delete(&self, user: &UserContext, path: &str) -> ServerResult<()> {
+        self.inner.delete(user, path)
+    }
+    fn list(&self, user: &UserContext, path: &str) -> ServerResult<Vec<DirEntry>> {
+        self.inner.list(user, path)
+    }
+    fn mkdir(&self, user: &UserContext, path: &str) -> ServerResult<()> {
+        self.inner.mkdir(user, path)
+    }
+    fn rmdir(&self, user: &UserContext, path: &str) -> ServerResult<()> {
+        self.inner.rmdir(user, path)
+    }
+    fn exists(&self, user: &UserContext, path: &str) -> bool {
+        self.inner.exists(user, path)
+    }
+}
+
+#[test]
+fn a_read_error_mid_get_on_a_kept_link_is_a_prompt_426_and_the_retry_dials_afresh() {
+    let flaky = Arc::new(FailingReads {
+        inner: MemDsi::new(),
+        fail_from: AtomicU64::new(u64::MAX),
+    });
+    let world = World::new(0xCF, Clock::Fixed(NOW), |mut c| {
+        c.dsi = Arc::clone(&flaky) as Arc<dyn Dsi>;
+        c
+    });
+    // Four read chunks; the third fails, with two already on the wire.
+    let big = pattern(256 * 1024, 7);
+    flaky.inner.put("/home/alice/f0", &pattern(SMALL, 0));
+    flaky.inner.put("/home/alice/big", &big);
+    let mut session = world.session();
+    get(&mut session, 0, &opts());
+    flaky.fail_from.store(128 * 1024, Ordering::SeqCst);
+    expect_prompt_426(&mut session, "/home/alice/big");
+    assert_eq!(world.channels(), (1, 1), "the failed transfer was the re-armed one");
+    // Both ends dropped what failed; the retry dials and gets all of it.
+    assert_no_channel(&bare_retr(&mut session));
+    flaky.fail_from.store(u64::MAX, Ordering::SeqCst);
+    assert_eq!(transfer::get_bytes(&mut session, "/home/alice/big", &opts()).unwrap(), big);
+    assert_eq!(world.channels(), (2, 1));
+    session.quit().unwrap();
+}
+
+#[test]
+fn a_lost_tail_in_a_pipelined_window_is_a_typed_truncation_naming_the_file() {
+    // A 4 KiB file moves as one block, so dropping that block loses the
+    // whole file and every EOD still arrives: only the 150's figure tells.
+    // Per transfer the link carries the EOD count, the block and the EOD:
+    // record 4 is the second file's block.
+    let spec = FaultSpec::send(FaultKind::Drop, Trigger::OnRecord(4));
+    let hook = ChaosHook::new(ChaosConfig::single(0xD0, spec));
+    let world = World::new(0xD0, Clock::Fixed(NOW), |c| c.with_data_chaos(Arc::clone(&hook)));
+    let mut session = world.session();
+    let paths: Vec<String> = (0..4).map(|i| format!("/home/alice/f{i}")).collect();
+    let refs: Vec<&str> = paths.iter().map(String::as_str).collect();
+    let err = transfer::get_files_pipelined(&mut session, &refs, 4, &opts()).unwrap_err();
+    match &err {
+        ClientError::Truncated(what) => {
+            assert!(what.contains("/home/alice/f1") && what.contains("received 0"), "{what}")
+        }
+        other => panic!("expected a truncation, got {other}"),
+    }
+    assert_eq!(hook.total_fires(), 1);
+    // The rest of the window was served and read: the session is in step,
+    // and the channel, on which every transfer did end, is still the one.
+    assert_eq!(world.channels(), (1, 3));
+    let got = transfer::get_files_pipelined(&mut session, &refs, 4, &opts()).unwrap();
+    for (i, data) in got.iter().enumerate() {
+        assert_eq!(data, &pattern(SMALL, i as u32), "file {i}");
+    }
+    assert_eq!(world.channels(), (1, 7));
     session.quit().unwrap();
 }
 
@@ -374,6 +486,54 @@ fn final_reply(session: &mut ClientSession) -> Reply {
             return reply;
         }
     }
+}
+
+#[test]
+fn every_sending_150_announces_what_the_data_channel_then_carries() {
+    let world = World::fixed(0xD1);
+    world.dsi.put("/home/alice/tree/a/x.bin", &pattern(5000, 1));
+    world.dsi.put("/home/alice/tree/empty", b"");
+    let mut session = plain_session(&world);
+    let sink = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let port = HostPort::from_socket_addr(sink.local_addr().unwrap()).unwrap();
+    session.command(&Command::Port(port)).unwrap();
+    // The first command dials; the rest ride the channel it leaves.
+    let mut peer: Option<TcpLink> = None;
+    let mut announced_and_carried = |session: &mut ClientSession, cmd: Command| {
+        session.send_cmd(&cmd).unwrap();
+        let link = peer.get_or_insert_with(|| TcpLink::new(sink.accept().unwrap().0));
+        let opening = session.read_reply().unwrap();
+        assert_eq!(opening.code, 150, "{cmd}: {opening}");
+        let mut carried = 0u64;
+        loop {
+            let block = Block::decode(&link.recv().unwrap()).unwrap();
+            carried += block.payload.len() as u64;
+            if block.is_eod() {
+                break;
+            }
+        }
+        assert_eq!(final_reply(session).code, 226, "{cmd}");
+        (opening.announced_bytes(), carried)
+    };
+    let f0 = || "/home/alice/f0".to_string();
+    assert_eq!(announced_and_carried(&mut session, Command::Retr(f0())), (Some(4096), 4096));
+    // After `REST`: what is missing, not the file's size.
+    let mut have = ig_protocol::ByteRanges::new();
+    have.add(0, 1000);
+    assert_eq!(bare(&mut session, Command::Rest(have.to_marker())).code, 350);
+    assert_eq!(announced_and_carried(&mut session, Command::Retr(f0())), (Some(3096), 3096));
+    let partial = Command::Eret { module: "P".into(), args: format!("100,200 {}", f0()) };
+    assert_eq!(announced_and_carried(&mut session, partial), (Some(200), 200));
+    // A directory stream: the framing counts, a listing: its text.
+    let dir = Command::Eret { module: "DIR".into(), args: "0 /home/alice/tree".into() };
+    let (announced, carried) = announced_and_carried(&mut session, dir);
+    assert!(carried > 5000, "{carried}");
+    assert_eq!(announced, Some(carried));
+    let listing = Command::Mlsd(Some("/home/alice".into()));
+    let (announced, carried) = announced_and_carried(&mut session, listing);
+    assert!(carried > 0);
+    assert_eq!(announced, Some(carried));
+    assert_eq!(world.channels(), (1, 4));
 }
 
 #[test]

@@ -1,13 +1,15 @@
 //! A transfer's lifecycle is event-driven: nothing on its critical path
 //! sleeps through a tick.
 //!
-//! The sending session learns of its worker's end over a channel, the
-//! receiving session's pump is woken by a stream's end or a queued
-//! connection, and the marker periods are only the timeouts of those
-//! waits. These tests hold the server to what a client can see of that:
-//! short transfers cost no tick (a sleep-polling sender needed at least
-//! 50 ms each), long ones still report at the marker cadence, and a peer
-//! that stops reading ends the transfer instead of hanging it.
+//! The sending session feeds its own transfer and looks at the marker
+//! clock between blocks, the receiving session's pump is woken by a
+//! stream's end or a queued connection, and the marker periods are only
+//! what those compare against or time out on. These tests hold the server
+//! to what a client can see of that: short transfers cost no tick (a
+//! sleep-polling sender needed at least 50 ms each) and, on a kept channel
+//! with one stream, no thread and one command; long ones still report at
+//! the marker cadence; and a peer that stops reading ends the transfer
+//! instead of hanging it.
 
 use ig_client::{transfer, ClientConfig, ClientSession, RetryPolicy, TransferOpts};
 use ig_pki::cert::Validity;
@@ -148,6 +150,46 @@ fn twenty_short_transfers_each_way_finish_inside_half_a_second() {
         let path = format!("/home/alice/put-{i}");
         let stored = read_all(site.dsi.as_ref(), &alice, &path, 1 << 16).unwrap();
         assert_eq!(&stored, data, "PUT {i}");
+    }
+    session.quit().unwrap();
+    site.server.shutdown();
+}
+
+#[test]
+fn a_re_armed_one_stream_get_is_one_command_and_no_new_thread() {
+    let mut grid = Grid::new(0x5EED);
+    let site = grid.site(|c| c);
+    let files: Vec<Vec<u8>> = (0..21).map(|i| pattern(SMALL, i)).collect();
+    for (i, data) in files.iter().enumerate() {
+        site.dsi.put(&format!("/home/alice/get-{i}"), data);
+    }
+    let obs = ig_obs::Obs::new("wake-client");
+    let mut session = grid.session(&site, &obs);
+    let mut fetch = |i: usize, opts: &TransferOpts| {
+        let got = transfer::get_bytes(&mut session, &format!("/home/alice/get-{i}"), opts).unwrap();
+        assert_eq!(got, files[i], "GET {i}");
+    };
+    let count = |hub: &Arc<ig_obs::Obs>, name: &str| hub.metrics().counter_value(name);
+    // (server, client): the DTP counts on the hub of the endpoint it runs at.
+    let spawned = || {
+        (count(&site.obs, "server.dtp.threads_spawned"), count(&obs, "server.dtp.threads_spawned"))
+    };
+    let one = TransferOpts::default().timeout(Some(Duration::from_secs(10)));
+    fetch(20, &one); // opens the channel the rest are re-armed on
+    let (threads, commands) = (spawned(), count(&site.obs, "server.commands"));
+    for i in 0..20 {
+        fetch(i, &one);
+    }
+    assert_eq!(spawned(), threads, "one stream: sent and received on the threads already there");
+    assert_eq!(count(&site.obs, "server.commands") - commands, 20, "a GET is its RETR");
+    assert_eq!(count(&site.obs, "server.dtp.channels_reused"), 20);
+    // More streams keep their workers: one per stream, on each end.
+    for n in [2u64, 3] {
+        let many = one.clone().parallel(n as usize);
+        fetch(0, &many);
+        let before = spawned();
+        fetch(1, &many);
+        assert_eq!(spawned(), (before.0 + n, before.1 + n), "parallelism {n}");
     }
     session.quit().unwrap();
     site.server.shutdown();

@@ -89,6 +89,7 @@ fn transfer_allocations_scale_with_chunks_not_blocks() {
         &[(0, TOTAL as u64)],
         BLOCK,
         &Progress::new(),
+        &mut || Ok(()),
     )
     .unwrap();
     assert_eq!(sent, TOTAL as u64);

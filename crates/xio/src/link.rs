@@ -75,6 +75,14 @@ pub trait Link: Send {
         let _ = timeout;
         Ok(())
     }
+
+    /// Would a `send` right now have to wait for the peer to read? Asked
+    /// before composing a message that is worth sending only if it costs
+    /// no wait (an advisory progress marker). A transport that cannot tell
+    /// says `false`: its sends go out and block as they always did.
+    fn send_would_block(&self) -> bool {
+        false
+    }
 }
 
 impl<L: Link + ?Sized> Link for Box<L> {
@@ -98,6 +106,9 @@ impl<L: Link + ?Sized> Link for Box<L> {
     }
     fn set_send_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
         (**self).set_send_timeout(timeout)
+    }
+    fn send_would_block(&self) -> bool {
+        (**self).send_would_block()
     }
 }
 
