@@ -2,10 +2,12 @@
 //!
 //! The data plane rides on [`ig_server::dtp`]'s zero-copy loops: senders
 //! frame blocks as vectored header + payload-slice writes out of shared
-//! read chunks, receivers parse borrowed block views out of per-connection
-//! reused buffers, and any sealed (`PROT S`/`P`) channel encrypts and
-//! decrypts in place inside those same buffers — so steady-state transfer
-//! throughput is bounded by crypto and I/O, not allocator traffic.
+//! read chunks (an upload's out of the caller's own buffer, which is never
+//! staged or copied here), receivers parse borrowed block views out of
+//! per-connection reused buffers, and any sealed (`PROT S`/`P`) channel
+//! encrypts and decrypts in place inside those same buffers — so
+//! steady-state transfer throughput is bounded by crypto and I/O, not
+//! allocator traffic.
 
 use crate::error::{ClientError, Result};
 use crate::session::ClientSession;
@@ -16,7 +18,7 @@ use ig_protocol::{ByteRanges, HostPort, Reply};
 use ig_server::data::{
     AnyDataListener, CachedChannels, ChainExpiry, ChannelShape, DataSecurity, DataStack, Flow,
 };
-use ig_server::dtp::{close_streams, send_dir, send_ranges, Progress, Receiver, Streams};
+use ig_server::dtp::{close_streams, send_dir, send_slices, Progress, Receiver, Streams};
 use ig_server::{Dsi, MemDsi, UserContext};
 use ig_xio::{ChaosHook, DataTransport, RetryError, RetryPolicy, UdpConfig};
 use std::sync::Arc;
@@ -336,26 +338,12 @@ pub fn put_bytes_resume(
             dial_streams(session, &stack, addr, opts)?
         }
     };
-    // Stage the buffer in a local DSI so ranged sends reuse the DTP.
-    let staging = MemDsi::new();
-    staging.put("/buf", data);
-    let staging: Arc<dyn Dsi> = Arc::new(staging);
-    let user = UserContext::superuser();
     let ranges = match have {
         Some(have) => have.missing(data.len() as u64),
         None => vec![(0, data.len() as u64)],
     };
     let progress = Progress::on(&session.config.obs);
-    let send_result = send_ranges(
-        streams,
-        &staging,
-        &user,
-        "/buf",
-        &ranges,
-        opts.block_size,
-        &progress,
-        &mut || Ok(()),
-    );
+    let send_result = send_slices(streams, data, &ranges, opts.block_size, &progress);
     // Always drain the final reply, even when our own send failed —
     // otherwise the 426 stays queued and poisons the next command.
     let final_reply = read_until_final(session, |_| {})?;

@@ -4,6 +4,9 @@
 //! stream — there is nothing to fan out, so there is no queue and no worker
 //! — and round-robin over one worker per stream, each behind a bounded
 //! queue (so a slow stream backpressures the reader), when there are more.
+//! Bytes the caller already holds ([`send_slices`]: an upload, a listing)
+//! need no feeder and no queue: each stream's worker takes its blocks out
+//! of the borrowed slice itself.
 //! The receiver likewise runs a transfer's only stream on the caller that
 //! asks it to ([`Receiver::receive_here`]) and otherwise one thread per
 //! connection, all writing through the DSI at block offsets — order never
@@ -25,7 +28,7 @@ use ig_protocol::ByteRanges;
 use ig_xio::{Link, WakeFd};
 use std::io::IoSlice;
 use std::os::unix::io::RawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -88,21 +91,23 @@ pub fn close_streams(streams: Streams) {
     }
 }
 
-/// The one place the DTP makes a thread, counted on the transfer's hub. A
-/// refused spawn (thread exhaustion) is a typed [`ServerError::Spawn`].
+/// Every thread the DTP makes passes through here, counted on the
+/// transfer's hub. A refused spawn (thread exhaustion) is a typed
+/// [`ServerError::Spawn`].
+fn counted<H>(name: &str, progress: &Progress, spawned: std::io::Result<H>) -> Result<H> {
+    let worker = spawned.map_err(|e| ServerError::Spawn(format!("{name}: {e}")))?;
+    if let Some(obs) = &progress.obs {
+        obs.metrics().add("server.dtp.threads_spawned", 1);
+    }
+    Ok(worker)
+}
+
 fn spawn_worker<T: Send + 'static>(
     name: String,
     progress: &Progress,
     work: impl FnOnce() -> T + Send + 'static,
 ) -> Result<std::thread::JoinHandle<T>> {
-    let worker = std::thread::Builder::new()
-        .name(name.clone())
-        .spawn(work)
-        .map_err(|e| ServerError::Spawn(format!("{name}: {e}")))?;
-    if let Some(obs) = &progress.obs {
-        obs.metrics().add("server.dtp.threads_spawned", 1);
-    }
-    Ok(worker)
+    counted(&name, progress, std::thread::Builder::new().name(name.clone()).spawn(work))
 }
 
 fn send_failed(what: &str) -> impl FnOnce(std::io::Error) -> ServerError + '_ {
@@ -401,39 +406,89 @@ pub fn send_dir(
     out.finish(fed)
 }
 
-/// Send an in-memory buffer as MODE E blocks over `streams`
-/// (directory listings, client-side uploads of in-memory data).
-pub fn send_buffer(
-    streams: Streams,
-    data: &[u8],
-    block_size: usize,
-    progress: &Arc<Progress>,
-) -> Result<(u64, Streams)> {
-    send_buffer_at(streams, 0, data, block_size, progress)
-}
-
-/// Like [`send_buffer`] but places the buffer at file offset `base`
-/// (resumed uploads send only the missing tail/holes). Vectored header +
-/// payload-slice sends straight out of the caller's buffer, round-robin
-/// over `streams` on the calling thread.
-pub fn send_buffer_at(
+/// Send `ranges` of the caller's `data` over `streams` as MODE E blocks
+/// (client uploads, directory listings): each range, clamped to `data`, is
+/// cut into blocks of at most `block_size`, and block *k*, counted across
+/// the ranges, leaves on stream *k mod n* as a vectored header +
+/// payload-slice send straight out of `data`. One stream is sent on the
+/// calling thread; with more, each stream has a worker of its own borrowing
+/// `data`, so a stalled stream holds up no other. The first failure stops
+/// every stream at its next block and closes them all.
+///
+/// Returns the payload bytes sent and the streams.
+pub fn send_slices(
     mut streams: Streams,
-    base: u64,
     data: &[u8],
+    ranges: &[(u64, u64)],
     block_size: usize,
-    progress: &Arc<Progress>,
+    progress: &Progress,
 ) -> Result<(u64, Streams)> {
     let n = streams.len();
     assert!(n > 0, "need at least one stream");
     assert!(block_size > 0, "block size must be positive");
-    streams[0].send(&Block::eof_count(n as u64).encode()).map_err(send_failed("EOF count"))?;
-    for (i, block) in data.chunks(block_size).enumerate() {
-        send_block(streams[i % n].as_mut(), base + (i * block_size) as u64, block, progress)?;
+    let len = data.len() as u64;
+    let blocks = || {
+        ranges.iter().flat_map(|&(start, end)| {
+            let (start, end) = (start.min(len) as usize, end.min(len) as usize);
+            let cut = move |at: usize| (at, end.min(at.saturating_add(block_size)));
+            (start..end).step_by(block_size).map(cut)
+        })
+    };
+    // Raised with the first failure: every other stream stops at its next
+    // block, without an EOD — the error it was raised with is the verdict.
+    // (Relaxed: the flag says "stop" and publishes nothing else.)
+    let failed = AtomicBool::new(false);
+    let raise = |_: &ServerError| failed.store(true, Ordering::Relaxed);
+    let lane = |i: usize, stream: &mut dyn Link| -> Result<()> {
+        let mut send = || -> Result<()> {
+            if i == 0 {
+                // The first stream announces how many EODs to expect.
+                let count = Block::eof_count(n as u64).encode();
+                stream.send(&count).map_err(send_failed("EOF count"))?;
+            }
+            for (at, end) in blocks().skip(i).step_by(n) {
+                if failed.load(Ordering::Relaxed) {
+                    return Ok(());
+                }
+                send_block(stream, at as u64, &data[at..end], progress)?;
+            }
+            stream.send(&Block::eod().encode()).map_err(send_failed("EOD"))
+        };
+        send().inspect_err(raise)
+    };
+    let ended = match &mut streams[..] {
+        [only] => lane(0, only.as_mut()),
+        many => std::thread::scope(|scope| {
+            let lane = &lane;
+            let mut workers = Vec::with_capacity(n);
+            let mut ended = Ok(());
+            for (i, stream) in many.iter_mut().enumerate() {
+                let name = format!("dtp-stream-{i}");
+                let worker = std::thread::Builder::new().name(name.clone());
+                let made = worker.spawn_scoped(scope, move || lane(i, stream.as_mut()));
+                match counted(&name, progress, made).inspect_err(raise) {
+                    Ok(worker) => workers.push(worker),
+                    Err(e) => {
+                        ended = Err(e);
+                        break;
+                    }
+                }
+            }
+            // Every worker is joined; the first error, in stream order, wins.
+            let panicked = |_| Err(ServerError::Data("stream worker panicked".into()));
+            for worker in workers {
+                ended = ended.and(worker.join().unwrap_or_else(panicked));
+            }
+            ended
+        }),
+    };
+    match ended {
+        Ok(()) => Ok((blocks().map(|(at, end)| (end - at) as u64).sum(), streams)),
+        Err(e) => {
+            close_streams(streams);
+            Err(e)
+        }
     }
-    for stream in streams.iter_mut() {
-        stream.send(&Block::eod().encode()).map_err(send_failed("EOD"))?;
-    }
-    Ok((data.len() as u64, streams))
 }
 
 /// Typed classification of a receive-side failure, so the session layer

@@ -10,7 +10,7 @@ use crate::config::ServerConfig;
 use crate::data::{
     AnyDataListener, CachedChannels, ChainExpiry, ChannelShape, DataSecurity, DataStack, Flow,
 };
-use crate::dtp::{send_dir, send_ranges, Progress, Receiver, Streams};
+use crate::dtp::{send_dir, send_ranges, send_slices, Progress, Receiver, Streams};
 use crate::error::{Result, ServerError};
 use crate::usage::TransferRecord;
 use crate::users::UserContext;
@@ -1200,9 +1200,7 @@ impl<R: Rng> Session<R> {
                 &progress,
                 &mut between,
             ),
-            TransferSource::Buffer(buf) => {
-                crate::dtp::send_buffer(streams, &buf, block_size, &progress)
-            }
+            TransferSource::Buffer(buf) => send_slices(streams, &buf, &ranges, block_size, &progress),
             TransferSource::Dir { path, skip } => {
                 send_dir(streams, &dsi, &user, &path, skip, block_size, &progress, &mut between)
             }

@@ -196,6 +196,39 @@ fn a_re_armed_one_stream_get_is_one_command_and_no_new_thread() {
 }
 
 #[test]
+fn a_re_armed_one_stream_put_starts_no_thread_on_the_client() {
+    let mut grid = Grid::new(0x5EED + 1);
+    let site = grid.site(|c| c);
+    let obs = ig_obs::Obs::new("wake-client");
+    let mut session = grid.session(&site, &obs);
+    let data = pattern(SMALL, 3);
+    let mut store = |i: usize, opts: &TransferOpts| {
+        let sent = transfer::put_bytes(&mut session, &format!("/home/alice/put-{i}"), &data, opts);
+        assert_eq!(sent.unwrap(), SMALL as u64, "PUT {i}");
+    };
+    // The client's hub: its DTP is the sender of an upload.
+    let spawned = || obs.metrics().counter_value("server.dtp.threads_spawned");
+    let one = TransferOpts::default().timeout(Some(Duration::from_secs(10)));
+    store(20, &one); // opens the channel the rest are re-armed on
+    let threads = spawned();
+    for i in 0..20 {
+        store(i, &one);
+    }
+    assert_eq!(spawned(), threads, "one stream: sent on the thread that called put_bytes");
+    assert_eq!(site.obs.metrics().counter_value("server.dtp.channels_reused"), 20);
+    // More streams: a worker each, so that none waits for another.
+    for n in [2u64, 3] {
+        let many = one.clone().parallel(n as usize);
+        store(0, &many);
+        let before = spawned();
+        store(1, &many);
+        assert_eq!(spawned(), before + n, "parallelism {n}");
+    }
+    session.quit().unwrap();
+    site.server.shutdown();
+}
+
+#[test]
 fn a_sub_period_get_yields_exactly_one_marker() {
     let mut grid = Grid::new(0xB0B);
     let site = grid.site(|c| c);

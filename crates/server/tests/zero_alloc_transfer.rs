@@ -15,8 +15,14 @@
 //! change that silently re-handshakes per file fails here, not in a
 //! benchmark.
 //!
+//! And for uploads, in bytes: a `put_bytes` sends the caller's buffer, so a
+//! 32 MiB PUT over a file of that size allocates receive buffers and little
+//! else on either end — staging the upload in a `MemDsi` and reading it
+//! back made it three to four times the file — and the calling thread, the
+//! whole client side of a one-stream upload, allocates nothing file-sized.
+//!
 //! Lives in its own test binary so no other test's allocations can race
-//! the counter; the two tests here take turns under one lock.
+//! the counters; the tests here take turns under one lock.
 
 use ig_client::{transfer, ClientConfig, ClientSession, TransferOpts};
 use ig_pki::time::Clock;
@@ -26,17 +32,38 @@ use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, UserCont
 use ig_xio::{Link, TcpLink};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::TcpListener;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+/// Bytes requested by every thread; a `realloc` counts what it grows by.
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// The share of `BYTES` this thread asked for.
+    static MY_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes, Ordering::Relaxed);
+    // No allocation in here: the cell is const-initialised and has no
+    // destructor. A thread past its TLS teardown is simply not attributed.
+    let _ = MY_BYTES.try_with(|mine| mine.set(mine.get() + bytes));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -44,7 +71,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -108,11 +135,14 @@ fn transfer_allocations_scale_with_chunks_not_blocks() {
     assert_eq!(got, data);
 }
 
-#[test]
-fn second_get_of_a_session_does_no_rsa() {
-    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+/// A server over a `MemDsi` holding `files` in alice's home, its hub, and
+/// alice logged in.
+fn logged_in(
+    seed: u64,
+    files: &[(&str, &[u8])],
+) -> (Arc<GridFtpServer>, Arc<MemDsi>, Arc<ig_obs::Obs>, ClientSession) {
     const NOW: u64 = 1_000_000;
-    let mut rng = ig_crypto::rng::seeded(0xCAC4E);
+    let mut rng = ig_crypto::rng::seeded(seed);
     let (ca, host) = ig_gsi::context::test_support::ca_and_credential(&mut rng, "/O=CA", "/CN=host");
     let mut trust = TrustStore::new();
     trust.add_root(ca.root_cert().clone());
@@ -127,9 +157,9 @@ fn second_get_of_a_session_does_no_rsa() {
     let mut gridmap = Gridmap::new();
     gridmap.add(&alice_dn, "alice");
     let dsi = Arc::new(MemDsi::new());
-    let file: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-    dsi.put("/home/alice/a.bin", &file);
-    dsi.put("/home/alice/b.bin", &file);
+    for (name, data) in files {
+        dsi.put(&format!("/home/alice/{name}"), data);
+    }
     let obs = ig_obs::Obs::new("alloc-server");
     let cfg = ServerConfig::new(
         "host",
@@ -146,6 +176,14 @@ fn second_get_of_a_session_does_no_rsa() {
         .with_obs(ig_obs::Obs::new("alloc-client"));
     let mut session = ClientSession::connect(server.addr(), ccfg).unwrap();
     session.login().unwrap();
+    (server, dsi, obs, session)
+}
+
+#[test]
+fn second_get_of_a_session_does_no_rsa() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let file: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+    let (_server, _dsi, obs, mut session) = logged_in(0xCAC4E, &[("a.bin", &file), ("b.bin", &file)]);
     let opts = TransferOpts::default();
 
     // Server and client share this process, so one count covers both ends
@@ -164,5 +202,47 @@ fn second_get_of_a_session_does_no_rsa() {
     let metrics = obs.metrics();
     assert_eq!(metrics.counter_value("server.dtp.channels_opened"), 1);
     assert_eq!(metrics.counter_value("server.dtp.channels_reused"), 1);
+    session.quit().unwrap();
+}
+
+#[test]
+fn a_put_allocates_nothing_file_sized_on_either_end() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    const FILE: usize = 32 << 20;
+    const MIB: usize = 1 << 20;
+    let data: Vec<u8> = (0..FILE).map(|i| (i % 251) as u8).collect();
+    // The uploads overwrite files of their own size: `STOR` truncates and
+    // the blocks refill the store's buffer, so the server's copy costs no
+    // allocation either and the bound below has no file in it at all. (A
+    // fresh file's buffer grows by doubling, from wherever the first blocks
+    // happen to land: anything from one to two files' worth.)
+    let held = vec![0u8; FILE];
+    let (_server, dsi, _obs, mut session) =
+        logged_in(0xA110C, &[("put-1.bin", &held), ("put-2.bin", &held)]);
+    drop(held);
+    // No DCAU handshake (RSA: a megabyte of small allocations for every
+    // stream dialled): what is counted is the transfer.
+    session.set_dcau(ig_protocol::command::DcauMode::None).unwrap();
+    let mine = || MY_BYTES.with(Cell::get);
+    for streams in [1usize, 2] {
+        let path = format!("/home/alice/put-{streams}.bin");
+        let opts = TransferOpts::default().block(256 * 1024).parallel(streams);
+        let (all, here) = (BYTES.load(Ordering::Relaxed), mine());
+        assert_eq!(transfer::put_bytes(&mut session, &path, &data, &opts).unwrap(), FILE as u64);
+        let (all, here) = (BYTES.load(Ordering::Relaxed) - all, mine() - here);
+        // Server and client share this process: `all` is both ends, `here`
+        // the thread that called `put_bytes` — with one stream, the whole
+        // client side. Staging the upload cost three files with one stream
+        // and four with two; a worker copying its share would cost one.
+        assert!(
+            all < FILE / 2,
+            "{streams} streams: a {} MiB upload allocated {} MiB — it is being staged again",
+            FILE / MIB,
+            all / MIB
+        );
+        assert!(here < MIB / 4, "{streams} streams: the caller allocated {here} bytes of its own");
+        let stored = ig_server::dsi::read_all(dsi.as_ref(), &UserContext::superuser(), &path, MIB);
+        assert!(stored.unwrap() == data, "{streams} streams: stored intact");
+    }
     session.quit().unwrap();
 }

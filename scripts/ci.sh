@@ -20,6 +20,23 @@ for f in crates/server/src/{session,dtp,data}.rs; do
   fi
 done
 
+# An upload sends the caller's bytes (DESIGN.md §8, copy table):
+# `send_slices` frames blocks straight out of the `&[u8]` `put_bytes` was
+# given. Staging it in a `MemDsi` for `send_ranges` to read back — what
+# the two functions did until PR 20 — is three more passes over the file
+# and two more file-sized buffers.
+echo "==> put_bytes stages nothing (no MemDsi, no send_ranges in the upload path)"
+upload="$(sed '/^#\[cfg(test)\]/,$d' crates/client/src/transfer.rs \
+  | sed -n '/^pub fn put_bytes(/,/^}/p; /^pub fn put_bytes_resume(/,/^}/p')"
+grep -q 'send_slices' <<<"${upload}" || {
+  echo "crates/client/src/transfer.rs: put_bytes/put_bytes_resume not found calling send_slices" >&2
+  exit 1
+}
+if grep -nE 'MemDsi|send_ranges' <<<"${upload}"; then
+  echo "crates/client/src/transfer.rs: put_bytes stages the upload again; send the caller's slice" >&2
+  exit 1
+fi
+
 # One server core (DESIGN.md §11): the reactor, with workers on demand.
 # The enum that chose between two cores, its builder, the pool-sizing
 # builder and the thread-per-session entry point were deleted in PR 16;
@@ -72,6 +89,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test -q"
 cargo test -q
+
+# The upload path's own batteries once more, optimised: overflow checks
+# are off there, and the allocation and thread counts are those of the
+# build the benchmark measures.
+echo "==> upload path batteries (release)"
+cargo test -q --release -p ig-client --test put_slices
+cargo test -q --release -p ig-server --test send_slices --test zero_alloc_transfer --test transfer_wakeup
 
 # The repository's benchmark (BENCHMARK.json, benchmark/) is a package of
 # its own that builds against ig-server/ig-client/ig-gcmu by path, and a
