@@ -51,7 +51,7 @@ fn main() {
         }
         Some("e1") => print!("{}", exp::e1_usage::table()),
         Some("e2") => print!("{}", exp::e2_wan::table(fast)),
-        Some("e2x") => print!("{}", exp::e2_wan::crossover_table(fast)),
+        Some("e2x") => print!("{}", exp::e2_wan::striped_cc_table(fast)),
         Some("e3") => print!("{}", exp::e3_prot::table(fast)),
         Some("e4") => print!("{}", exp::e4_small_files::table(fast)),
         Some("e5") => print!("{}", exp::e5_striping::table(fast)),

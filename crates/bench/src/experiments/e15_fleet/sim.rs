@@ -355,8 +355,13 @@ where
         scaled_daily_transfers,
         scaled_daily_bytes,
         hours,
-        digest: format!("e15:{:08x}", ig_xio::udp::fnv1a(&[trace.as_bytes()])),
+        digest: format!("e15:{:08x}", fnv1a(trace.as_bytes())),
     }
+}
+
+/// FNV-1a/32: the trace digest is a fingerprint, not a security boundary.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c_9dc5, |h, &b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
 /// p99 by sorting (destructive; fine for one-shot summaries).

@@ -10,9 +10,7 @@
 use crate::table;
 use ig_baselines::ftp::ftp_netsim_params;
 use ig_baselines::scp::scp_netsim_params;
-use ig_gol::tuning::{pick_transport, STRIPED_STREAMS, UDP_RATE_CEILING_BPS};
 use ig_netsim::{parallel_throughput_bps, Bottleneck, CcAlgo, TcpParams};
-use ig_xio::DataTransport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -94,40 +92,32 @@ pub fn table(fast: bool) -> String {
     )
 }
 
-/// One cell of the transport-crossover heatmap: the three contenders
-/// measured in the packet simulator, plus the tuner's pick and whether
-/// the simulator agrees with it.
-pub struct CrossRow {
+/// Streams in E2x's striped contenders (the tuner's large-file default).
+const STRIPED_STREAMS: usize = 8;
+
+/// One cell of the congestion-control grid: striped TCP under the two
+/// loss-based controllers, in the packet simulator.
+pub struct CcRow {
     /// RTT in milliseconds.
     pub rtt_ms: f64,
     /// Path loss probability.
     pub loss: f64,
-    /// Striped Reno TCP, `STRIPED_STREAMS` streams (the legacy default).
+    /// Striped Reno TCP, `STRIPED_STREAMS` streams (the default).
     pub reno_striped: f64,
     /// Striped CUBIC TCP, same stream count.
     pub cubic_striped: f64,
-    /// One BBR reliable-UDP flow, capped at the userspace datagram
-    /// ceiling (`UDP_RATE_CEILING_BPS`).
-    pub bbr_udp_1: f64,
-    /// What `ig_gol::tuning::pick_transport` chose for this cell.
-    pub planned: DataTransport,
-    /// Did the simulator's winner match the tuner's pick?
-    pub agrees: bool,
 }
 
-/// The crossover sweep: {RTT × loss} × {Reno×N, CUBIC×N, BBR-UDP×1} on a
-/// 10 Gbit/s bottleneck, with the closed-form tuner judged against the
-/// simulator in every cell. `fast` keeps only the two corners the ci
-/// smoke gate asserts on.
-pub fn crossover_run(fast: bool) -> Vec<CrossRow> {
+/// The congestion-control sweep: {RTT × loss} × {Reno×N, CUBIC×N} on a
+/// 10 Gbit/s bottleneck. `fast` keeps only the two corners.
+pub fn striped_cc_run(fast: bool) -> Vec<CcRow> {
     let bytes: u64 = if fast { 64 << 20 } else { 256 << 20 };
     let rtts = if fast { vec![0.0002, 0.1] } else { vec![0.0002, 0.01, 0.05, 0.1] };
     let losses = if fast { vec![1e-6, 1e-3] } else { vec![1e-6, 1e-5, 1e-4, 1e-3] };
-    let bw = 1e10;
     let mut rows = Vec::new();
     for &rtt in &rtts {
         for &loss in &losses {
-            let link = Bottleneck::new(bw, rtt, loss);
+            let link = Bottleneck::new(1e10, rtt, loss);
             let seed = 0xE2C ^ (rtt * 1e6) as u64 ^ (loss * 1e9) as u64;
             let mut rng = StdRng::seed_from_u64(seed);
             let reno = parallel_throughput_bps(
@@ -144,46 +134,25 @@ pub fn crossover_run(fast: bool) -> Vec<CrossRow> {
                 TcpParams::tuned().with_cc(CcAlgo::Cubic),
                 &mut rng,
             );
-            // The reliable-UDP flow modelled in netsim: one BBR stream
-            // behind the userspace per-datagram CPU ceiling.
-            let bbr_udp = parallel_throughput_bps(
-                &link,
-                bytes,
-                1,
-                TcpParams::tuned().with_cc(CcAlgo::Bbr).with_rate_cap(UDP_RATE_CEILING_BPS),
-                &mut rng,
-            );
-            let plan = pick_transport(bw, rtt, loss);
-            let sim_winner = if bbr_udp > reno.max(cubic) {
-                DataTransport::Udp
-            } else {
-                DataTransport::Tcp
-            };
-            rows.push(CrossRow {
+            rows.push(CcRow {
                 rtt_ms: rtt * 1e3,
                 loss,
                 reno_striped: reno,
                 cubic_striped: cubic,
-                bbr_udp_1: bbr_udp,
-                planned: plan.transport,
-                agrees: plan.transport == sim_winner,
             });
         }
     }
     rows
 }
 
-/// Render the crossover heatmap.
-pub fn crossover_table(fast: bool) -> String {
-    let rows = crossover_run(fast);
+/// Render the congestion-control grid.
+pub fn striped_cc_table(fast: bool) -> String {
+    let rows = striped_cc_run(fast);
     let mut t = vec![vec![
         "RTT".to_string(),
         "loss".to_string(),
         format!("reno x{STRIPED_STREAMS}"),
         format!("cubic x{STRIPED_STREAMS}"),
-        "bbr-udp x1".to_string(),
-        "tuner picks".to_string(),
-        "sim agrees".to_string(),
     ]];
     for r in &rows {
         t.push(vec![
@@ -191,18 +160,9 @@ pub fn crossover_table(fast: bool) -> String {
             format!("{:.0e}", r.loss),
             table::fmt_bps(r.reno_striped),
             table::fmt_bps(r.cubic_striped),
-            table::fmt_bps(r.bbr_udp_1),
-            r.planned.label().to_string(),
-            if r.agrees { "yes" } else { "NO" }.to_string(),
         ]);
     }
-    format!(
-        "{}(10 Gbit/s bottleneck; bbr-udp capped at the {:.1} Gbit/s userspace datagram ceiling; \
-         'NO' cells sit in the near-crossover band where a finite transfer's slow-start outruns \
-         the asymptotic Mathis model the tuner uses)\n",
-        table::render(&t),
-        UDP_RATE_CEILING_BPS / 1e9,
-    )
+    format!("{}(10 Gbit/s bottleneck, simulated)\n", table::render(&t))
 }
 
 #[cfg(test)]
@@ -236,44 +196,10 @@ mod tests {
     }
 
     #[test]
-    fn crossover_corners_go_both_ways_and_the_tuner_agrees() {
-        let rows = crossover_run(true);
-        // Clean LAN corner: striped TCP saturates the path, the UDP flow
-        // is pinned at its CPU ceiling.
-        let lan = rows
-            .iter()
-            .find(|r| r.rtt_ms < 1.0 && r.loss < 1e-4)
-            .expect("lan corner");
-        assert!(
-            lan.reno_striped > lan.bbr_udp_1,
-            "lan: reno {:.2e} must beat bbr-udp {:.2e}",
-            lan.reno_striped,
-            lan.bbr_udp_1
-        );
-        assert_eq!(lan.planned, DataTransport::Tcp);
-        assert!(lan.agrees, "tuner and simulator must agree on the LAN corner");
-        // Lossy high-BDP corner: the Mathis ceiling collapses striped
-        // TCP; the loss-agnostic BBR-UDP flow wins by a wide margin.
-        let wan = rows
-            .iter()
-            .find(|r| r.rtt_ms >= 99.0 && r.loss >= 1e-3)
-            .expect("wan corner");
-        assert!(
-            wan.bbr_udp_1 > 2.0 * wan.reno_striped.max(wan.cubic_striped),
-            "wan: bbr-udp {:.2e} must dominate reno {:.2e} / cubic {:.2e}",
-            wan.bbr_udp_1,
-            wan.reno_striped,
-            wan.cubic_striped
-        );
-        assert_eq!(wan.planned, DataTransport::Udp);
-        assert!(wan.agrees, "tuner and simulator must agree on the WAN corner");
-    }
-
-    #[test]
     fn cubic_outpaces_reno_on_the_long_fat_pipe() {
         // CUBIC's window growth is RTT-independent — on the high-BDP
         // lossy path it should recover faster than Reno's linear probe.
-        let rows = crossover_run(true);
+        let rows = striped_cc_run(true);
         let wan = rows
             .iter()
             .find(|r| r.rtt_ms >= 99.0 && r.loss >= 1e-3)

@@ -77,30 +77,9 @@ pub fn run(fast: bool) -> Vec<Row> {
     rows
 }
 
-/// The single reliable-UDP flow measured against the striped rows: a
-/// direct two-party MODE E download through the userspace datagram
-/// driver (BBR, one flow, no stripe NIC throttle — its ceiling is the
-/// per-datagram CPU path, which is exactly the crossover's other side).
-pub fn udp_flow_run(fast: bool) -> Row {
-    let size = if fast { 1 << 20 } else { 4 << 20 };
-    let ep = endpoint_with("e5-udp.example.org", 0xE5_0DD, |o| o);
-    let data = stage(&ep, "udpflow.bin", size);
-    let mut s = session(&ep, 0xE5_0EE);
-    let opts = TransferOpts::default().udp().block(64 * 1024);
-    let start = std::time::Instant::now();
-    let got = transfer::get_bytes(&mut s, "/home/alice/udpflow.bin", &opts).expect("udp get");
-    let secs = start.elapsed().as_secs_f64();
-    assert_eq!(got, data, "udp flow corrupted the payload");
-    let streams = ep.usage.records().first().map(|r| r.streams).unwrap_or(0);
-    let _ = s.quit();
-    ep.shutdown();
-    Row { stripes: 1, secs, bytes_per_sec: size as f64 / secs, streams }
-}
-
 /// Render the table.
 pub fn table(fast: bool) -> String {
     let rows = run(fast);
-    let udp = udp_flow_run(fast);
     let mut t = vec![vec![
         "stripes".to_string(),
         "seconds".to_string(),
@@ -116,15 +95,8 @@ pub fn table(fast: bool) -> String {
             format!("{:.1}x", r.bytes_per_sec / base),
         ]);
     }
-    t.push(vec![
-        "udp x1".to_string(),
-        format!("{:.2}", udp.secs),
-        table::fmt_bps(udp.bytes_per_sec * 8.0),
-        format!("{:.1}x", udp.bytes_per_sec / base),
-    ]);
     format!(
-        "{}(per-stripe NIC limited to {}; ideal scaling = stripe count; udp x1 = one direct \
-         reliable-UDP flow, no stripe throttle — CPU-bound, the crossover's other contender)\n",
+        "{}(per-stripe NIC limited to {}; ideal scaling = stripe count)\n",
         table::render(&t),
         table::fmt_bps(STRIPE_RATE * 8.0)
     )
@@ -133,14 +105,6 @@ pub fn table(fast: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_udp_flow_moves_the_payload() {
-        let _serial = crate::experiments::common::bench_lock();
-        let row = udp_flow_run(true);
-        assert!(row.bytes_per_sec > 0.0);
-        assert!(row.streams >= 1, "usage should record the UDP data connection");
-    }
 
     #[test]
     fn striping_scales_throughput() {

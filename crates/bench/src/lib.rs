@@ -20,8 +20,8 @@ pub fn report_sections(fast: bool) -> Vec<(&'static str, &'static str, String)> 
         ("e2", "E2  GridFTP vs SCP/FTP on the WAN (simulated)", experiments::e2_wan::table(fast)),
         (
             "e2x",
-            "E2x transport crossover: striped TCP vs BBR reliable-UDP (simulated)",
-            experiments::e2_wan::crossover_table(fast),
+            "E2x congestion control on striped TCP: Reno vs CUBIC (simulated)",
+            experiments::e2_wan::striped_cc_table(fast),
         ),
         ("e3", "E3  data-channel protection cost (measured)", experiments::e3_prot::table(fast)),
         ("e4", "E4  lots of small files (measured)", experiments::e4_small_files::table(fast)),

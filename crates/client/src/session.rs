@@ -12,9 +12,8 @@ use ig_pki::{Credential, TrustStore};
 use ig_protocol::command::{Command, DcauMode, ModeCode, ProtectedKind};
 use ig_protocol::secure_line;
 use ig_protocol::{HostPort, Reply};
-use ig_netsim::CcAlgo;
 use ig_server::data::CachedChannels;
-use ig_xio::{DataTransport, Link, RetryPolicy, TcpLink};
+use ig_xio::{Link, RetryPolicy, TcpLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -111,10 +110,6 @@ pub struct ClientSession {
     /// fetch) that completed, kept for the next one — the client's end of
     /// what the server keeps (DESIGN §8, "Data-channel lifecycle").
     pub(crate) channels: Option<CachedChannels>,
-    /// Data-channel transport negotiated with the server (`OPTS DATA`).
-    pub(crate) data_transport: DataTransport,
-    /// Congestion controller for UDP data channels (mirrors the server).
-    pub(crate) udp_cc: CcAlgo,
     /// Client-side record of the DCSC credential installed on the server
     /// (used to pick the matching credential for our own data endpoints).
     pub(crate) dcsc: Option<Credential>,
@@ -157,8 +152,6 @@ impl ClientSession {
             parallelism: 1,
             mode: ModeCode::Stream,
             channels: None,
-            data_transport: DataTransport::Tcp,
-            udp_cc: CcAlgo::Bbr,
             dcsc: None,
             span,
             cmd_rtt,
@@ -390,20 +383,6 @@ impl ClientSession {
     pub fn feat(&mut self) -> Result<Vec<String>> {
         let reply = self.command(&Command::Feat)?;
         Ok(reply.lines.iter().map(|l| l.trim().to_string()).collect())
-    }
-
-    /// `OPTS DATA Transport=<tcp|udp>;CC=<algo>;` + local bookkeeping:
-    /// select the data-channel transport (and UDP congestion controller)
-    /// for subsequent transfers on this session. A server without the
-    /// UDP driver answers 504, surfaced as [`ClientError::ServerError`].
-    pub fn set_data_transport(&mut self, transport: DataTransport, cc: CcAlgo) -> Result<()> {
-        self.command(&Command::Opts {
-            target: "DATA".into(),
-            params: format!("Transport={};CC={};", transport.label(), cc.label()),
-        })?;
-        self.data_transport = transport;
-        self.udp_cc = cc;
-        Ok(())
     }
 
     /// `PROT <level>` + local bookkeeping.

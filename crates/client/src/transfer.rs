@@ -13,14 +13,13 @@ use crate::error::{ClientError, Result};
 use crate::session::ClientSession;
 use ig_protocol::command::{Command, ModeCode};
 use ig_protocol::markers::{PerfMarker, RestartMarker};
-use ig_netsim::CcAlgo;
 use ig_protocol::{ByteRanges, HostPort, Reply};
 use ig_server::data::{
-    AnyDataListener, CachedChannels, ChainExpiry, ChannelShape, DataSecurity, DataStack, Flow,
+    CachedChannels, ChainExpiry, ChannelShape, DataListener, DataSecurity, DataStack, Flow,
 };
 use ig_server::dtp::{close_streams, send_dir, send_slices, Progress, Receiver, Streams};
 use ig_server::{Dsi, MemDsi, UserContext};
-use ig_xio::{ChaosHook, DataTransport, RetryError, RetryPolicy, UdpConfig};
+use ig_xio::{ChaosHook, RetryError, RetryPolicy};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,12 +45,6 @@ pub struct TransferOpts {
     /// Optional live-progress observer fed each parsed 112 marker as it
     /// arrives on the control channel (globus-url-copy's `-vb` display).
     pub on_progress: Option<Arc<ProgressFn>>,
-    /// Data-channel transport. Non-TCP transports are negotiated with
-    /// the server via `OPTS DATA` before the transfer.
-    pub transport: DataTransport,
-    /// Congestion controller for UDP data channels (both directions —
-    /// the server is told via `OPTS DATA CC=`).
-    pub udp_cc: CcAlgo,
 }
 
 impl std::fmt::Debug for TransferOpts {
@@ -63,8 +56,6 @@ impl std::fmt::Debug for TransferOpts {
             .field("io_timeout", &self.io_timeout)
             .field("chaos", &self.chaos.is_some())
             .field("on_progress", &self.on_progress.is_some())
-            .field("transport", &self.transport)
-            .field("udp_cc", &self.udp_cc.label())
             .finish()
     }
 }
@@ -78,8 +69,6 @@ impl Default for TransferOpts {
             io_timeout: Some(Duration::from_secs(30)),
             chaos: None,
             on_progress: None,
-            transport: DataTransport::Tcp,
-            udp_cc: CcAlgo::Bbr,
         }
     }
 }
@@ -114,18 +103,6 @@ impl TransferOpts {
     /// Builder: wrap this transfer's data streams in a chaos hook.
     pub fn chaos(mut self, hook: Arc<ChaosHook>) -> Self {
         self.chaos = Some(hook);
-        self
-    }
-
-    /// Builder: reliable-UDP MODE E data channels (default BBR).
-    pub fn udp(mut self) -> Self {
-        self.transport = DataTransport::Udp;
-        self
-    }
-
-    /// Builder: congestion controller for UDP data channels.
-    pub fn with_udp_cc(mut self, cc: CcAlgo) -> Self {
-        self.udp_cc = cc;
         self
     }
 
@@ -192,7 +169,6 @@ fn channel_shape(flow: Flow, opts: &TransferOpts) -> ChannelShape {
     ChannelShape {
         flow,
         mode: ModeCode::Extended,
-        transport: opts.transport,
         parallelism: opts.parallelism,
     }
 }
@@ -239,29 +215,6 @@ fn open_on_kept(
     }
 }
 
-/// The client-side UDP driver config: requested controller, transfer
-/// deadline as the stall detector, metrics into the session's hub.
-fn udp_config(session: &ClientSession, cc: CcAlgo, stall: Option<Duration>) -> UdpConfig {
-    let mut cfg = UdpConfig::default()
-        .with_cc(cc)
-        .with_obs(Arc::clone(&session.config.obs));
-    if let Some(t) = stall {
-        cfg = cfg.with_stall_timeout(t);
-    }
-    cfg
-}
-
-/// Make sure the server's data plane matches `opts` — sends `OPTS DATA`
-/// only when the session's negotiated transport or controller differs
-/// (a no-op for the TCP default).
-fn ensure_transport(session: &mut ClientSession, opts: &TransferOpts) -> Result<()> {
-    let cc_differs = opts.transport == DataTransport::Udp && session.udp_cc != opts.udp_cc;
-    if session.data_transport != opts.transport || cc_differs {
-        session.set_data_transport(opts.transport, opts.udp_cc)?;
-    }
-    Ok(())
-}
-
 /// Dial the `opts.parallelism` data streams of an upload to `addr`.
 fn dial_streams(
     session: &mut ClientSession,
@@ -269,17 +222,14 @@ fn dial_streams(
     addr: HostPort,
     opts: &TransferOpts,
 ) -> Result<Streams> {
-    let udp = udp_config(session, opts.udp_cc, opts.io_timeout);
-    (0..opts.parallelism)
-        .map(|_| Ok(stack.connect(addr, opts.transport, &udp, &mut session.rng)?))
-        .collect()
+    (0..opts.parallelism).map(|_| Ok(stack.connect(addr, &mut session.rng)?)).collect()
 }
 
-/// Bind the client's own data listener for the selected transport.
-fn data_listener(session: &ClientSession, opts: &TransferOpts) -> Result<AnyDataListener> {
-    let cfg = udp_config(session, opts.udp_cc, opts.io_timeout);
-    AnyDataListener::bind(std::net::Ipv4Addr::LOCALHOST, opts.transport, &cfg)
-        .map_err(ClientError::from)
+/// Bind the client's own data listener and tell the server to dial it.
+fn listen_and_port(session: &mut ClientSession) -> Result<DataListener> {
+    let listener = DataListener::bind(std::net::Ipv4Addr::LOCALHOST)?;
+    session.command(&Command::Port(listener.addr()))?;
+    Ok(listener)
 }
 
 fn read_until_final(
@@ -317,7 +267,6 @@ pub fn put_bytes_resume(
     opts: &TransferOpts,
 ) -> Result<u64> {
     session.set_mode_extended()?;
-    ensure_transport(session, opts)?;
     // An empty checkpoint (the attempt died before a block landed) has no
     // marker to send: the resumed transfer is a fresh one.
     if let Some(have) = have.filter(|h| h.total() > 0) {
@@ -422,7 +371,6 @@ pub fn get_bytes(
     opts: &TransferOpts,
 ) -> Result<Vec<u8>> {
     session.set_mode_extended()?;
-    ensure_transport(session, opts)?;
     if session.parallelism != opts.parallelism {
         session.set_parallelism(opts.parallelism)?;
     }
@@ -432,15 +380,14 @@ pub fn get_bytes(
     let (opening, streams) = match open_on_kept(session, &retr, &shape, &stack)? {
         Some(opened) => opened,
         None => {
-            let listener = data_listener(session, opts)?;
-            session.command(&Command::Port(listener.addr()?))?;
+            let listener = listen_and_port(session)?;
             session.send_cmd(&retr)?;
             // Accept the server's connections (it connects before replying 150).
             let mut streams = Streams::new();
             for _ in 0..opts.parallelism {
                 // A refused transfer never dials in — drain the queued error
                 // reply instead of hanging on accept.
-                let conn = match listener.accept_link(opts.accept_deadline()) {
+                let conn = match listener.accept(opts.accept_deadline()) {
                     Ok(c) => c,
                     Err(_) => {
                         let reply = read_until_final(session, |_| {})?;
@@ -484,14 +431,12 @@ pub fn get_partial(
     opts: &TransferOpts,
 ) -> Result<Vec<u8>> {
     session.set_mode_extended()?;
-    ensure_transport(session, opts)?;
     if session.parallelism != opts.parallelism {
         session.set_parallelism(opts.parallelism)?;
     }
     // Fail fast on missing/forbidden paths before opening data channels.
     let _ = session.size(remote_path)?;
-    let listener = data_listener(session, opts)?;
-    session.command(&Command::Port(listener.addr()?))?;
+    let listener = listen_and_port(session)?;
     session.send_cmd(&Command::Eret {
         module: "P".into(),
         args: format!("{offset},{length} {remote_path}"),
@@ -508,7 +453,7 @@ pub fn get_partial(
         // If the server refused before dialing (550 and friends), no
         // connection ever comes — drain the queued reply instead of
         // hanging on accept.
-        let conn = match listener.accept_link(opts.accept_deadline()) {
+        let conn = match listener.accept(opts.accept_deadline()) {
             Ok(c) => c,
             Err(_) => {
                 let reply = read_until_final(session, |_| {})?;
@@ -534,12 +479,7 @@ pub fn get_partial(
 /// Listing via MLSD over the data channel.
 pub fn list(session: &mut ClientSession, path: &str) -> Result<Vec<String>> {
     session.set_mode_extended()?;
-    // Listings ride whatever transport the session has negotiated.
-    let cfg = udp_config(session, session.udp_cc, Some(Duration::from_secs(30)));
-    let listener =
-        AnyDataListener::bind(std::net::Ipv4Addr::LOCALHOST, session.data_transport, &cfg)
-            .map_err(ClientError::from)?;
-    session.command(&Command::Port(listener.addr()?))?;
+    let listener = listen_and_port(session)?;
     session.send_cmd(&Command::Mlsd(Some(path.into())))?;
     let stack = client_data_stack(session, None);
     let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
@@ -547,7 +487,7 @@ pub fn list(session: &mut ClientSession, path: &str) -> Result<Vec<String>> {
     let progress = Progress::on(&session.config.obs);
     let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", progress);
     for _ in 0..session.parallelism {
-        let conn = listener.accept_link(Duration::from_secs(30))?;
+        let conn = listener.accept(Duration::from_secs(30))?;
         receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
     }
     let final_reply = read_until_final(session, |_| {})?;
@@ -741,7 +681,6 @@ pub fn put_dir_resume(
         )));
     }
     session.set_mode_extended()?;
-    ensure_transport(session, opts)?;
     let addr = session.pasv()?;
     session.send_cmd(&Command::Esto { module: "DIR".into(), args: remote_root.into() })?;
     let opening = session.read_reply()?;
@@ -813,12 +752,10 @@ pub fn get_dir_resume(
     opts: &TransferOpts,
 ) -> Result<DirTransferOutcome> {
     session.set_mode_extended()?;
-    ensure_transport(session, opts)?;
     if session.parallelism != opts.parallelism {
         session.set_parallelism(opts.parallelism)?;
     }
-    let listener = data_listener(session, opts)?;
-    session.command(&Command::Port(listener.addr()?))?;
+    let listener = listen_and_port(session)?;
     session.send_cmd(&Command::Eret {
         module: "DIR".into(),
         args: format!("{skip} {remote_root}"),
@@ -831,7 +768,7 @@ pub fn get_dir_resume(
         Receiver::new(Arc::clone(&staging), user.clone(), "/stream", Arc::clone(&progress));
     let mut connected = 0usize;
     for _ in 0..opts.parallelism {
-        match listener.accept_link(opts.accept_deadline()) {
+        match listener.accept(opts.accept_deadline()) {
             Ok(conn) => {
                 receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
                 connected += 1;
@@ -956,9 +893,7 @@ fn budget_spent<T>(what: &str, run: std::result::Result<T, RetryError<Result<T>>
 /// read back to back off that one connection in reply order — command
 /// latency overlaps and no file but the first pays a connect or a DCAU
 /// handshake (the `PIPE` declaration tells the server the window in play).
-/// Files are returned in request order. Channels that cannot be kept
-/// (UDP) leave nothing to pipeline on: those files are fetched one
-/// [`get_bytes`] at a time.
+/// Files are returned in request order.
 ///
 /// A refused file, or one that arrived shorter than its own 150 said
 /// ([`ClientError::Truncated`], naming it), fails the call with the first
@@ -973,11 +908,7 @@ pub fn get_files_pipelined(
     let window = window.clamp(1, 64);
     // One stream per file, whatever `opts` says: the files are small.
     let opts = &opts.clone().parallel(1);
-    if opts.transport != DataTransport::Tcp {
-        return remote_paths.iter().map(|p| get_bytes(session, p, opts)).collect();
-    }
     session.set_mode_extended()?;
-    ensure_transport(session, opts)?;
     if session.parallelism != 1 {
         session.set_parallelism(1)?;
     }
@@ -989,9 +920,7 @@ pub fn get_files_pipelined(
     // first file it can send.
     let mut listener = None;
     if channel.is_none() {
-        let l = data_listener(session, opts)?;
-        session.command(&Command::Port(l.addr()?))?;
-        listener = Some(l);
+        listener = Some(listen_and_port(session)?);
     }
     let mut out = Vec::with_capacity(remote_paths.len());
     // The first thing to go wrong; the rest of its window is still read.
@@ -1010,7 +939,7 @@ pub fn get_files_pipelined(
                 // the connection is taken before the reply is read. A file
                 // refused outright never dials: the next one to be sent
                 // does, and if none is, the replies are waiting.
-                if let Ok(conn) = l.accept_link(opts.accept_deadline()) {
+                if let Ok(conn) = l.accept(opts.accept_deadline()) {
                     match stack.accept(conn, &mut session.rng) {
                         Ok(stream) => channel = Some(vec![stream]),
                         Err(e) => fail(e.into()),

@@ -7,83 +7,6 @@
 //! parallelism and bigger blocks.
 
 use ig_client::TransferOpts;
-use ig_netsim::CcAlgo;
-use ig_xio::DataTransport;
-
-/// Userspace-datagram CPU ceiling: one reliable-UDP flow pays per-packet
-/// syscall + checksum costs that kernel TCP offloads, capping a single
-/// flow around 2.5 Gbit/s regardless of path capacity. This is the lever
-/// that keeps striped TCP the winner on clean LAN-class paths.
-pub const UDP_RATE_CEILING_BPS: f64 = 2.5e9;
-
-/// Streams assumed for the striped-TCP alternative (the tuner's
-/// large-file default).
-pub const STRIPED_STREAMS: usize = 8;
-
-/// MSS assumed by the closed-form Reno model, matching
-/// [`ig_netsim::TcpParams::tuned`].
-const MODEL_MSS: f64 = 1460.0;
-
-/// The transport the tuner picked for a path, with its prediction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransportPlan {
-    /// Selected data-channel driver.
-    pub transport: DataTransport,
-    /// Congestion controller to request.
-    pub cc: CcAlgo,
-    /// Parallel streams (1 for the single UDP flow).
-    pub parallelism: usize,
-    /// The model's goodput estimate for the chosen plan, bits/second.
-    pub predicted_bps: f64,
-}
-
-/// The high-BDP crossover (the tentpole policy): striped Reno TCP versus
-/// one BBR reliable-UDP flow, decided in closed form from the path.
-///
-/// Per Reno stream, the Mathis ceiling `(MSS·8/RTT)·√(3/2p)` bounds
-/// goodput under random loss `p`; `N` stripes scale it until path
-/// capacity. The BBR-UDP flow is loss-agnostic — it reaches path
-/// capacity, but through the userspace datagram stack, so it is capped
-/// by [`UDP_RATE_CEILING_BPS`]. Low BDP/clean paths → striped TCP wins
-/// (no ceiling); high loss×RTT → the Mathis ceiling collapses striped
-/// TCP and the UDP flow wins. Ties keep TCP (the legacy default).
-pub fn pick_transport(bandwidth_bps: f64, rtt_s: f64, loss: f64) -> TransportPlan {
-    let rtt = rtt_s.max(1e-6);
-    let per_stream = if loss <= 0.0 {
-        bandwidth_bps
-    } else {
-        (MODEL_MSS * 8.0 / rtt * (1.5 / loss).sqrt()).min(bandwidth_bps)
-    };
-    let striped = (per_stream * STRIPED_STREAMS as f64).min(bandwidth_bps);
-    let udp = bandwidth_bps.min(UDP_RATE_CEILING_BPS);
-    if udp > striped {
-        TransportPlan {
-            transport: DataTransport::Udp,
-            cc: CcAlgo::Bbr,
-            parallelism: 1,
-            predicted_bps: udp,
-        }
-    } else {
-        TransportPlan {
-            transport: DataTransport::Tcp,
-            cc: CcAlgo::Reno,
-            parallelism: STRIPED_STREAMS,
-            predicted_bps: striped,
-        }
-    }
-}
-
-/// [`tune`] with path awareness: size-based parallelism/block plus the
-/// transport crossover. UDP plans override parallelism to 1 (a single
-/// paced flow needs no stripes).
-pub fn tune_for_path(size: u64, bandwidth_bps: f64, rtt_s: f64, loss: f64) -> TransferOpts {
-    let opts = tune(size);
-    let plan = pick_transport(bandwidth_bps, rtt_s, loss);
-    match plan.transport {
-        DataTransport::Tcp => opts,
-        DataTransport::Udp => opts.parallel(plan.parallelism).udp().with_udp_cc(plan.cc),
-    }
-}
 
 /// Pick transfer options for a file of `size` bytes.
 pub fn tune(size: u64) -> TransferOpts {
@@ -130,113 +53,6 @@ mod tests {
         let opts = tune(1 << 30);
         assert_eq!(opts.parallelism, 8);
         assert_eq!(opts.block_size, 1024 * 1024);
-    }
-
-    #[test]
-    fn lan_corner_picks_striped_tcp() {
-        // 10 Gbit/s, 0.2 ms, loss 1e-6: the Mathis ceiling is far above
-        // capacity, so striped TCP saturates the path while UDP is stuck
-        // at its CPU ceiling.
-        let plan = pick_transport(1e10, 0.0002, 1e-6);
-        assert_eq!(plan.transport, DataTransport::Tcp);
-        assert_eq!(plan.parallelism, STRIPED_STREAMS);
-        assert!(plan.predicted_bps > UDP_RATE_CEILING_BPS);
-    }
-
-    #[test]
-    fn lossy_high_bdp_corner_picks_bbr_udp() {
-        // 10 Gbit/s, 100 ms, loss 1e-3: eight Reno stripes manage tens
-        // of Mbit/s; the single BBR-UDP flow holds 2.5 Gbit/s.
-        let plan = pick_transport(1e10, 0.1, 1e-3);
-        assert_eq!(plan.transport, DataTransport::Udp);
-        assert_eq!(plan.cc, CcAlgo::Bbr);
-        assert_eq!(plan.parallelism, 1);
-        assert!(plan.predicted_bps >= 10.0 * pick_transport_striped_estimate(1e10, 0.1, 1e-3));
-    }
-
-    /// The striped estimate alone (mirrors the model inside
-    /// `pick_transport`) so tests can assert margins.
-    fn pick_transport_striped_estimate(bw: f64, rtt: f64, loss: f64) -> f64 {
-        (1460.0 * 8.0 / rtt * (1.5 / loss).sqrt() * STRIPED_STREAMS as f64).min(bw)
-    }
-
-    #[test]
-    fn crossover_is_monotone_in_loss() {
-        // Sweeping loss upward on a fixed high-BDP path flips the plan
-        // exactly once, TCP → UDP.
-        let mut last_udp = false;
-        for exp in 1..=7 {
-            let loss = 10f64.powi(-(8 - exp)); // 1e-7 .. 1e-1
-            let udp = pick_transport(1e10, 0.08, loss).transport == DataTransport::Udp;
-            assert!(!(last_udp && !udp), "plan flipped back to TCP at loss {loss}");
-            last_udp = udp;
-        }
-        assert!(last_udp, "high loss must end at the UDP plan");
-    }
-
-    #[test]
-    fn zero_loss_is_tcp_at_any_bdp() {
-        for rtt in [0.0001, 0.01, 0.2] {
-            let plan = pick_transport(1e10, rtt, 0.0);
-            assert_eq!(plan.transport, DataTransport::Tcp, "rtt {rtt}");
-        }
-    }
-
-    #[test]
-    fn model_direction_matches_netsim_on_both_corners() {
-        // Cross-check the closed-form crossover against the packet-level
-        // simulator: on each corner, the winner the model names must also
-        // win in `ig_netsim` by a clear margin.
-        use ig_netsim::{parallel_throughput_bps, Bottleneck, TcpParams};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let bytes = 32u64 << 20;
-        for (bw, rtt, loss) in [(1e10, 0.0002, 1e-6), (1e10, 0.1, 1e-3)] {
-            let plan = pick_transport(bw, rtt, loss);
-            let link = Bottleneck::new(bw, rtt, loss);
-            let mut r1 = StdRng::seed_from_u64(0x90);
-            let mut r2 = StdRng::seed_from_u64(0x90);
-            let striped = parallel_throughput_bps(
-                &link,
-                bytes,
-                STRIPED_STREAMS,
-                TcpParams::tuned(),
-                &mut r1,
-            );
-            // The UDP flow: one BBR stream, capped at the CPU ceiling.
-            let bbr = parallel_throughput_bps(
-                &link,
-                bytes,
-                1,
-                TcpParams::tuned()
-                    .with_cc(CcAlgo::Bbr)
-                    .with_rate_cap(UDP_RATE_CEILING_BPS),
-                &mut r2,
-            );
-            match plan.transport {
-                DataTransport::Tcp => assert!(
-                    striped > bbr,
-                    "model picked TCP but sim says striped {striped:.2e} <= bbr {bbr:.2e} \
-                     (bw {bw:.0e}, rtt {rtt}, loss {loss})"
-                ),
-                DataTransport::Udp => assert!(
-                    bbr > 2.0 * striped,
-                    "model picked UDP but sim margin is thin: bbr {bbr:.2e} vs striped \
-                     {striped:.2e} (bw {bw:.0e}, rtt {rtt}, loss {loss})"
-                ),
-            }
-        }
-    }
-
-    #[test]
-    fn tune_for_path_applies_the_plan() {
-        let lan = tune_for_path(1 << 30, 1e10, 0.0002, 1e-6);
-        assert_eq!(lan.transport, DataTransport::Tcp);
-        assert_eq!(lan.parallelism, 8);
-        let wan = tune_for_path(1 << 30, 1e10, 0.1, 1e-3);
-        assert_eq!(wan.transport, DataTransport::Udp);
-        assert_eq!(wan.udp_cc, CcAlgo::Bbr);
-        assert_eq!(wan.parallelism, 1);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Pluggable congestion control.
 //!
-//! The fluid simulator (`sim.rs`) and the reliable-UDP data driver
-//! (`ig-xio`) both drive a sender window through this trait. The
-//! contract is RTT-granular, mirroring the simulator's tick: the caller
-//! reports one round-trip's worth of delivery at a time, and the
-//! controller answers with a window (in segments) and an optional pacing
-//! rate. Real-time callers (the UDP driver) synthesize the same signal
-//! from ack arrivals: accumulate acked bytes, and once per measured RTT
-//! call [`CongestionControl::on_rtt_delivered`].
+//! The fluid simulator (`sim.rs`) drives a sender window through this
+//! trait. The contract is RTT-granular, mirroring the simulator's tick:
+//! the caller reports one round-trip's worth of delivery at a time, and
+//! the controller answers with a window (in segments) and an optional
+//! pacing rate. A real-time caller would synthesize the same signal from
+//! ack arrivals: accumulate acked bytes, and once per measured RTT call
+//! [`CongestionControl::on_rtt_delivered`].
 //!
 //! `Reno` is the pre-existing model extracted verbatim — `tcp.rs` keeps
 //! producing bit-identical trajectories through it (pinned by
@@ -31,7 +30,7 @@ pub enum CcAlgo {
     /// CUBIC: loss-based but RTT-fair, recovers along W(t)=C(t−K)³+Wmax.
     Cubic,
     /// BBR-style model-based control: bandwidth/RTT probes, pacing-gain
-    /// cycling, loss-agnostic. What the reliable-UDP driver runs.
+    /// cycling, loss-agnostic.
     Bbr,
 }
 

@@ -63,16 +63,6 @@ pub struct ServerConfig {
     /// and the registry `SITE STATS` serves. Defaults to
     /// [`ig_obs::Obs::global`]; tests pass a private hub per server.
     pub obs: Arc<ig_obs::Obs>,
-    /// Whether clients may select the reliable-UDP MODE E data driver
-    /// (`OPTS DATA Transport=udp`). Off = the legacy TCP-only server.
-    pub udp_enabled: bool,
-    /// Default congestion controller for UDP data channels (clients may
-    /// override per session via `OPTS DATA CC=<reno|cubic|bbr>`).
-    pub udp_cc: ig_netsim::CcAlgo,
-    /// Deterministic datagram-level fault injection on UDP data
-    /// channels (the chaos matrix's datagram fault site; distinct from
-    /// `data_chaos`, which faults whole link frames).
-    pub udp_chaos: Option<ig_xio::DatagramChaos>,
     /// Path for the local admin-plane unix socket (`None` = no admin
     /// surface).
     pub admin_socket: Option<PathBuf>,
@@ -118,9 +108,6 @@ impl ServerConfig {
             control_idle_timeout: None,
             data_chaos: None,
             obs: ig_obs::Obs::global(),
-            udp_enabled: true,
-            udp_cc: ig_netsim::CcAlgo::Bbr,
-            udp_chaos: None,
             admin_socket: None,
             admin_uid: None,
             tunables: TunableSlot::new(),
@@ -237,24 +224,6 @@ impl ServerConfig {
     /// traces per server instance this way).
     pub fn with_obs(mut self, obs: Arc<ig_obs::Obs>) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Builder: forbid the UDP data driver (TCP-only legacy posture).
-    pub fn without_udp(mut self) -> Self {
-        self.udp_enabled = false;
-        self
-    }
-
-    /// Builder: default congestion controller for UDP data channels.
-    pub fn with_udp_cc(mut self, cc: ig_netsim::CcAlgo) -> Self {
-        self.udp_cc = cc;
-        self
-    }
-
-    /// Builder: datagram-level chaos on UDP data channels.
-    pub fn with_udp_chaos(mut self, chaos: ig_xio::DatagramChaos) -> Self {
-        self.udp_chaos = Some(chaos);
         self
     }
 

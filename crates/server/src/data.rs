@@ -23,12 +23,9 @@ use ig_pki::{Credential, DistinguishedName, TrustStore};
 use ig_protocol::command::{DcauMode, ModeCode};
 use ig_protocol::HostPort;
 use ig_obs::Obs;
-use ig_xio::{
-    secure_accept, secure_connect, ChaosHook, DataTransport, Link, ObsLink, TcpLink, Throttle,
-    UdpConfig, UdpLink, UdpListener,
-};
+use ig_xio::{secure_accept, secure_connect, ChaosHook, Link, ObsLink, TcpLink, Throttle};
 use rand::Rng;
-use std::net::{Ipv4Addr, SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, TcpListener};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -179,35 +176,21 @@ impl DataStack {
             && meter(self) == meter(other)
     }
 
-    /// Dial `target` over `transport` and push the drivers (we are the
-    /// sender, the canonical case).
-    pub fn connect<R: Rng + ?Sized>(
-        &self,
-        target: HostPort,
-        transport: DataTransport,
-        udp: &UdpConfig,
-        rng: &mut R,
-    ) -> Result<Box<dyn Link>> {
-        let raw: Box<dyn Link> = match transport {
-            DataTransport::Tcp => Box::new(
-                TcpLink::connect(target.to_socket_addr())
-                    .map_err(|e| ServerError::Data(format!("connect {target}: {e}")))?,
-            ),
-            DataTransport::Udp => Box::new(
-                UdpLink::connect(target.to_socket_addr(), udp.clone())
-                    .map_err(|e| ServerError::Data(format!("udp connect {target}: {e}")))?,
-            ),
-        };
-        self.push_drivers(raw, Role::Connector, rng)
+    /// Dial `target` and push the drivers (we are the sender, the
+    /// canonical case).
+    pub fn connect<R: Rng + ?Sized>(&self, target: HostPort, rng: &mut R) -> Result<Box<dyn Link>> {
+        let raw = TcpLink::connect(target.to_socket_addr())
+            .map_err(|e| ServerError::Data(format!("connect {target}: {e}")))?;
+        self.push_drivers(Box::new(raw), Role::Connector, rng)
     }
 
     /// Push the drivers onto a connection a data listener accepted.
     pub fn accept<R: Rng + ?Sized>(
         &self,
-        raw: Box<dyn Link>,
+        raw: impl Link + 'static,
         rng: &mut R,
     ) -> Result<Box<dyn Link>> {
-        self.push_drivers(raw, Role::Listener, rng)
+        self.push_drivers(Box::new(raw), Role::Listener, rng)
     }
 
     fn push_drivers<R: Rng + ?Sized>(
@@ -267,18 +250,15 @@ pub struct ChannelShape {
     pub flow: Flow,
     /// The session's `MODE`.
     pub mode: ModeCode,
-    /// The session's data transport.
-    pub transport: DataTransport,
     /// Streams per listener/target the session asks for.
     pub parallelism: usize,
 }
 
 impl ChannelShape {
     /// Can channels of this shape outlive a transfer? Not in MODE S, where
-    /// closing the connection *is* the end of file, and not over UDP, whose
-    /// driver's stall timer reads an idle connection as a dead one.
+    /// closing the connection *is* the end of file.
     fn keepable(&self) -> bool {
-        self.mode == ModeCode::Extended && self.transport == DataTransport::Tcp
+        self.mode == ModeCode::Extended
     }
 }
 
@@ -296,8 +276,8 @@ impl CachedChannels {
     /// Keep `links` after a transfer that completed on them: `shape` and
     /// `stack` are what that transfer built (or re-armed) them under, the
     /// stack's [`DataStack::not_after`] their expiry. A shape that cannot
-    /// be kept closes them instead — the close after EOD of a MODE S or
-    /// UDP transfer.
+    /// be kept closes them instead — the close after EOD of a MODE S
+    /// transfer.
     pub fn keep(links: Streams, shape: ChannelShape, stack: DataStack) -> Option<CachedChannels> {
         let entry = CachedChannels { links, shape, stack };
         if entry.shape.keepable() {
@@ -392,74 +372,9 @@ impl DataListener {
     }
 }
 
-/// A data listener for either transport: TCP is a [`DataListener`]; UDP
-/// listens on one well-known socket and hands each accepted connection
-/// its own socket (see [`ig_xio::udp`]). Both advertise a [`HostPort`]
-/// for `227`/`229` and expose their socket for a caller's `poll` set.
-pub enum AnyDataListener {
-    /// Stream-mode TCP.
-    Tcp(DataListener),
-    /// Reliable-UDP MODE E.
-    Udp(UdpListener),
-}
-
-impl AnyDataListener {
-    /// Bind on `ip` with an OS-assigned port for `transport`.
-    pub fn bind(ip: Ipv4Addr, transport: DataTransport, udp: &UdpConfig) -> Result<Self> {
-        match transport {
-            DataTransport::Tcp => Ok(AnyDataListener::Tcp(DataListener::bind(ip)?)),
-            DataTransport::Udp => {
-                let l = UdpListener::bind(SocketAddr::from((ip, 0)), udp.clone())
-                    .map_err(|e| ServerError::Data(format!("udp bind: {e}")))?;
-                Ok(AnyDataListener::Udp(l))
-            }
-        }
-    }
-
-    /// The advertised address (what `227`/`229` replies carry).
-    pub fn addr(&self) -> Result<HostPort> {
-        match self {
-            AnyDataListener::Tcp(l) => Ok(l.addr()),
-            AnyDataListener::Udp(l) => {
-                let sa = l
-                    .local_addr()
-                    .map_err(|e| ServerError::Data(format!("udp local_addr: {e}")))?;
-                HostPort::from_socket_addr(sa).map_err(|e| ServerError::Data(e.to_string()))
-            }
-        }
-    }
-
-    /// Wait up to `timeout` for the next data connection.
-    pub fn accept_link(&self, timeout: Duration) -> Result<Box<dyn Link>> {
-        match self {
-            AnyDataListener::Tcp(l) => Ok(Box::new(l.accept(timeout)?)),
-            AnyDataListener::Udp(l) => l
-                .accept(timeout)
-                .map(|link| Box::new(link) as Box<dyn Link>)
-                .map_err(|e| ServerError::Data(format!("udp accept: {e}"))),
-        }
-    }
-
-    /// Try to get a connection without blocking (UDP reads its socket for
-    /// up to ~1 ms, which is how a queued HELLO becomes a connection).
-    pub fn try_accept_link(&self) -> Result<Option<Box<dyn Link>>> {
-        match self {
-            AnyDataListener::Tcp(l) => Ok(l.try_accept()?.map(|t| Box::new(t) as Box<dyn Link>)),
-            AnyDataListener::Udp(l) => match l.accept(Duration::from_millis(1)) {
-                Ok(link) => Ok(Some(Box::new(link))),
-                Err(e) if e.kind() == std::io::ErrorKind::TimedOut => Ok(None),
-                Err(e) => Err(ServerError::Data(format!("udp accept: {e}"))),
-            },
-        }
-    }
-}
-
-impl AsRawFd for AnyDataListener {
+impl AsRawFd for DataListener {
     fn as_raw_fd(&self) -> RawFd {
-        match self {
-            AnyDataListener::Tcp(l) => l.listener.as_raw_fd(),
-            AnyDataListener::Udp(l) => l.as_raw_fd(),
-        }
+        self.listener.as_raw_fd()
     }
 }
 
@@ -603,7 +518,6 @@ mod tests {
         ChannelShape {
             flow,
             mode: ModeCode::Extended,
-            transport: DataTransport::Tcp,
             parallelism: 1,
         }
     }
@@ -652,7 +566,6 @@ mod tests {
             ("long expired", shape(Flow::Send), base(), u64::MAX),
             ("direction", shape(Flow::Receive), base(), 1000),
             ("mode", ChannelShape { mode: ModeCode::Stream, ..shape(Flow::Send) }, base(), 1000),
-            ("transport", ChannelShape { transport: DataTransport::Udp, ..shape(Flow::Send) }, base(), 1000),
             ("parallelism", ChannelShape { parallelism: 2, ..shape(Flow::Send) }, base(), 1000),
             ("PROT", shape(Flow::Send), bare(secure(&cred, &trust, ProtectionLevel::Private)), 1000),
             ("DCAU", shape(Flow::Send), bare(DataSecurity::open()), 1000),
@@ -673,16 +586,11 @@ mod tests {
 
     #[test]
     fn channels_that_cannot_be_kept_are_closed_not_cached() {
-        for unkeepable in [
-            ChannelShape { mode: ModeCode::Stream, ..shape(Flow::Send) },
-            ChannelShape { transport: DataTransport::Udp, ..shape(Flow::Receive) },
-        ] {
-            let (a, mut far) = ig_xio::pipe();
-            let entry =
-                CachedChannels::keep(vec![Box::new(a)], unkeepable, bare(DataSecurity::open()));
-            assert!(entry.is_none(), "{unkeepable:?}");
-            assert!(far.recv().is_err(), "{unkeepable:?}: close after EOD survives here");
-        }
+        let unkeepable = ChannelShape { mode: ModeCode::Stream, ..shape(Flow::Send) };
+        let (a, mut far) = ig_xio::pipe();
+        let entry = CachedChannels::keep(vec![Box::new(a)], unkeepable, bare(DataSecurity::open()));
+        assert!(entry.is_none(), "{unkeepable:?}");
+        assert!(far.recv().is_err(), "{unkeepable:?}: close after EOD survives here");
     }
 
     #[test]

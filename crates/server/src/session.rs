@@ -8,7 +8,7 @@
 
 use crate::config::ServerConfig;
 use crate::data::{
-    AnyDataListener, CachedChannels, ChainExpiry, ChannelShape, DataSecurity, DataStack, Flow,
+    CachedChannels, ChainExpiry, ChannelShape, DataListener, DataSecurity, DataStack, Flow,
 };
 use crate::dtp::{send_dir, send_ranges, send_slices, Progress, Receiver, Streams};
 use crate::error::{Result, ServerError};
@@ -26,8 +26,7 @@ use ig_protocol::markers::{PerfMarker, RestartMarker};
 use ig_protocol::secure_line;
 use ig_obs::kv;
 use ig_protocol::{dcsc, stream_dir, ByteRanges, HostPort, Reply};
-use ig_netsim::CcAlgo;
-use ig_xio::{DataTransport, Link, UdpConfig, WakeFd};
+use ig_xio::{Link, WakeFd};
 use rand::Rng;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::Arc;
@@ -65,17 +64,11 @@ pub struct Session<R: Rng> {
     /// already answers queued commands strictly in order, so the window
     /// is declarative — stored for introspection, echoed in the reply.
     pipe_window: u32,
-    listeners: Vec<AnyDataListener>,
+    listeners: Vec<DataListener>,
     port_targets: Vec<HostPort>,
     /// The data channels of the last transfer that completed, kept for the
     /// next `RETR`/`STOR` (DESIGN §8, "Data-channel lifecycle").
     cached: Option<CachedChannels>,
-    /// Data-channel transport for subsequent PASV/SPAS/PORT channels
-    /// (`OPTS DATA Transport=<tcp|udp>`).
-    data_transport: DataTransport,
-    /// Congestion controller for UDP data channels
-    /// (`OPTS DATA CC=<reno|cubic|bbr>`).
-    data_cc: CcAlgo,
     cwd: String,
     /// The session-lifetime span; command events hang off it.
     span: ig_obs::Span,
@@ -136,7 +129,6 @@ impl<R: Rng> Session<R> {
         sessions_active.add(1.0);
         let sessions_active = ActiveSessionGuard(sessions_active);
         let ticket = config.sessions.register();
-        let udp_cc = config.udp_cc;
         Session {
             config,
             rng,
@@ -153,8 +145,6 @@ impl<R: Rng> Session<R> {
             dcau: DcauMode::Self_,
             restart: None,
             pipe_window: 1,
-            data_transport: DataTransport::Tcp,
-            data_cc: udp_cc,
             listeners: Vec::new(),
             port_targets: Vec::new(),
             cached: None,
@@ -302,7 +292,6 @@ impl<R: Rng> Session<R> {
         ChannelShape {
             flow,
             mode: self.mode,
-            transport: self.data_transport,
             parallelism: self.parallelism,
         }
     }
@@ -392,9 +381,6 @@ impl<R: Rng> Session<R> {
                 }
                 if self.config.dcsc_enabled {
                     lines.push(" DCSC P,D".to_string());
-                }
-                if self.config.udp_enabled {
-                    lines.push(" DATA TCP,UDP;CC=RENO,CUBIC,BBR".to_string());
                 }
                 lines.push("End".to_string());
                 self.reply(link, wrap, Reply::multiline(211, lines))?;
@@ -499,10 +485,7 @@ impl<R: Rng> Session<R> {
                     }
                 }
             }
-            Command::Opts { ref target, ref params } => {
-                if target == "DATA" {
-                    return self.handle_opts_data(link, wrap, params.clone());
-                }
+            Command::Opts { .. } => {
                 if let Some(p) = cmd.parallelism() {
                     self.parallelism = (p as usize).max(1);
                     self.reply(link, wrap, Reply::ok("Parallelism set."))?;
@@ -512,9 +495,8 @@ impl<R: Rng> Session<R> {
             }
             Command::Pasv => {
                 self.drop_data_channels();
-                let udp = self.udp_config();
-                let l = AnyDataListener::bind(self.config.data_ip, self.data_transport, &udp)?;
-                let addr = l.addr()?;
+                let l = DataListener::bind(self.config.data_ip)?;
+                let addr = l.addr();
                 self.listeners.push(l);
                 self.reply(
                     link,
@@ -528,11 +510,10 @@ impl<R: Rng> Session<R> {
                     return Ok(LoopControl::Continue);
                 }
                 self.drop_data_channels();
-                let udp = self.udp_config();
                 let mut lines = vec!["Entering Striped Passive Mode".to_string()];
                 for _ in 0..self.config.stripes {
-                    let l = AnyDataListener::bind(self.config.data_ip, self.data_transport, &udp)?;
-                    lines.push(format!(" {}", l.addr()?));
+                    let l = DataListener::bind(self.config.data_ip)?;
+                    lines.push(format!(" {}", l.addr()));
                     self.listeners.push(l);
                 }
                 self.reply(link, wrap, Reply::multiline(229, lines))?;
@@ -886,86 +867,6 @@ impl<R: Rng> Session<R> {
         }
     }
 
-    /// `OPTS DATA Transport=<tcp|udp>;CC=<reno|cubic|bbr>;` — select the
-    /// data-channel transport (and, for UDP, the congestion controller)
-    /// for subsequent PASV/SPAS/PORT channels. Keys are
-    /// case-insensitive; unknown keys are ignored so clients can probe.
-    fn handle_opts_data(
-        &mut self,
-        link: &mut Box<dyn Link>,
-        wrap: bool,
-        params: String,
-    ) -> Result<LoopControl> {
-        let mut transport = self.data_transport;
-        let mut cc = self.data_cc;
-        for kv in params.split(';').map(str::trim).filter(|s| !s.is_empty()) {
-            let (key, val) = match kv.split_once('=') {
-                Some(p) => p,
-                None => {
-                    self.reply(link, wrap, Reply::syntax_error("OPTS DATA expects Key=Value;"))?;
-                    return Ok(LoopControl::Continue);
-                }
-            };
-            match key.to_ascii_lowercase().as_str() {
-                "transport" => match DataTransport::parse(val) {
-                    Some(t) => transport = t,
-                    None => {
-                        self.reply(
-                            link,
-                            wrap,
-                            Reply::new(501, format!("Unknown transport {val:?} (tcp|udp).")),
-                        )?;
-                        return Ok(LoopControl::Continue);
-                    }
-                },
-                "cc" => match CcAlgo::parse(val) {
-                    Some(a) => cc = a,
-                    None => {
-                        self.reply(
-                            link,
-                            wrap,
-                            Reply::new(501, format!("Unknown CC {val:?} (reno|cubic|bbr).")),
-                        )?;
-                        return Ok(LoopControl::Continue);
-                    }
-                },
-                _ => {} // forward-compatible: ignore unknown keys
-            }
-        }
-        if transport == DataTransport::Udp && !self.config.udp_enabled {
-            self.reply(link, wrap, Reply::new(504, "UDP data transport disabled on this server."))?;
-            return Ok(LoopControl::Continue);
-        }
-        self.data_transport = transport;
-        self.data_cc = cc;
-        // A transport change invalidates any channel already negotiated,
-        // or kept.
-        self.drop_data_channels();
-        self.reply(
-            link,
-            wrap,
-            Reply::ok(&format!(
-                "Data transport {} (cc={}).",
-                transport.label(),
-                cc.label()
-            )),
-        )?;
-        Ok(LoopControl::Continue)
-    }
-
-    /// Assemble the per-session UDP driver config: session-selected CC,
-    /// server-wide datagram chaos, and the shared obs hub.
-    fn udp_config(&self) -> UdpConfig {
-        let mut cfg = UdpConfig::default()
-            .with_cc(self.data_cc)
-            .with_obs(Arc::clone(&self.config.obs))
-            .with_stall_timeout(self.config.live().stall_timeout);
-        if let Some(chaos) = self.config.udp_chaos {
-            cfg = cfg.with_chaos(chaos);
-        }
-        cfg
-    }
-
     /// Arm the per-transfer accounting: bump `server.transfers_active`
     /// (the gauge the drain state machine polls to zero) and flip the
     /// session's introspection state to `Transfer`. Both roll back when
@@ -984,10 +885,9 @@ impl<R: Rng> Session<R> {
         let mut streams: Streams = Vec::new();
         if !self.port_targets.is_empty() {
             // Active: connect out (we are the sender, the canonical case).
-            let udp = self.udp_config();
             for target in self.port_targets.clone() {
                 for _ in 0..self.parallelism {
-                    streams.push(stack.connect(target, self.data_transport, &udp, &mut self.rng)?);
+                    streams.push(stack.connect(target, &mut self.rng)?);
                 }
             }
         } else if !self.listeners.is_empty() {
@@ -996,7 +896,7 @@ impl<R: Rng> Session<R> {
             let stall = self.config.live().stall_timeout;
             for l in &self.listeners {
                 for _ in 0..self.parallelism {
-                    streams.push(stack.accept(l.accept_link(stall)?, &mut self.rng)?);
+                    streams.push(stack.accept(l.accept(stall)?, &mut self.rng)?);
                 }
             }
         } else {
@@ -1179,7 +1079,7 @@ impl<R: Rng> Session<R> {
         // transfer ended past the last one sent — every non-empty transfer,
         // however short, reports its final count. There is no stall check
         // here: a peer that stops reading fails the blocked send on the
-        // stack's write deadline (UDP: the driver's stall timer).
+        // stack's write deadline.
         let start = Instant::now();
         let total_stripes = self.config.stripes as u32;
         let mut markers = PerfMarkers { start, total_stripes, last: start, last_bytes: 0 };
@@ -1348,11 +1248,9 @@ impl<R: Rng> Session<R> {
             }
             if !self.port_targets.is_empty() && connected == 0 {
                 // Active receive: we connect out (unusual but legal).
-                let udp = self.udp_config();
                 for target in self.port_targets.clone() {
                     for _ in 0..self.parallelism {
-                        let stream =
-                            stack.connect(target, self.data_transport, &udp, &mut self.rng)?;
+                        let stream = stack.connect(target, &mut self.rng)?;
                         if let Err(e) = receiver.add_stream(stream) {
                             return Ok(Err(TransferEnd::spawn_error(e.to_string())));
                         }
@@ -1361,7 +1259,7 @@ impl<R: Rng> Session<R> {
                 }
             }
             for l in &self.listeners {
-                while let Some(conn) = l.try_accept_link()? {
+                while let Some(conn) = l.try_accept()? {
                     match stack.accept(conn, &mut self.rng) {
                         Ok(s) => {
                             if let Err(e) = receiver.add_stream(s) {

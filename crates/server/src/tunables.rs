@@ -111,8 +111,6 @@ pub const NOT_RELOADABLE: &[&str] = &[
     "key_bits",
     "banner",
     "dcsc_enabled",
-    "udp_enabled",
-    "udp_cc",
     "credential",
     "trust",
     "authz",

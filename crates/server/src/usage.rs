@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 /// Counters every stats surface must expose even before their
 /// subsystem has fired once. The registry only snapshots metrics that
-/// exist, so scheduler and UDP counters would otherwise be absent from
+/// exist, so the scheduler counters would otherwise be absent from
 /// `SITE STATS` on an idle server — touching them here (get-or-create
 /// at zero) pins the reply shape.
 const ALWAYS_PRESENT_COUNTERS: &[&str] = &[
@@ -42,10 +42,6 @@ const ALWAYS_PRESENT_COUNTERS: &[&str] = &[
     "gol.sched.grants",
     "gol.sched.rejects",
     "gol.sched.queue_full",
-    "udp.retransmits",
-    "udp.naks",
-    "udp.corrupt_drops",
-    "udp.chaos_faults",
 ];
 
 /// The one serializer behind both operator surfaces: the control

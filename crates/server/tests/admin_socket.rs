@@ -493,6 +493,9 @@ fn invalid_reload_leaves_the_old_config_live() {
     assert!(!ok(&rejected));
     assert_eq!(rejected.get("error").and_then(Value::as_str), Some("unknown-field"));
     assert_eq!(rejected.get("field").and_then(Value::as_str), Some("bogus"));
+    // A knob that left the tree (PR 21) is a typo like any other.
+    let gone = admin.request("{\"cmd\":\"reload\",\"set\":{\"udp_cc\":\"bbr\"}}");
+    assert_eq!(gone.get("error").and_then(Value::as_str), Some("unknown-field"));
 
     // Right knob, doesn't turn: typed as not-reloadable, not a typo.
     let fixed = admin.request("{\"cmd\":\"reload\",\"set\":{\"stripes\":2}}");

@@ -12,7 +12,6 @@
 
 use ig_client::{transfer, ClientConfig, ClientError, ClientSession, RetryPolicy, TransferOpts};
 use ig_gsi::ProtectionLevel;
-use ig_netsim::CcAlgo;
 use ig_obs::Value;
 use ig_pki::cert::Validity;
 use ig_pki::proxy::{self, ProxyOptions};
@@ -26,9 +25,7 @@ use ig_server::{
     Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, ServerError, UserContext,
 };
 use ig_xio::test_support::eventually;
-use ig_xio::{
-    ChaosConfig, ChaosHook, DataTransport, FaultKind, FaultSpec, Link, TcpLink, Trigger,
-};
+use ig_xio::{ChaosConfig, ChaosHook, FaultKind, FaultSpec, Link, TcpLink, Trigger};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Duration;
@@ -250,13 +247,6 @@ fn a_dcau_change_gives_a_fresh_channel() {
 fn a_parallelism_change_gives_fresh_channels() {
     change_gives_a_fresh_channel(0xC3, "Parallelism=2", 2, opts().parallel(2), |s, _| {
         s.set_parallelism(2).unwrap()
-    });
-}
-
-#[test]
-fn opts_data_gives_a_fresh_channel() {
-    change_gives_a_fresh_channel(0xC4, "OPTS DATA", 1, opts(), |s, _| {
-        s.set_data_transport(DataTransport::Tcp, CcAlgo::Reno).unwrap()
     });
 }
 

@@ -123,6 +123,16 @@ fn site_stats_agrees_with_usage_and_markers_drive_progress() {
     assert_eq!(m.counter_value("client.perf_markers"), series.len() as u64);
     assert_eq!(m.gauge_value("client.transfer_progress_bytes"), last as f64);
 
+    // `OPTS DATA` is not a verb this server speaks: `FEAT` does not offer
+    // it, and it is answered like any other unknown `OPTS` target.
+    let feat = session.command(&Command::Feat).unwrap();
+    assert!(!feat.lines.iter().any(|l| l.contains("DATA")), "FEAT offers DATA: {feat}");
+    let opts_reply = |session: &mut ClientSession, target: &str| {
+        let opts = Command::Opts { target: target.into(), params: "Transport=udp;".into() };
+        session.command(&opts).unwrap().to_string()
+    };
+    assert_eq!(opts_reply(&mut session, "DATA"), opts_reply(&mut session, "BOGUS"));
+
     // SITE STATS: one JSON line combining usage totals with the metrics
     // snapshot — counters must agree with usage.rs exactly.
     let reply = session.command(&Command::Site("STATS".into())).unwrap();
@@ -147,22 +157,21 @@ fn site_stats_agrees_with_usage_and_markers_drive_progress() {
     ] {
         assert!(stats.contains(&needle), "missing {needle} in SITE STATS: {stats}");
     }
-    // The shared serializer pre-registers the scheduler and UDP-driver
-    // counters, so the stats *shape* is stable even on a TCP-only run
-    // with no scheduler attached — dashboards can rely on the keys
-    // existing, zero-valued, from the first scrape.
+    // The shared serializer pre-registers the scheduler counters, so the
+    // stats *shape* is stable even with no scheduler attached —
+    // dashboards can rely on the keys existing, zero-valued, from the
+    // first scrape.
     for needle in [
         "\"gol.sched.submitted\":0",
         "\"gol.sched.grants\":0",
         "\"gol.sched.rejects\":0",
         "\"gol.sched.queue_full\":0",
-        "\"udp.retransmits\":0",
-        "\"udp.naks\":0",
-        "\"udp.corrupt_drops\":0",
-        "\"udp.chaos_faults\":0",
     ] {
         assert!(stats.contains(needle), "missing {needle} in SITE STATS: {stats}");
     }
+    // No dead keys: the one data transport is TCP (PR 21), so nothing
+    // registers a `udp.*` metric and no surface names one.
+    assert!(!stats.contains("\"udp."), "dead udp.* key in SITE STATS: {stats}");
     // The command loop itself is instrumented.
     assert!(stats.contains("\"server.commands\":"), "missing command counter: {stats}");
     assert!(stats.contains("\"server.cmd_rtt_ns\":"), "missing RTT histogram: {stats}");

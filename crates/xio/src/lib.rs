@@ -39,7 +39,6 @@ pub mod obs;
 pub mod retry;
 pub mod secure;
 pub mod test_support;
-pub mod udp;
 #[cfg(target_os = "linux")]
 pub mod uds;
 pub mod throttle;
@@ -58,6 +57,5 @@ pub use obs::ObsLink;
 pub use retry::{splitmix64, RetryError, RetryPolicy};
 pub use secure::{secure_accept, secure_connect, SecureLink};
 pub use throttle::Throttle;
-pub use udp::{ChaosFault, DataTransport, DatagramChaos, UdpConfig, UdpLink, UdpListener};
 #[cfg(target_os = "linux")]
 pub use uds::UdsListener;

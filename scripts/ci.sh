@@ -49,6 +49,26 @@ if grep -rnE "${second_core}" crates tests examples scripts; then
   exit 1
 fi
 
+# One data transport (DESIGN.md §13): MODE E over TCP, one listener type,
+# one connect path. The reliable-UDP driver, the enum and `OPTS DATA`
+# negotiation that selected it, its server switch and the listener that
+# wrapped both were deleted in PR 21: no production caller ever asked for
+# it, and its measured loopback median was 15 Mbit/s (EXPERIMENTS.md).
+echo "==> one data transport (no second driver, no transport switch, no either-listener)"
+second_transport='Udp''Link|Data''Transport|udp_''enabled|AnyData''Listener'
+if grep -rnE "${second_transport}" crates tests examples scripts; then
+  echo "a second data transport (or its option) is back; see DESIGN.md §13" >&2
+  exit 1
+fi
+
+# Aim two's number, in the log where the next re-anchor can read it.
+echo "==> crates/*/src line totals"
+rs_lines() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
+for src in crates/*/src; do
+  printf '    %6d %s\n' "$(rs_lines "${src}")" "${src}"
+done
+printf '    %6d crates/*/src\n' "$(rs_lines crates/*/src)"
+
 # One JSON codec and std-only concurrency (DESIGN.md §3): `ig_obs::json`
 # encodes and parses every token, `ig_obs::sync` is the one place lock
 # poisoning is decided, channels are `std::sync::mpsc`. The three registry
@@ -208,37 +228,6 @@ if [[ "${e4_ok}" != 1 ]]; then
   exit 1
 fi
 echo "    per-file ${per_file_rate} vs naive ${naive_rate}, PIPE ${pipe_rate}, streamed dir ${dir_rate} files/s"
-
-# Transport-crossover smoke: the reduced E2x grid must show the
-# crossover in BOTH directions — the single BBR reliable-UDP flow beats
-# striped Reno TCP on the high-loss/high-RTT corner, striped TCP beats
-# the CPU-capped UDP flow on the clean LAN corner — and in each corner
-# `gol::tuning::pick_transport` must have picked the measured winner
-# (the "tuner picks"/"sim agrees" columns).
-echo "==> E2x transport-crossover smoke (reduced grid, both directions)"
-e2x_out="$(timeout 600 cargo run -q --release -p ig-bench --bin report -- --exp e2x --fast)"
-echo "${e2x_out}"
-check_corner() { # <rtt-cell> <loss-cell> <expected-winner>
-  echo "${e2x_out}" | awk -v rtt="$1" -v loss="$2" -v want="$3" '
-    function bps(v, u) { return v * (u == "Gbit/s" ? 1e9 : u == "Mbit/s" ? 1e6 : u == "kbit/s" ? 1e3 : 1) }
-    $1 == rtt && $3 == loss {
-      reno = bps($4, $5); bbr = bps($8, $9)
-      if (want == "udp" && !(bbr >= reno)) exit 1
-      if (want == "tcp" && !(reno >= bbr)) exit 1
-      if ($10 != want || $11 != "yes") exit 1
-      found = 1
-    }
-    END { exit !found }'
-}
-if ! check_corner 100.0 1e-3 udp; then
-  echo "E2x: BBR-UDP must beat striped Reno on the 100 ms / 1e-3 corner (and the tuner must agree)" >&2
-  exit 1
-fi
-if ! check_corner 0.2 1e-6 tcp; then
-  echo "E2x: striped TCP must beat the capped UDP flow on the LAN corner (and the tuner must agree)" >&2
-  exit 1
-fi
-echo "    crossover goes both ways; the tuner picked the measured winner on both corners"
 
 # E15 fleet-scale smoke: the reduced (fast) fleet — 1,000 endpoints,
 # scaled 10M transfers/day — must (a) replay byte-identically under the
