@@ -1496,7 +1496,7 @@ fn checksum(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dsi::memory::MemDsi;
+    use crate::dsi::{memory::MemDsi, Dsi};
     use ig_gsi::context::test_support::{ca_and_credential, config_with};
     use ig_obs::sync::Mutex;
     use ig_pki::TrustStore;
@@ -1509,8 +1509,10 @@ mod tests {
     /// first `blocked` times it is asked, that a send would have to wait.
     struct FullFor {
         blocked: AtomicU32,
-        sent: Arc<Mutex<Vec<Vec<u8>>>>,
+        sent: Sent,
     }
+
+    type Sent = Arc<Mutex<Vec<Vec<u8>>>>;
 
     impl Link for FullFor {
         fn send(&mut self, data: &[u8]) -> std::io::Result<()> {
@@ -1613,5 +1615,347 @@ mod tests {
         assert!(markers[0] > 16 * 1024, "{markers:?}");
         assert_eq!(markers.last(), Some(&(file.len() as u64)), "{markers:?}");
         assert_eq!(obs.metrics().counter_value("server.reply_112"), markers.len() as u64);
+    }
+
+    // ---- The table: every state × every verb -----------------------------
+    //
+    // One sweep, no proptest: each line below is given to a session in each
+    // of seven states, and what came back — who answered, with which reply
+    // codes, and the state the session was left in — is compared with the
+    // literal `TABLE`. A cell reads `<who><codes>/<state after>`:
+    //
+    // * who: `D` the decoder refused the line (nothing was dispatched), `R`
+    //   a verb's one reply, `Q` a reply and the end of the session, `T` a
+    //   transfer (its opening and terminal replies; 111/112 markers left
+    //   out), `F` a session-fatal error (the 421 is the last code);
+    // * state: `F` fresh, `H` handshaking, and once logged in the data
+    //   channels — `N` none, `L` listening, `T` targets, `K` kept — with an
+    //   `r` when a `REST` is pending.
+    //
+    // The same seven tags, in this order, are the columns.
+    const STATES: [&str; 7] = ["F", "H", "N", "L", "T", "K", "Nr"];
+
+    /// `PORT` to a port nothing listens on: a connect is refused at once.
+    const DEAD: &str = "127,0,0,1,0,1";
+
+    enum Line {
+        Text(&'static str),
+        Bytes(&'static [u8]),
+        /// The first token of a real handshake, as `ADAT <base64>`.
+        Adat,
+        /// A well-formed `DCSC P <blob>` carrying the host credential.
+        DcscP,
+    }
+
+    struct Fixture {
+        host: Credential,
+        server: ig_gsi::context::Established,
+        client: ig_gsi::context::Established,
+        adat: String,
+        dcsc_p: String,
+    }
+
+    fn again(est: &ig_gsi::context::Established) -> SecureContext {
+        SecureContext::from_established(ig_gsi::context::Established {
+            role: est.role,
+            keys: est.keys.clone(),
+            peer: est.peer.clone(),
+        })
+    }
+
+    impl Fixture {
+        fn new() -> Fixture {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0x7ab1e);
+            let (ca, host) = ca_and_credential(&mut rng, "/O=CA", "/CN=host");
+            let gsi = || config_with(Some(host.clone()), &[&ca], true);
+            let (client, server) = ig_gsi::handshake::pump(gsi(), gsi(), &mut rng).unwrap();
+            let (_, hello) = ig_gsi::handshake::Initiator::start(gsi(), &mut rng);
+            let adat = format!("ADAT {}", base64_encode(&hello));
+            let dcsc_p = dcsc::encode_dcsc_p(&host).to_string();
+            Fixture { host, server, client, adat, dcsc_p }
+        }
+
+        /// A server of its own for every cell: `DELE` and `STOR` really do
+        /// change the store.
+        fn config(&self) -> Arc<ServerConfig> {
+            let dsi = MemDsi::new();
+            dsi.put("/home/alice/f", &[7u8; 3000]);
+            dsi.put("/home/alice/d/g", &[9u8; 500]);
+            let root = UserContext::superuser();
+            dsi.mkdir(&root, "/home/alice/e").unwrap();
+            let mut config = ServerConfig::new(
+                "host",
+                self.host.clone(),
+                TrustStore::new(),
+                Arc::new(crate::authz::GcmuAuthz::new("host")),
+                Arc::new(dsi),
+            )
+            .with_stripes(2, None)
+            .with_block_size(1024)
+            .with_stall_timeout(Duration::from_millis(30))
+            .with_obs(ig_obs::Obs::new("sweep"));
+            config.key_bits = 512;
+            Arc::new(config)
+        }
+
+        fn bytes(&self, line: &Line) -> Vec<u8> {
+            match line {
+                Line::Text(t) => t.as_bytes().to_vec(),
+                Line::Bytes(b) => b.to_vec(),
+                Line::Adat => self.adat.clone().into_bytes(),
+                Line::DcscP => self.dcsc_p.clone().into_bytes(),
+            }
+        }
+    }
+
+    /// The line as `TABLE` spells it.
+    fn literal(line: &Line) -> String {
+        match line {
+            Line::Text(t) => format!("Text({t:?})"),
+            Line::Bytes(b) => format!("Bytes(b\"{}\")", b.escape_ascii()),
+            Line::Adat => "Adat".into(),
+            Line::DcscP => "DcscP".into(),
+        }
+    }
+
+    /// A control link that takes every send, and what was sent on it.
+    fn recorder() -> (Box<dyn Link>, Sent) {
+        let sent = Arc::new(Mutex::new(Vec::new()));
+        (Box::new(FullFor { blocked: AtomicU32::new(0), sent: Arc::clone(&sent) }), sent)
+    }
+
+    /// Put a new session into the state of column `from`. What it returns
+    /// is the far end of whatever data channels the state holds.
+    fn enter(
+        fx: &Fixture,
+        config: &Arc<ServerConfig>,
+        from: &str,
+    ) -> (Session<rand::rngs::StdRng>, Option<ig_xio::PipeLink>) {
+        let mut s = Session::new(Arc::clone(config), rand::rngs::StdRng::seed_from_u64(7));
+        match from {
+            "F" => return (s, None),
+            "H" => {
+                let (mut link, _) = recorder();
+                s.process_message(&mut link, b"AUTH GSSAPI".to_vec()).unwrap();
+                return (s, None);
+            }
+            _ => {}
+        }
+        s.ctx = Some(again(&fx.server));
+        s.user = Some(UserContext::user("alice"));
+        s.cwd = "/home/alice".into();
+        s.mode = ModeCode::Extended;
+        let mut far = None;
+        match from {
+            "N" => {}
+            "L" => s.listeners.push(DataListener::bind(config.data_ip).unwrap()),
+            "T" => s.port_targets = vec![HostPort::parse(DEAD).unwrap()],
+            "K" => {
+                let (near, peer) = ig_xio::pipe();
+                let shape = s.channel_shape(Flow::Send);
+                s.cached = CachedChannels::keep(vec![Box::new(near)], shape, s.data_stack());
+                far = Some(peer);
+            }
+            "Nr" => {
+                let mut have = ByteRanges::new();
+                have.add(0, 100);
+                s.restart = Some(have);
+            }
+            other => panic!("no such state {other}"),
+        }
+        (s, far)
+    }
+
+    /// The state tag of a session, in the notation of `STATES`.
+    fn state_of(s: &Session<rand::rngs::StdRng>) -> String {
+        if s.user.is_none() {
+            return if s.acceptor.is_some() { "H" } else { "F" }.into();
+        }
+        let held = [!s.listeners.is_empty(), !s.port_targets.is_empty(), s.cached.is_some()];
+        assert!(held.iter().filter(|h| **h).count() <= 1, "two kinds of data channel at once");
+        let channels = match held {
+            [true, _, _] => "L",
+            [_, true, _] => "T",
+            [_, _, true] => "K",
+            _ => "N",
+        };
+        format!("{channels}{}", if s.restart.is_some() { "r" } else { "" })
+    }
+
+    /// Give `line` to a session in state `from`: one cell of the table.
+    fn cell(fx: &Fixture, from: &str, line: &Line) -> String {
+        let config = fx.config();
+        let (mut s, _far) = enter(fx, &config, from);
+        let mut client = again(&fx.client);
+        let (mut link, sent) = recorder();
+        let commands = || config.obs.metrics().counter_value("server.commands");
+        let before = commands();
+        let result = s.process_message(&mut link, fx.bytes(line));
+        let codes: Vec<String> = sent
+            .lock()
+            .iter()
+            .map(|wire| Reply::parse(std::str::from_utf8(wire).unwrap()).unwrap())
+            .map(|r| match r.code {
+                631..=633 => secure_line::unprotect_reply(&mut client, &r).unwrap().code,
+                code => code,
+            })
+            .filter(|code| !matches!(code, 111 | 112))
+            .map(|code| code.to_string())
+            .collect();
+        let who = match result {
+            Err(_) => 'F',
+            Ok(LoopControl::Quit) => 'Q',
+            Ok(LoopControl::Continue) if commands() == before => 'D',
+            Ok(LoopControl::Continue) if matches!(codes[0].as_str(), "150" | "425") => 'T',
+            Ok(LoopControl::Continue) => 'R',
+        };
+        format!("{who}{}/{}", codes.join("-"), state_of(&s))
+    }
+
+    use Line::{Adat, Bytes, DcscP, Text};
+
+    #[rustfmt::skip]
+    const TABLE: &[(Line, &str)] = &[
+        (Text("USER alice"), "R530/F R530/H R230/N R230/L R230/T R230/K R230/Nr"),
+        (Text("USER"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("PASS secret"), "R530/F R530/H R230/N R230/L R230/T R230/K R230/Nr"),
+        (Text("PASS"), "R530/F R530/H R230/N R230/L R230/T R230/K R230/Nr"),
+        (Text("AUTH GSSAPI"), "R334/H R334/H R334/N R334/L R334/T R334/K R334/Nr"),
+        (Text("AUTH KERBEROS"), "R504/F R504/H R504/N R504/L R504/T R504/K R504/Nr"),
+        (Adat, "R503/F R335/H R503/N R503/L R503/T R503/K R503/Nr"),
+        (Text("ADAT !!!"), "R503/F R535/F R503/N R503/L R503/T R503/K R503/Nr"),
+        (Text("TYPE I"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("TYPE X"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("MODE E"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("MODE S"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("MODE Q"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("PASV"), "R530/F R530/H R227/L R227/L R227/L R227/L R227/Lr"),
+        (Text("PASV now"), "R530/F R530/H R227/L R227/L R227/L R227/L R227/Lr"),
+        (Text("PORT 127,0,0,1,0,1"), "R530/F R530/H R200/T R200/T R200/T R200/T R200/Tr"),
+        (Text("PORT 1,2,3"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("SPAS"), "R530/F R530/H R229/L R229/L R229/L R229/L R229/Lr"),
+        (Text("SPOR 127,0,0,1,0,1 127,0,0,1,0,1"),
+            "R530/F R530/H R200/T R200/T R200/T R200/T R200/Tr"),
+        (Text("SPOR"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("RETR /home/alice/f"), "R530/F R530/H T425/N T425/L T425/T T150-226/K T425/N"),
+        (Text("RETR f"), "R530/F R530/H T425/N T425/L T425/T T150-226/K T425/N"),
+        (Text("RETR /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("RETR"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("STOR /home/alice/up"), "R530/F R530/H T425/N T150-426/N F150-421/T T425/N T425/Nr"),
+        (Text("STOR"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("ERET P 1,10 /home/alice/f"),
+            "R530/F R530/H T425/N T425/L T425/T T150-226/K T425/Nr"),
+        (Text("ERET P 1,18446744073709551615 /home/alice/f"),
+            "R530/F R530/H T425/N T425/L T425/T T150-226/K T425/Nr"),
+        (Text("ERET P x,y /home/alice/f"), "R530/F R530/H R500/N R500/L R500/T R500/K R500/Nr"),
+        (Text("ERET P 1,10"), "R530/F R530/H R500/N R500/L R500/T R500/K R500/Nr"),
+        (Text("ERET P 1,10 /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("ERET DIR 0 /home/alice/d"), "R530/F R530/H T425/N T425/L T425/T T150-226/K T425/Nr"),
+        (Text("ERET DIR 9 /home/alice/d"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("ERET DIR x /home/alice/d"), "R530/F R530/H R500/N R500/L R500/T R500/K R500/Nr"),
+        (Text("ERET DIR 0 /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("ERET X 1 /home/alice/f"), "R530/F R530/H R504/N R504/L R504/T R504/K R504/Nr"),
+        (Text("ERET P"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("ESTO DIR /home/alice/up"),
+            "R530/F R530/H T425/N T150-426/N F150-421/T T425/N T425/Nr"),
+        (Text("ESTO X /home/alice/up"), "R530/F R530/H R504/N R504/L R504/T R504/K R504/Nr"),
+        (Text("ESTO"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("LIST /home/alice/d"), "R530/F R530/H T425/N T425/L T425/T T150-226/K T425/Nr"),
+        (Text("LIST"), "R530/F R530/H T425/N T425/L T425/T T150-226/K T425/Nr"),
+        (Text("LIST /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("NLST /home/alice/d"), "R530/F R530/H T425/N T425/L T425/T T150-226/K T425/Nr"),
+        (Text("NLST /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("MLSD /home/alice/d"), "R530/F R530/H T425/N T425/L T425/T T150-226/K T425/Nr"),
+        (Text("MLSD /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("MLST /home/alice/f"), "R530/F R530/H R250/N R250/L R250/T R250/K R250/Nr"),
+        (Text("MLST /home/alice/d"), "R530/F R530/H R250/N R250/L R250/T R250/K R250/Nr"),
+        (Text("MLST /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("SIZE /home/alice/f"), "R530/F R530/H R213/N R213/L R213/T R213/K R213/Nr"),
+        (Text("SIZE /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("SIZE"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("MDTM /home/alice/f"), "R530/F R530/H R213/N R213/L R213/T R213/K R213/Nr"),
+        (Text("MDTM /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("DELE /home/alice/f"), "R530/F R530/H R250/N R250/L R250/T R250/K R250/Nr"),
+        (Text("DELE /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("MKD /home/alice/new"), "R530/F R530/H R257/N R257/L R257/T R257/K R257/Nr"),
+        (Text("MKD /home/alice/f"), "R530/F R530/H R257/N R257/L R257/T R257/K R257/Nr"),
+        (Text("RMD /home/alice/e"), "R530/F R530/H R250/N R250/L R250/T R250/K R250/Nr"),
+        (Text("RMD /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("CWD /home/alice/d"), "R530/F R530/H R250/N R250/L R250/T R250/K R250/Nr"),
+        (Text("CWD /home/alice/nope"), "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("CDUP"), "R530/F R530/H R250/N R250/L R250/T R250/K R250/Nr"),
+        (Text("PWD"), "R530/F R530/H R257/N R257/L R257/T R257/K R257/Nr"),
+        (Text("REST 100"), "R530/F R530/H R350/Nr R350/Lr R350/Tr R350/Kr R350/Nr"),
+        (Text("REST 0-100,200-300"), "R530/F R530/H R350/Nr R350/Lr R350/Tr R350/Kr R350/Nr"),
+        (Text("REST soon"), "R530/F R530/H R500/N R500/L R500/T R500/K R500/Nr"),
+        (Text("REST"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("PBSZ 0"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("PBSZ x"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("PROT P"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("PROT E"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("PROT X"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("DCAU N"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("DCAU S /CN=host"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("DCAU X"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("DCSC D"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (DcscP, "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("DCSC P garbage"), "R530/F R530/H R500/N R500/L R500/T R500/K R500/Nr"),
+        (Text("DCSC X"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("PIPE 8"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("PIPE 0"), "R530/F R530/H R501/N R501/L R501/T R501/K R501/Nr"),
+        (Text("PIPE 65"), "R530/F R530/H R501/N R501/L R501/T R501/K R501/Nr"),
+        (Text("PIPE x"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("OPTS RETR Parallelism=4,4,4;"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("OPTS RETR Parallelism=64,64,64;"),
+            "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("OPTS RETR Parallelism=0,0,0;"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("OPTS RETR Parallelism=65,65,65;"),
+            "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("OPTS RETR Parallelism=lots;"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("OPTS RETR Window=4;"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("OPTS"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("SITE STATS"), "R530/F R530/H R250/N R250/L R250/T R250/K R250/Nr"),
+        (Text("SITE DELEG REQ"), "R530/F R530/H R250/N R250/L R250/T R250/K R250/Nr"),
+        (Text("SITE DELEG PUT !!!"), "R530/F R530/H R503/N R503/L R503/T R503/K R503/Nr"),
+        (Text("SITE HELP"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("SITE"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("FEAT"), "R211/F R211/H R211/N R211/L R211/T R211/K R211/Nr"),
+        (Text("NOOP"), "R200/F R200/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("ABOR"), "R530/F R530/H R226/N R226/L R226/T R226/K R226/Nr"),
+        (Text("QUIT"), "Q221/F Q221/H Q221/N Q221/L Q221/T Q221/K Q221/Nr"),
+        (Text("ALLO 100"), "R530/F R530/H R200/N R200/L R200/T R200/K R200/Nr"),
+        (Text("ALLO x"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("CKSM SHA256 0 -1 /home/alice/f"),
+            "R530/F R530/H R213/N R213/L R213/T R213/K R213/Nr"),
+        (Text("CKSM SHA256 1 10 /home/alice/f"),
+            "R530/F R530/H R213/N R213/L R213/T R213/K R213/Nr"),
+        (Text("CKSM MD5 0 -1 /home/alice/f"), "R530/F R530/H R504/N R504/L R504/T R504/K R504/Nr"),
+        (Text("CKSM SHA256 0 -1 /home/alice/nope"),
+            "R530/F R530/H R550/N R550/L R550/T R550/K R550/Nr"),
+        (Text("CKSM SHA256"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("ENC AAAA"), "D503/F D503/H D535/N D535/L D535/T D535/K D535/Nr"),
+        (Text("MIC AAAA"), "D503/F D503/H D535/N D535/L D535/T D535/K D535/Nr"),
+        (Text("ENC"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+        (Text("XYZZY"), "R530/F R530/H R500/N R500/L R500/T R500/K R500/Nr"),
+        (Bytes(b"NOOP \xff"), "D500/F D500/H D500/N D500/L D500/T D500/K D500/Nr"),
+    ];
+
+    #[test]
+    fn every_state_answers_every_verb_as_the_table_says() {
+        let fx = Fixture::new();
+        let mut wrong = Vec::new();
+        let mut actual = String::new();
+        for (line, expected) in TABLE {
+            let cells: Vec<String> = STATES.iter().map(|from| cell(&fx, from, line)).collect();
+            let expected: Vec<&str> = expected.split_whitespace().collect();
+            if cells != expected {
+                wrong.push(literal(line));
+            }
+            // Wrapped as the literal is: a row over 100 columns breaks after the line.
+            let (line, cells) = (literal(line), cells.join(" "));
+            let gap = if line.len() + cells.len() > 85 { "\n            " } else { " " };
+            actual.push_str(&format!("        ({line},{gap}\"{cells}\"),\n"));
+        }
+        assert!(wrong.is_empty(), "rows {wrong:?} differ; the table as it is now:\n{actual}");
     }
 }
