@@ -347,6 +347,12 @@ fn cksm_checksums_and_verified_put() {
         whole,
         ig_crypto::encode::hex_encode(&ig_crypto::Sha256::digest(&payload))
     );
+    // A length that runs past the end of the file — past the end of `u64`,
+    // even — is the length to the end of the file: what `-1` answers.
+    assert_eq!(
+        s.cksm("/home/alice/ck.bin", 1, Some(u64::MAX)).unwrap(),
+        s.cksm("/home/alice/ck.bin", 1, None).unwrap()
+    );
     // Unknown algorithm refused.
     let err = s
         .command(&Command::Cksm {

@@ -13,7 +13,8 @@ cd "$(dirname "$0")/.."
 # back, and every short transfer would pay its period again. Test modules
 # (everything from the file's `#[cfg(test)]` on) may sleep.
 echo "==> no thread::sleep in the transfer lifecycle (server session/dtp/data)"
-for f in crates/server/src/{session,dtp,data}.rs; do
+session_src=(crates/server/src/session/{mod,auth,channels,files,transfer}.rs)
+for f in "${session_src[@]}" crates/server/src/{dtp,data}.rs; do
   if sed '/^#\[cfg(test)\]/,$d' "${f}" | grep -n 'thread::sleep'; then
     echo "${f}: thread::sleep in non-test code; block on the event instead" >&2
     exit 1
@@ -61,6 +62,17 @@ if grep -rnE "${second_transport}" crates tests examples scripts; then
   exit 1
 fi
 
+# The session says what it is (DESIGN.md §11, "The session: states and
+# rows"): login and data-channel state are the `Login` and `Channels`
+# enums, so there is nothing for a verb to re-assert and one place a held
+# channel is replaced. The second dispatcher's thirteen re-assertions and
+# the function that kept three fields exclusive were deleted in PR 22.
+echo "==> one session dispatcher (no re-asserted login, no three-field channel state)"
+if grep -rnE 'expect\("auth''ed"\)|drop_data_''channels' crates/server/src; then
+  echo "the session re-asserts its state again; make the type say it (DESIGN.md §11)" >&2
+  exit 1
+fi
+
 # Aim two's number, in the log where the next re-anchor can read it.
 echo "==> crates/*/src line totals"
 rs_lines() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
@@ -68,6 +80,8 @@ for src in crates/*/src; do
   printf '    %6d %s\n' "$(rs_lines "${src}")" "${src}"
 done
 printf '    %6d crates/*/src\n' "$(rs_lines crates/*/src)"
+printf '    %6d crates/server/src/session (its test module, tests.rs, left out)\n' \
+  "$(cat "${session_src[@]}" | wc -l)"
 
 # One JSON codec and std-only concurrency (DESIGN.md §3): `ig_obs::json`
 # encodes and parses every token, `ig_obs::sync` is the one place lock
@@ -115,6 +129,9 @@ cargo test -q
 # build the benchmark measures.
 echo "==> upload path batteries (release)"
 cargo test -q --release -p ig-client --test put_slices
+# Likewise optimised: a `CKSM` length that overflows `u64` wraps instead
+# of panicking there, and used to answer the digest of nothing.
+cargo test -q --release -p ig-client --test e2e cksm_checksums_and_verified_put
 cargo test -q --release -p ig-server --test send_slices --test zero_alloc_transfer --test transfer_wakeup
 
 # The repository's benchmark (BENCHMARK.json, benchmark/) is a package of
