@@ -14,9 +14,9 @@
 //!   budget), and
 //! * an **A/B** bare-pipe vs `ObsLink` comparison (informational: an
 //!   in-process pipe moves a record ~30× faster than a 10 Gbit/s wire,
-//!   so the same nanoseconds read as a larger percentage here). The
-//!   `obs_overhead` criterion group is the statistically rigorous
-//!   mirror of the A/B side.
+//!   so the same nanoseconds read as a larger percentage here);
+//!   `igbench`'s `obs.trace_overhead_pct` is the end-to-end mirror of
+//!   the A/B side.
 
 use crate::table;
 use ig_xio::{pipe, Link, ObsLink};

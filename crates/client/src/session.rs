@@ -16,6 +16,7 @@ use ig_server::data::CachedChannels;
 use ig_xio::{Link, RetryPolicy, TcpLink};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::Arc;
 
 /// Client-side configuration (one user identity at one endpoint).
@@ -95,6 +96,10 @@ impl ClientConfig {
 /// An authenticated control-channel session.
 pub struct ClientSession {
     link: Box<dyn Link>,
+    /// `link`'s socket, when it is one ([`ClientSession::connect`]): what a
+    /// transfer polls beside its data listener, to read a refusal when it
+    /// arrives. A session over any other link cannot be waited on.
+    pub(crate) control_fd: Option<RawFd>,
     ctx: Option<SecureContext>,
     pub(crate) config: ClientConfig,
     pub(crate) rng: StdRng,
@@ -133,7 +138,10 @@ impl ClientSession {
                 Some(io) => io_to_client(io, "control connect"),
                 None => ClientError::Timeout("control connect: deadline exceeded".into()),
             })?;
-        Self::from_link(Box::new(link), config)
+        let fd = link.stream().as_raw_fd();
+        let mut session = Self::from_link(Box::new(link), config)?;
+        session.control_fd = Some(fd);
+        Ok(session)
     }
 
     /// Start a session over an arbitrary link (pipes in tests).
@@ -144,6 +152,7 @@ impl ClientSession {
         let cmd_rtt = config.obs.metrics().histogram("client.cmd_rtt_ns");
         let mut s = ClientSession {
             link,
+            control_fd: None,
             ctx: None,
             config,
             rng,

@@ -13,15 +13,16 @@ use crate::error::{ClientError, Result};
 use crate::session::ClientSession;
 use ig_protocol::command::{Command, ModeCode};
 use ig_protocol::markers::{PerfMarker, RestartMarker};
-use ig_protocol::{ByteRanges, HostPort, Reply};
+use ig_protocol::{ByteRanges, Reply};
 use ig_server::data::{
     CachedChannels, ChainExpiry, ChannelShape, DataListener, DataSecurity, DataStack, Flow,
 };
 use ig_server::dtp::{close_streams, send_dir, send_slices, Progress, Receiver, Streams};
 use ig_server::{Dsi, MemDsi, UserContext};
 use ig_xio::{ChaosHook, RetryError, RetryPolicy};
+use std::os::unix::io::AsRawFd;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Live-progress callback: invoked for every parsed `112 Perf Marker`.
 pub type ProgressFn = dyn Fn(&PerfMarker) + Send + Sync;
@@ -127,20 +128,13 @@ impl TransferOpts {
         }
         Some(marker)
     }
-
-    /// The accept deadline: the configured `io_timeout`, with a generous
-    /// default so a dead server can never park the client forever.
-    fn accept_deadline(&self) -> Duration {
-        self.io_timeout.unwrap_or(Duration::from_secs(30))
-    }
 }
 
 /// How the *client's own* data streams are built. Security: with a DCSC
 /// context installed, present/accept that credential (§V); otherwise the
 /// user's own credential. `opts` contributes the I/O deadline and the
-/// chaos hook; listings (`None`) run without either. Client streams are
-/// unthrottled and unmetered.
-fn client_data_stack(session: &ClientSession, opts: Option<&TransferOpts>) -> DataStack {
+/// chaos hook. Client streams are unthrottled and unmetered.
+fn client_data_stack(session: &ClientSession, opts: &TransferOpts) -> DataStack {
     let (credential, trust) = match &session.dcsc {
         Some(cred) => (
             cred.clone(),
@@ -157,8 +151,8 @@ fn client_data_stack(session: &ClientSession, opts: Option<&TransferOpts>) -> Da
             clock: session.config.clock,
         },
         stripe_rate: None,
-        deadline: opts.and_then(|o| o.io_timeout),
-        chaos: opts.and_then(|o| o.chaos.clone()),
+        deadline: opts.io_timeout,
+        chaos: opts.chaos.clone(),
         meter: None,
         expiry: ChainExpiry::default(),
     }
@@ -173,21 +167,10 @@ fn channel_shape(flow: Flow, opts: &TransferOpts) -> ChannelShape {
     }
 }
 
-/// The session's kept data channels, if a transfer of `shape` building its
-/// streams with `stack` may use them now ([`CachedChannels::rearm`]).
-fn rearm_kept(
-    session: &mut ClientSession,
-    shape: &ChannelShape,
-    stack: &DataStack,
-) -> Option<Streams> {
-    let now = session.config.clock.now();
-    CachedChannels::rearm(&mut session.channels, shape, stack, now)
-}
-
-/// Try `cmd` (a `RETR`/`STOR`) on the session's kept data channels: sent
-/// with no `PORT`/`PASV` before it, and its opening reply read before
-/// anything touches the links — a refusal costs one round trip and parks
-/// no thread. `Some` is the 150 and the links it will be served on.
+/// Try `cmd` on the session's kept data channels: sent with no
+/// `PORT`/`PASV` before it, and its opening reply read before anything
+/// touches the links — a refusal costs one round trip and parks no thread.
+/// `Some` is the 150 and the links it will be served on.
 /// `None` means dial afresh: nothing was kept, `stack` would not
 /// build what was kept, a chain on it has expired, or the server no longer
 /// holds its end (425 — reuse never fails a transfer a fresh channel would
@@ -198,7 +181,8 @@ fn open_on_kept(
     shape: &ChannelShape,
     stack: &DataStack,
 ) -> Result<Option<(Reply, Streams)>> {
-    let Some(kept) = rearm_kept(session, shape, stack) else {
+    let now = session.config.clock.now();
+    let Some(kept) = CachedChannels::rearm(&mut session.channels, shape, stack, now) else {
         return Ok(None);
     };
     session.send_cmd(cmd)?;
@@ -213,16 +197,6 @@ fn open_on_kept(
     } else {
         Err(ClientError::ServerError(opening))
     }
-}
-
-/// Dial the `opts.parallelism` data streams of an upload to `addr`.
-fn dial_streams(
-    session: &mut ClientSession,
-    stack: &DataStack,
-    addr: HostPort,
-    opts: &TransferOpts,
-) -> Result<Streams> {
-    (0..opts.parallelism).map(|_| Ok(stack.connect(addr, &mut session.rng)?)).collect()
 }
 
 /// Bind the client's own data listener and tell the server to dial it.
@@ -246,6 +220,279 @@ fn read_until_final(
     }
 }
 
+/// A transfer's opening reply, or the refusal it is instead.
+fn opened(reply: Reply) -> Result<Reply> {
+    if reply.is_preliminary() {
+        Ok(reply)
+    } else {
+        Err(ClientError::ServerError(reply))
+    }
+}
+
+/// Open the fresh channels of a receiving transfer whose command has just
+/// gone out behind `listener`'s `PORT`: fill `streams` up to the
+/// `opts.parallelism` the server dials, and return its 150. Waits for *a
+/// data connection or a control reply, whichever comes first* (DESIGN §8):
+/// queued connections are taken first, a waiting reply is read only with
+/// none queued, and one that is not preliminary is the transfer's answer,
+/// there at once — a refusal never dials. A connection taken before a
+/// refusal was read is the next command's, if commands are pipelined;
+/// `streams` keeps it. A session over a link with no descriptor (pipes,
+/// chaos-wrapped links) cannot watch its control channel, and reads the
+/// answer once the deadline for the connections has passed.
+///
+/// The inner error is the transfer's own, read with the session in step;
+/// an outer one means a reply is unread or unreadable.
+fn accept_streams(
+    session: &mut ClientSession,
+    listener: &DataListener,
+    stack: &DataStack,
+    opts: &TransferOpts,
+    streams: &mut Streams,
+) -> Result<Result<Reply>> {
+    // No `io_timeout` still bounds this wait: a dead server never dials.
+    let deadline = Instant::now() + opts.io_timeout.unwrap_or(Duration::from_secs(30));
+    // The last reply read: the 150, or the transfer's final answer.
+    let mut answer: Option<Reply> = None;
+    while streams.len() < opts.parallelism && answer.as_ref().is_none_or(Reply::is_preliminary) {
+        // Once it has said 150 the control channel has only 112s to say.
+        let control = session.control_fd.filter(|_| answer.is_none());
+        if let Some(conn) = listener.try_accept()? {
+            match stack.accept(conn, &mut session.rng) {
+                Ok(stream) => streams.push(stream),
+                Err(e) => {
+                    // A handshake that fails at this end fails at the
+                    // server's too, and it says so.
+                    streams.clear();
+                    read_until_final(session, |_| {})?;
+                    return Ok(Err(e.into()));
+                }
+            }
+        } else if control.is_some() && ig_xio::wait_readable(control.as_slice(), Duration::ZERO)? {
+            answer = Some(session.read_reply()?);
+        } else {
+            let fds: Vec<_> = control.into_iter().chain([listener.as_raw_fd()]).collect();
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || !ig_xio::wait_readable(&fds, left)? {
+                answer = Some(read_until_final(session, |_| {})?);
+            }
+        }
+    }
+    let answer = match answer {
+        Some(read) => read,
+        None => session.read_reply()?,
+    };
+    Ok(if answer.is_success() {
+        Err(ClientError::Timeout("data connection never arrived".into()))
+    } else {
+        opened(answer)
+    })
+}
+
+/// What is left of a receiving transfer once its 150 is read: receive the
+/// blocks off `streams`, then read the control channel to the final reply,
+/// feeding the 112s to `opts`' observer. Blocks land at their own offsets,
+/// none below `base` (the start of a partial retrieve). Returns the
+/// streams if both ends finished the transfer on them (they can carry the
+/// next), what landed from `base` on — holes and all, when streams failed
+/// — and the verdict on it.
+fn receive_file(
+    session: &mut ClientSession,
+    opts: &TransferOpts,
+    streams: Streams,
+    base: u64,
+) -> Result<(Option<Streams>, Vec<u8>, Result<()>)> {
+    let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
+    let user = UserContext::superuser();
+    let progress = Progress::on(&session.config.obs);
+    if base > 0 {
+        // What precedes `base` is not a hole (`Receiver::finish` wants one
+        // run from 0).
+        progress.ranges.lock().add(0, base);
+    }
+    let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", progress);
+    match <[_; 1]>::try_from(streams) {
+        // One stream leaves nothing to wait for but its end, so it is
+        // received right here. The server never waits on a 112: those it
+        // sent meanwhile are queued on the control channel, in order.
+        Ok([only]) => receiver.receive_here(only),
+        Err(streams) => {
+            for stream in streams {
+                receiver.add_stream(stream)?;
+            }
+        }
+    }
+    let obs = Arc::clone(&session.config.obs);
+    let final_reply = read_until_final(session, |r| {
+        let _ = opts.observe_marker(&obs, r);
+    })?;
+    let (kept, verdict) = match receiver.finish() {
+        // A 426 means the server dropped its end; ours goes here.
+        _ if final_reply.is_error() => (None, Err(ClientError::ServerError(final_reply))),
+        Ok((_, streams)) => (Some(streams), Ok(())),
+        Err(e) => (None, Err(e.into())),
+    };
+    let mut landed =
+        ig_server::dsi::read_all(staging.as_ref(), &user, "/buf", 1 << 20).unwrap_or_default();
+    landed.drain(..landed.len().min(usize::try_from(base).unwrap_or(usize::MAX)));
+    Ok((kept, landed, verdict))
+}
+
+/// One receiving transfer from its command to its final reply — the
+/// client's side of the frame every transfer runs in on the server. `cmd`
+/// (`RETR`, `ERET P`, `ERET DIR`, `MLSD`) is sent on the kept channels or,
+/// with nothing kept or a 425, behind a fresh `PORT`; its blocks land from
+/// `base` on; streams both ends finished on are kept for the next
+/// transfer. Returns the 150, what landed, and the verdict on it; an error
+/// is a refusal or a control channel out of step.
+fn receive(
+    session: &mut ClientSession,
+    cmd: &Command,
+    base: u64,
+    opts: &TransferOpts,
+) -> Result<(Reply, Vec<u8>, Result<()>)> {
+    session.set_mode_extended()?;
+    if session.parallelism != opts.parallelism {
+        session.set_parallelism(opts.parallelism)?;
+    }
+    let stack = client_data_stack(session, opts);
+    let shape = channel_shape(Flow::Receive, opts);
+    let (opening, streams) = match open_on_kept(session, cmd, &shape, &stack)? {
+        Some(opened) => opened,
+        None => {
+            let listener = listen_and_port(session)?;
+            session.send_cmd(cmd)?;
+            let mut streams = Streams::new();
+            (accept_streams(session, &listener, &stack, opts, &mut streams)??, streams)
+        }
+    };
+    let (kept, landed, verdict) = receive_file(session, opts, streams, base)?;
+    if let Some(streams) = kept {
+        session.channels = CachedChannels::keep(streams, shape, stack);
+    }
+    Ok((opening, landed, verdict))
+}
+
+/// `data` if it is all `expected` bytes of `remote_path`. Every EOD can
+/// arrive and the tail of the file — all of it, when it is one block —
+/// still be missing: only a length from the sender tells.
+fn whole(remote_path: &str, data: Vec<u8>, expected: u64) -> Result<Vec<u8>> {
+    if data.len() as u64 == expected {
+        Ok(data)
+    } else {
+        Err(ClientError::Truncated(format!(
+            "{remote_path}: expected {expected} bytes, received {}",
+            data.len()
+        )))
+    }
+}
+
+/// What a download landed, if it completed and is every byte its 150
+/// announced — or, behind a 150 with no figure (a stock server), as many as
+/// `unannounced` makes out after the transfer: the length check is moved,
+/// never skipped.
+fn held_to_150(
+    path: &str,
+    (opening, landed, verdict): (Reply, Vec<u8>, Result<()>),
+    unannounced: impl FnOnce(&[u8]) -> Result<u64>,
+) -> Result<Vec<u8>> {
+    verdict?;
+    let expected = match opening.announced_bytes() {
+        Some(announced) => announced,
+        None => unannounced(&landed)?,
+    };
+    whole(path, landed, expected)
+}
+
+/// Download `remote_path` into memory (client is the receiver and
+/// therefore the listener; the server connects in). On a kept channel this
+/// is one command: the 150 says how long the file is.
+pub fn get_bytes(
+    session: &mut ClientSession,
+    remote_path: &str,
+    opts: &TransferOpts,
+) -> Result<Vec<u8>> {
+    let got = receive(session, &Command::Retr(remote_path.into()), 0, opts)?;
+    held_to_150(remote_path, got, |_| session.size(remote_path))
+}
+
+/// Partial retrieval via `ERET P <offset>,<length> <path>` — fetch just
+/// a byte range of a remote file, clipped at its end.
+pub fn get_partial(
+    session: &mut ClientSession,
+    remote_path: &str,
+    offset: u64,
+    length: u64,
+    opts: &TransferOpts,
+) -> Result<Vec<u8>> {
+    let eret = Command::Eret {
+        module: "P".into(),
+        args: format!("{offset},{length} {remote_path}"),
+    };
+    let got = receive(session, &eret, offset, opts)?;
+    held_to_150(remote_path, got, |_| {
+        Ok(length.min(session.size(remote_path)?.saturating_sub(offset)))
+    })
+}
+
+/// Listing via MLSD over the data channel.
+pub fn list(session: &mut ClientSession, path: &str) -> Result<Vec<String>> {
+    // The session's own stream count: a listing sends no `OPTS`.
+    list_with(session, path, &TransferOpts::default().parallel(session.parallelism))
+}
+
+/// [`list`] under the caller's `opts`.
+pub fn list_with(
+    session: &mut ClientSession,
+    path: &str,
+    opts: &TransferOpts,
+) -> Result<Vec<String>> {
+    let got = receive(session, &Command::Mlsd(Some(path.into())), 0, opts)?;
+    // A listing has no `SIZE`: what arrived is what there is.
+    let text = held_to_150(path, got, |landed| Ok(landed.len() as u64))?;
+    Ok(String::from_utf8_lossy(&text).lines().map(str::to_string).collect())
+}
+
+/// One sending transfer from its command to its final reply: `cmd` (`STOR`,
+/// `ESTO DIR`) goes out on the kept channels or, with nothing kept or a
+/// 425, behind a fresh `PASV` whose address is dialled once the 150 is
+/// read; `body` puts the bytes on the streams. The final reply is always
+/// read, and streams both ends finished on are kept for the next transfer.
+/// Returns that reply and what `body` made of the send.
+fn send(
+    session: &mut ClientSession,
+    cmd: &Command,
+    opts: &TransferOpts,
+    body: impl FnOnce(Streams, &Arc<Progress>) -> ig_server::error::Result<(u64, Streams)>,
+) -> Result<(Reply, Result<u64>)> {
+    session.set_mode_extended()?;
+    let stack = client_data_stack(session, opts);
+    let shape = channel_shape(Flow::Send, opts);
+    let streams = match open_on_kept(session, cmd, &shape, &stack)? {
+        Some((_, kept)) => kept,
+        None => {
+            let addr = session.pasv()?;
+            session.send_cmd(cmd)?;
+            opened(session.read_reply()?)?;
+            (0..opts.parallelism)
+                .map(|_| Ok(stack.connect(addr, &mut session.rng)?))
+                .collect::<Result<Streams>>()?
+        }
+    };
+    let sent = body(streams, &Progress::on(&session.config.obs));
+    // Always drain the final reply, even when our own send failed —
+    // otherwise the 426 stays queued and poisons the next command.
+    let final_reply = read_until_final(session, |_| {})?;
+    let sent = sent.map(|(bytes, streams)| {
+        // After a 426 the server has dropped its end; ours goes here.
+        if !final_reply.is_error() {
+            session.channels = CachedChannels::keep(streams, shape, stack);
+        }
+        bytes
+    });
+    Ok((final_reply, sent.map_err(ClientError::from)))
+}
+
 /// Upload `data` to `remote_path` (client is the sender; server listens
 /// per the GridFTP receiver-listens rule).
 pub fn put_bytes(
@@ -266,240 +513,25 @@ pub fn put_bytes_resume(
     have: Option<&ByteRanges>,
     opts: &TransferOpts,
 ) -> Result<u64> {
+    // `MODE E` goes ahead of the `REST`, as it always has.
     session.set_mode_extended()?;
     // An empty checkpoint (the attempt died before a block landed) has no
     // marker to send: the resumed transfer is a fresh one.
     if let Some(have) = have.filter(|h| h.total() > 0) {
         session.command(&Command::Rest(have.to_marker()))?;
     }
-    let stack = client_data_stack(session, Some(opts));
-    let shape = channel_shape(Flow::Send, opts);
-    let stor = Command::Stor(remote_path.into());
-    let streams = match open_on_kept(session, &stor, &shape, &stack)? {
-        Some((_, kept)) => kept,
-        None => {
-            let addr = session.pasv()?;
-            session.send_cmd(&stor)?;
-            let opening = session.read_reply()?;
-            if !opening.is_preliminary() {
-                return Err(ClientError::ServerError(opening));
-            }
-            dial_streams(session, &stack, addr, opts)?
-        }
-    };
     let ranges = match have {
         Some(have) => have.missing(data.len() as u64),
         None => vec![(0, data.len() as u64)],
     };
-    let progress = Progress::on(&session.config.obs);
-    let send_result = send_slices(streams, data, &ranges, opts.block_size, &progress);
-    // Always drain the final reply, even when our own send failed —
-    // otherwise the 426 stays queued and poisons the next command.
-    let final_reply = read_until_final(session, |_| {})?;
+    let stor = Command::Stor(remote_path.into());
+    let (final_reply, sent) = send(session, &stor, opts, |streams, progress| {
+        send_slices(streams, data, &ranges, opts.block_size, progress)
+    })?;
     if final_reply.is_error() {
         return Err(ClientError::ServerError(final_reply));
     }
-    let (sent, streams) = send_result?;
-    session.channels = CachedChannels::keep(streams, shape, stack);
-    Ok(sent)
-}
-
-/// What is left of a `RETR` once its 150 is read: receive the file off
-/// `streams`, then read the control channel to the final reply, feeding the
-/// 112s to `opts`' observer. The outer error means the control channel is
-/// out of step; otherwise the session is at its command loop again, with
-/// the streams if both ends finished the transfer on them (they can carry
-/// the next) and the file's bytes or what went wrong with it.
-fn receive_file(
-    session: &mut ClientSession,
-    opts: &TransferOpts,
-    streams: Streams,
-) -> Result<(Option<Streams>, Result<Vec<u8>>)> {
-    let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
-    let user = UserContext::superuser();
-    let progress = Progress::on(&session.config.obs);
-    let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", progress);
-    match <[_; 1]>::try_from(streams) {
-        // One stream leaves nothing to wait for but its end, so it is
-        // received right here. The server never waits on a 112: those it
-        // sent meanwhile are queued on the control channel, in order.
-        Ok([only]) => receiver.receive_here(only),
-        Err(streams) => {
-            for stream in streams {
-                receiver.add_stream(stream)?;
-            }
-        }
-    }
-    let obs = Arc::clone(&session.config.obs);
-    let final_reply = read_until_final(session, |r| {
-        let _ = opts.observe_marker(&obs, r);
-    })?;
-    let received = receiver.finish();
-    if final_reply.is_error() {
-        // A 426 means the server dropped its end; ours went with `received`.
-        return Ok((None, Err(ClientError::ServerError(final_reply))));
-    }
-    Ok(match received {
-        Ok((_, streams)) => {
-            let data = ig_server::dsi::read_all(staging.as_ref(), &user, "/buf", 1 << 20);
-            (Some(streams), data.map_err(ClientError::from))
-        }
-        Err(e) => (None, Err(e.into())),
-    })
-}
-
-/// `data` if it is all `expected` bytes of `remote_path`. Every EOD can
-/// arrive and the tail of the file — all of it, when it is one block —
-/// still be missing: only a length from the sender tells.
-fn whole(remote_path: &str, data: Vec<u8>, expected: u64) -> Result<Vec<u8>> {
-    if data.len() as u64 == expected {
-        Ok(data)
-    } else {
-        Err(ClientError::Truncated(format!(
-            "{remote_path}: expected {expected} bytes, received {}",
-            data.len()
-        )))
-    }
-}
-
-/// Download `remote_path` into memory (client is the receiver and
-/// therefore the listener; the server connects in). On a kept channel this
-/// is one command: the 150 says how long the file is.
-pub fn get_bytes(
-    session: &mut ClientSession,
-    remote_path: &str,
-    opts: &TransferOpts,
-) -> Result<Vec<u8>> {
-    session.set_mode_extended()?;
-    if session.parallelism != opts.parallelism {
-        session.set_parallelism(opts.parallelism)?;
-    }
-    let stack = client_data_stack(session, Some(opts));
-    let shape = channel_shape(Flow::Receive, opts);
-    let retr = Command::Retr(remote_path.into());
-    let (opening, streams) = match open_on_kept(session, &retr, &shape, &stack)? {
-        Some(opened) => opened,
-        None => {
-            let listener = listen_and_port(session)?;
-            session.send_cmd(&retr)?;
-            // Accept the server's connections (it connects before replying 150).
-            let mut streams = Streams::new();
-            for _ in 0..opts.parallelism {
-                // A refused transfer never dials in — drain the queued error
-                // reply instead of hanging on accept.
-                let conn = match listener.accept(opts.accept_deadline()) {
-                    Ok(c) => c,
-                    Err(_) => {
-                        let reply = read_until_final(session, |_| {})?;
-                        if reply.is_error() {
-                            return Err(ClientError::ServerError(reply));
-                        }
-                        return Err(ClientError::Timeout("data connection never arrived".into()));
-                    }
-                };
-                streams.push(stack.accept(conn, &mut session.rng)?);
-            }
-            let opening = session.read_reply()?;
-            if !opening.is_preliminary() {
-                return Err(ClientError::ServerError(opening));
-            }
-            (opening, streams)
-        }
-    };
-    let (kept, fetched) = receive_file(session, opts, streams)?;
-    if let Some(streams) = kept {
-        session.channels = CachedChannels::keep(streams, shape, stack);
-    }
-    let data = fetched?;
-    // A 150 with no figure (a stock server) costs one `SIZE`, after the
-    // transfer: the length check is never skipped.
-    let expected = match opening.announced_bytes() {
-        Some(announced) => announced,
-        None => session.size(remote_path)?,
-    };
-    whole(remote_path, data, expected)
-}
-
-/// Partial retrieval via `ERET P <offset>,<length> <path>` — fetch just
-/// a byte range of a remote file. Blocks arrive at their *file* offsets,
-/// so the staging buffer is read back from `offset`.
-pub fn get_partial(
-    session: &mut ClientSession,
-    remote_path: &str,
-    offset: u64,
-    length: u64,
-    opts: &TransferOpts,
-) -> Result<Vec<u8>> {
-    session.set_mode_extended()?;
-    if session.parallelism != opts.parallelism {
-        session.set_parallelism(opts.parallelism)?;
-    }
-    // Fail fast on missing/forbidden paths before opening data channels.
-    let _ = session.size(remote_path)?;
-    let listener = listen_and_port(session)?;
-    session.send_cmd(&Command::Eret {
-        module: "P".into(),
-        args: format!("{offset},{length} {remote_path}"),
-    })?;
-    let stack = client_data_stack(session, Some(opts));
-    let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
-    let user = UserContext::superuser();
-    // The blocks land at their file offsets: what precedes `offset` is not
-    // a hole (`Receiver::finish` wants one run from 0).
-    let progress = Progress::on(&session.config.obs);
-    progress.ranges.lock().add(0, offset);
-    let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", Arc::clone(&progress));
-    for _ in 0..opts.parallelism {
-        // If the server refused before dialing (550 and friends), no
-        // connection ever comes — drain the queued reply instead of
-        // hanging on accept.
-        let conn = match listener.accept(opts.accept_deadline()) {
-            Ok(c) => c,
-            Err(_) => {
-                let reply = read_until_final(session, |_| {})?;
-                return Err(ClientError::ServerError(reply));
-            }
-        };
-        receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
-    }
-    let obs = Arc::clone(&session.config.obs);
-    let final_reply = read_until_final(session, |r| {
-        let _ = opts.observe_marker(&obs, r);
-    })?;
-    let received = receiver.finish();
-    if final_reply.is_error() {
-        return Err(ClientError::ServerError(final_reply));
-    }
-    let (got, streams) = received.map_err(ClientError::from)?;
-    close_streams(streams);
-    let data = staging.read(&user, "/buf", offset, got as usize)?;
-    Ok(data)
-}
-
-/// Listing via MLSD over the data channel.
-pub fn list(session: &mut ClientSession, path: &str) -> Result<Vec<String>> {
-    session.set_mode_extended()?;
-    let listener = listen_and_port(session)?;
-    session.send_cmd(&Command::Mlsd(Some(path.into())))?;
-    let stack = client_data_stack(session, None);
-    let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
-    let user = UserContext::superuser();
-    let progress = Progress::on(&session.config.obs);
-    let receiver = Receiver::new(Arc::clone(&staging), user.clone(), "/buf", progress);
-    for _ in 0..session.parallelism {
-        let conn = listener.accept(Duration::from_secs(30))?;
-        receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
-    }
-    let final_reply = read_until_final(session, |_| {})?;
-    if let Ok((_, streams)) = receiver.finish() {
-        close_streams(streams);
-    }
-    if final_reply.is_error() {
-        return Err(ClientError::ServerError(final_reply));
-    }
-    let out = ig_server::dsi::read_all(staging.as_ref(), &user, "/buf", 1 << 20)?;
-    let text = String::from_utf8_lossy(&out);
-    Ok(text.lines().map(str::to_string).collect())
+    sent
 }
 
 /// Upload and then verify end-to-end integrity with a server-side
@@ -680,51 +712,18 @@ pub fn put_dir_resume(
             "resume skip {skip} beyond the local tree's {total} entries"
         )));
     }
-    session.set_mode_extended()?;
-    let addr = session.pasv()?;
-    session.send_cmd(&Command::Esto { module: "DIR".into(), args: remote_root.into() })?;
-    let opening = session.read_reply()?;
-    if !opening.is_preliminary() {
-        return Err(ClientError::ServerError(opening));
-    }
-    let stack = client_data_stack(session, Some(opts));
-    let streams = dial_streams(session, &stack, addr, opts)?;
-    let progress = Progress::on(&session.config.obs);
-    let send_result = send_dir(
-        streams,
-        local,
-        &user,
-        local_root,
-        skip,
-        opts.block_size,
-        &progress,
-        &mut || Ok(()),
-    );
-    // Always drain the final reply, even when our own send failed — it
-    // carries the server's entry count, i.e. the resume point.
-    let final_reply = read_until_final(session, |_| {})?;
-    // The 426's entry count is the ground truth; a send that did reach
-    // its EODs only has streams left to close.
-    if let Ok((_, streams)) = send_result {
-        close_streams(streams);
-    }
-    if final_reply.is_success() {
-        // The server decoded the whole stream and verified every
-        // checksum; its verdict outranks any local send hiccup.
-        return Ok(DirTransferOutcome {
-            entries_done: total,
-            entries_total: total,
-            complete: true,
-            attempts: 1,
-        });
-    }
-    let done_now = parse_entry_count(&final_reply).unwrap_or(0);
-    Ok(DirTransferOutcome {
-        entries_done: skip + done_now,
-        entries_total: total,
-        complete: false,
-        attempts: 1,
-    })
+    let esto = Command::Esto { module: "DIR".into(), args: remote_root.into() };
+    // The final reply carries the server's entry count, i.e. the resume
+    // point: it is the ground truth, whatever our own send made of it.
+    let (final_reply, _) = send(session, &esto, opts, |streams, progress| {
+        send_dir(streams, local, &user, local_root, skip, opts.block_size, progress, &mut || Ok(()))
+    })?;
+    // A success means the server decoded the whole stream and verified
+    // every checksum; its verdict outranks any local send hiccup.
+    let complete = final_reply.is_success();
+    let entries_done =
+        if complete { total } else { skip + parse_entry_count(&final_reply).unwrap_or(0) };
+    Ok(DirTransferOutcome { entries_done, entries_total: total, complete, attempts: 1 })
 }
 
 /// Download the whole tree under `remote_root` into `local` storage at
@@ -751,54 +750,13 @@ pub fn get_dir_resume(
     skip: u64,
     opts: &TransferOpts,
 ) -> Result<DirTransferOutcome> {
-    session.set_mode_extended()?;
-    if session.parallelism != opts.parallelism {
-        session.set_parallelism(opts.parallelism)?;
-    }
-    let listener = listen_and_port(session)?;
-    session.send_cmd(&Command::Eret {
-        module: "DIR".into(),
-        args: format!("{skip} {remote_root}"),
-    })?;
-    let stack = client_data_stack(session, Some(opts));
-    let staging: Arc<dyn Dsi> = Arc::new(MemDsi::new());
+    let eret = Command::Eret { module: "DIR".into(), args: format!("{skip} {remote_root}") };
+    // The decoder's verdict below outranks the transfer's own. Expand the
+    // complete-entry prefix no matter how the stream ended: holes left by
+    // lost blocks fail a header magic or trailer checksum and stop the
+    // decoder at the last complete entry, never mid-file.
+    let (_, staged, _) = receive(session, &eret, 0, opts)?;
     let user = UserContext::superuser();
-    let progress = Progress::on(&session.config.obs);
-    let receiver =
-        Receiver::new(Arc::clone(&staging), user.clone(), "/stream", Arc::clone(&progress));
-    let mut connected = 0usize;
-    for _ in 0..opts.parallelism {
-        match listener.accept(opts.accept_deadline()) {
-            Ok(conn) => {
-                receiver.add_stream(stack.accept(conn, &mut session.rng)?)?;
-                connected += 1;
-            }
-            Err(_) if connected == 0 => {
-                // Refused before dialing (bad root, skip past the end):
-                // the queued error reply explains it.
-                let reply = read_until_final(session, |_| {})?;
-                return Err(ClientError::ServerError(reply));
-            }
-            // A partially-connected transfer still moves data; let the
-            // stream deadlines surface whatever is wrong.
-            Err(_) => break,
-        }
-    }
-    let obs = Arc::clone(&session.config.obs);
-    let final_reply = read_until_final(session, |r| {
-        let _ = opts.observe_marker(&obs, r);
-    })?;
-    // The decoder's verdict below outranks transport noise: how the
-    // streams and the final reply ended only decides what is left to close.
-    let _ = final_reply;
-    if let Ok((_, streams)) = receiver.finish() {
-        close_streams(streams);
-    }
-    // Expand the complete-entry prefix no matter how the stream ended:
-    // holes left by lost blocks fail a header magic or trailer checksum
-    // and stop the decoder at the last complete entry, never mid-file.
-    let staged = ig_server::dsi::read_all(staging.as_ref(), &user, "/stream", 1 << 20)
-        .unwrap_or_default();
     let out = ig_server::dsi::expand_stream(local.as_ref(), &user, local_root, &staged)
         .map_err(ClientError::from)?;
     let complete = out.finished && out.error.is_none();
@@ -913,65 +871,61 @@ pub fn get_files_pipelined(
         session.set_parallelism(1)?;
     }
     session.command(&Command::Pipe(window as u32))?;
-    let stack = client_data_stack(session, Some(opts));
+    let stack = client_data_stack(session, opts);
     let shape = channel_shape(Flow::Receive, opts);
-    let mut channel = rearm_kept(session, &shape, &stack);
+    // No streams: nothing was kept, or a transfer failed on them.
+    let now = session.config.clock.now();
+    let mut channel =
+        CachedChannels::rearm(&mut session.channels, &shape, &stack, now).unwrap_or_default();
     // With nothing kept, the server dials this listener once, for the
-    // first file it can send.
+    // first file it can send; one it refuses leaves it to the next.
     let mut listener = None;
-    if channel.is_none() {
+    if channel.is_empty() {
         listener = Some(listen_and_port(session)?);
     }
     let mut out = Vec::with_capacity(remote_paths.len());
     // The first thing to go wrong; the rest of its window is still read.
     let mut failed: Option<ClientError> = None;
-    let mut fail = |e: ClientError| {
-        failed.get_or_insert(e);
-    };
     for chunk in remote_paths.chunks(window) {
         // The whole window goes out before any reply is read.
         for path in chunk {
             session.send_cmd(&Command::Retr((*path).into()))?;
         }
         for path in chunk {
-            if let Some(l) = listener.take() {
-                // The server sends its 150 only after the handshake, so
-                // the connection is taken before the reply is read. A file
-                // refused outright never dials: the next one to be sent
-                // does, and if none is, the replies are waiting.
-                if let Ok(conn) = l.accept(opts.accept_deadline()) {
-                    match stack.accept(conn, &mut session.rng) {
-                        Ok(stream) => channel = Some(vec![stream]),
-                        Err(e) => fail(e.into()),
-                    }
-                }
-            }
-            let opening = session.read_reply()?;
-            if !opening.is_preliminary() {
-                fail(ClientError::ServerError(opening));
-                continue;
-            }
             // After a 426 the server has dropped its end; what is left of
             // the window answers 425 and is drained like any refusal.
-            let (kept, fetched) = receive_file(session, opts, channel.take().unwrap_or_default())?;
-            channel = kept;
-            // No `SIZE` can be put between a window's replies, and a server
-            // that takes `PIPE` announces every file's length.
-            let fetched = fetched.and_then(|data| match opening.announced_bytes() {
-                Some(announced) => whole(path, data, announced),
-                None => Err(ClientError::UnexpectedReply {
-                    expected: "150 ... (<n> bytes)",
-                    got: opening,
-                }),
-            });
+            let opening = match &listener {
+                Some(l) => accept_streams(session, l, &stack, opts, &mut channel)?,
+                None => opened(session.read_reply()?),
+            };
+            let fetched = match opening {
+                Ok(opening) => {
+                    listener = None;
+                    let streams = std::mem::take(&mut channel);
+                    let (kept, landed, verdict) = receive_file(session, opts, streams, 0)?;
+                    channel = kept.unwrap_or_default();
+                    // No `SIZE` can be put between a window's replies, and a
+                    // server that takes `PIPE` announces every file's length.
+                    verdict.and_then(|()| match opening.announced_bytes() {
+                        Some(announced) => whole(path, landed, announced),
+                        None => Err(ClientError::UnexpectedReply {
+                            expected: "150 ... (<n> bytes)",
+                            got: opening,
+                        }),
+                    })
+                }
+                Err(refused) => Err(refused),
+            };
             match fetched {
                 Ok(data) => out.push(data),
-                Err(e) => fail(e),
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
             }
         }
     }
-    if let Some(streams) = channel {
-        session.channels = CachedChannels::keep(streams, shape, stack);
+    if !channel.is_empty() {
+        session.channels = CachedChannels::keep(channel, shape, stack);
     }
     match failed {
         Some(e) => Err(e),

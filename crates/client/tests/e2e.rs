@@ -1,6 +1,6 @@
 //! End-to-end client ↔ server tests over real TCP loopback.
 
-use ig_client::{transfer, ClientConfig, ClientSession, TransferOpts};
+use ig_client::{transfer, ClientConfig, ClientError, ClientSession, TransferOpts};
 use ig_gsi::ProtectionLevel;
 use ig_pki::cert::Validity;
 use ig_pki::time::Clock;
@@ -8,8 +8,9 @@ use ig_pki::{CertificateAuthority, Credential, DistinguishedName, Gridmap, Trust
 use ig_protocol::command::{Command, DcauMode};
 use ig_server::dsi::{read_all, walk};
 use ig_server::{Dsi, GridFtpServer, GridmapAuthz, MemDsi, ServerConfig, UserContext};
+use ig_xio::{ChaosConfig, ChaosHook, FaultKind, FaultSpec, Trigger};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const NOW: u64 = 1_000_000;
 
@@ -23,6 +24,8 @@ struct World {
     server: Arc<GridFtpServer>,
     client_cfg: ClientConfig,
     dsi: Arc<MemDsi>,
+    /// The server's own metrics hub.
+    obs: Arc<ig_obs::Obs>,
 }
 
 fn world(seed: u64) -> World {
@@ -55,10 +58,11 @@ fn world(seed: u64) -> World {
         Arc::clone(&dsi) as Arc<dyn Dsi>,
     )
     .with_clock(Clock::Fixed(NOW));
-    let server = GridFtpServer::start(cfg, seed * 100).unwrap();
+    let obs = ig_obs::Obs::new("e2e-server");
+    let server = GridFtpServer::start(cfg.with_obs(Arc::clone(&obs)), seed * 100).unwrap();
     let client_cfg =
         ClientConfig::new(user_cred, trust).with_clock(Clock::Fixed(NOW)).with_seed(seed * 7 + 1);
-    World { server, client_cfg, dsi }
+    World { server, client_cfg, dsi, obs }
 }
 
 fn login(w: &World) -> ClientSession {
@@ -527,4 +531,139 @@ fn pipe_window_validation() {
         assert!(err.to_string().contains("501"), "PIPE {bad}: got {err}");
     }
     s.quit().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// The frame table: every receiving verb runs in the one client frame, so
+// each of them, on a fresh channel and on a kept one, serves, reads a
+// refusal when it arrives, and holds what landed to the 150's figure.
+// ---------------------------------------------------------------------
+
+/// How a cell of the table ended.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    /// `Ok`, and the bytes are the source's.
+    Served,
+    /// The server's refusal, by code.
+    Refused(u16),
+    /// Fewer bytes than announced: `ClientError::Truncated`, or a
+    /// directory stream that is not complete.
+    Short,
+}
+
+fn outcome<T: PartialEq + std::fmt::Debug>(got: Result<T, ClientError>, source: T) -> Outcome {
+    match got {
+        Ok(bytes) => {
+            assert_eq!(bytes, source);
+            Outcome::Served
+        }
+        Err(ClientError::ServerError(reply)) => Outcome::Refused(reply.code),
+        Err(ClientError::Truncated(_)) => Outcome::Short,
+        Err(other) => panic!("neither served, refused nor short: {other:?}"),
+    }
+}
+
+const TREE: &str = "/home/alice/tree";
+
+fn tree_file(name: &str) -> Vec<u8> {
+    (0..5000usize).map(|i| ((i * 7 + name.len() * 13) % 251) as u8).collect()
+}
+
+/// One receiving verb against `root` (`TREE`, or a path that is not there).
+type Verb = fn(&mut ClientSession, &str, &TransferOpts) -> Outcome;
+
+fn frame_verbs() -> [(&'static str, Verb); 5] {
+    [
+        ("get_bytes", |s, root, opts| {
+            outcome(transfer::get_bytes(s, &format!("{root}/f.bin"), opts), tree_file("f.bin"))
+        }),
+        ("get_partial", |s, root, opts| {
+            let part = transfer::get_partial(s, &format!("{root}/f.bin"), 1000, 3000, opts);
+            outcome(part, tree_file("f.bin")[1000..4000].to_vec())
+        }),
+        ("list", |s, root, opts| {
+            let names = transfer::list_with(s, root, opts).map(|lines| {
+                let mut names: Vec<_> =
+                    lines.iter().filter_map(|l| l.rsplit(' ').next().map(str::to_string)).collect();
+                names.sort();
+                names
+            });
+            outcome(names, vec!["f.bin".to_string(), "g.bin".to_string()])
+        }),
+        ("get_dir", |s, root, opts| {
+            let copy: Arc<dyn Dsi> = Arc::new(MemDsi::new());
+            let su = UserContext::superuser();
+            let fetched = transfer::get_dir(s, &copy, "/copy", root, opts).and_then(|out| {
+                if !out.complete {
+                    return Err(ClientError::Truncated(format!("{out:?}")));
+                }
+                let file = |name| read_all(copy.as_ref(), &su, &format!("/copy/{name}"), 1 << 16);
+                Ok((out.entries_done, file("f.bin").unwrap(), file("g.bin").unwrap()))
+            });
+            outcome(fetched, (2, tree_file("f.bin"), tree_file("g.bin")))
+        }),
+        ("get_files_pipelined", |s, root, opts| {
+            // The refused file leads, so on a fresh channel the one behind
+            // it is the one the server dials for.
+            let paths = [format!("{root}/f.bin"), format!("{TREE}/g.bin")];
+            let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
+            let files = transfer::get_files_pipelined(s, &paths, 8, opts);
+            outcome(files, vec![tree_file("f.bin"), tree_file("g.bin")])
+        }),
+    ]
+}
+
+#[test]
+fn every_receiving_verb_runs_in_the_one_frame() {
+    let w = world(21);
+    for name in ["f.bin", "g.bin"] {
+        w.dsi.put(&format!("{TREE}/{name}"), &tree_file(name));
+    }
+    // (opened, reused): a `PORT` that is followed by a transfer opens channels.
+    let channels = || {
+        let count = |what| w.obs.metrics().counter_value(&format!("server.dtp.channels_{what}"));
+        (count("opened"), count("reused"))
+    };
+    for (verb_name, verb) in frame_verbs() {
+        for kept in [false, true] {
+            for fault in ["served", "refused", "dropped"] {
+                let cell = format!("{verb_name} / {} / {fault}", if kept { "kept" } else { "fresh" });
+                let mut s = login(&w);
+                // A one-block transfer is three records on its stream (EOF
+                // count, data, EOD): the data block is record 1 on a fresh
+                // channel, record 4 on one that has carried a file before.
+                let drop = FaultSpec::recv(FaultKind::Drop, Trigger::OnRecord(if kept { 4 } else { 1 }));
+                let hook = ChaosHook::disarmed(ChaosConfig::single(21, drop));
+                let opts = match fault {
+                    "dropped" => TransferOpts::default().chaos(Arc::clone(&hook)),
+                    _ => TransferOpts::default(),
+                };
+                if kept {
+                    let hello = transfer::get_bytes(&mut s, "/home/alice/data/hello.txt", &opts);
+                    assert_eq!(hello.expect(&cell), b"hello gridftp world");
+                }
+                hook.arm();
+                let before = channels();
+                let root = if fault == "refused" { "/home/alice/nope" } else { TREE };
+                let t0 = Instant::now();
+                let got = verb(&mut s, root, &opts);
+                let took = t0.elapsed();
+                let want = match fault {
+                    "served" => Outcome::Served,
+                    "refused" => Outcome::Refused(550),
+                    _ => Outcome::Short,
+                };
+                assert_eq!(got, want, "{cell}");
+                assert!(took < Duration::from_secs(2), "{cell}: took {took:?}");
+                assert_eq!(hook.total_fires(), u64::from(fault == "dropped"), "{cell}");
+                if kept && fault == "served" {
+                    let (opened, reused) = channels();
+                    assert!(reused > before.1, "{cell}: served on the kept channel");
+                    assert_eq!(opened, before.0, "{cell}: no `PORT` left the client");
+                }
+                assert_eq!(s.command(&Command::Noop).expect(&cell).code, 200, "{cell}");
+                s.quit().expect(&cell);
+            }
+        }
+    }
 }

@@ -1,4 +1,5 @@
-//! What `get_bytes` makes of the opening reply of a server that is not ours.
+//! What `get_bytes` and `get_partial` make of the opening reply of a server
+//! that is not ours.
 //!
 //! The client reads a file's length off its 150 (`… (4096 bytes).`) and
 //! holds what arrived to it. The 150 is text from a socket (three digits,
@@ -61,13 +62,19 @@ fn stock_server(mut control: PipeLink, openings: Vec<&'static str>, seen: Seen) 
                 reply(&mut control, format!("227 Entering Passive Mode ({addr})\r\n"));
             }
             "SIZE" => reply(&mut control, format!("213 {}\r\n", file().len())),
-            "RETR" => {
+            "RETR" | "ERET" => {
+                // `ERET P <offset>,<length> <path>`; a `RETR` is the whole file.
+                let range = arg.strip_prefix("P ").and_then(|a| a.split_once(' ')?.0.split_once(','));
+                let (offset, length) = range.map_or((0, file().len()), |(offset, length)| {
+                    (offset.parse().unwrap(), length.parse().unwrap())
+                });
                 let mut link = data.take().unwrap_or_else(|| {
                     TcpLink::connect(target.take().unwrap().to_socket_addr()).unwrap()
                 });
-                reply(&mut control, opening(file().len()));
+                reply(&mut control, opening(length));
+                let part = file()[offset..offset + length].to_vec();
                 link.send(&Block::eof_count(1).encode()).unwrap();
-                link.send(&Block::data(0, file()).encode()).unwrap();
+                link.send(&Block::data(offset as u64, part).encode()).unwrap();
                 link.send(&Block::eod().encode()).unwrap();
                 data = Some(link);
                 reply(&mut control, "226 Transfer complete\r\n".into());
@@ -190,6 +197,34 @@ fn of_two_parenthesised_groups_the_last_is_the_figure() {
     assert_eq!(verbs, ["RETR", "RETR", "QUIT"]);
     let (got, _) = fetch_behind("Opening data connection ({} bytes) for /pub/f(9 bytes).bin");
     assert_truncated(got, "expected 9 bytes, received 4096");
+}
+
+#[test]
+fn a_partial_retrieve_is_held_to_its_150_or_to_one_size() {
+    // (the first 150, the outcome behind it, the verbs from the `ERET` on)
+    let table: [(&'static str, Result<(), &str>, &[&str]); 3] = [
+        ("Opening data connection ({} bytes).", Ok(()), &["ERET", "RETR", "QUIT"]),
+        ("Opening data connection.", Ok(()), &["ERET", "SIZE", "RETR", "QUIT"]),
+        (
+            "Opening data connection (1001 bytes).",
+            Err("expected 1001 bytes, received 1000"),
+            &["ERET", "RETR", "QUIT"],
+        ),
+    ];
+    for (opening, outcome, verbs) in table {
+        let (mut session, seen, server) = session(vec![opening]);
+        let part = transfer::get_partial(&mut session, PATH, 3000, 1000, &opts());
+        match outcome {
+            Ok(()) => assert_eq!(part.unwrap(), file()[3000..4000], "{opening:?}"),
+            Err(says) => assert_truncated(part, says),
+        }
+        assert_eq!(transfer::get_bytes(&mut session, PATH, &opts()).unwrap(), file(), "{opening:?}");
+        session.quit().unwrap();
+        server.join().unwrap();
+        let seen = seen.lock().unwrap();
+        let from = seen.iter().position(|v| v == "ERET").unwrap();
+        assert_eq!(seen[from..], *verbs, "{opening:?}");
+    }
 }
 
 #[test]

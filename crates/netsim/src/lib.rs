@@ -28,7 +28,7 @@ pub mod link;
 pub mod sim;
 pub mod tcp;
 
-pub use cc::{BbrLite, CcAlgo, CongestionControl, Cubic, Reno};
+pub use cc::{CcAlgo, CongestionControl, Cubic, Reno};
 pub use fleet::{DiurnalModel, Endpoint, EndpointClass, Fleet, FleetConfig};
 pub use link::{Bottleneck, Route};
 pub use sim::{simulate, FlowResult, FlowSpec, SimConfig};

@@ -133,14 +133,7 @@ impl FlowState {
             .rate_cap_bps
             .map(|bps| bps / 8.0 * rtt_s)
             .unwrap_or(f64::INFINITY);
-        let offer = window.min(rate_limited).min(self.remaining as f64).max(0.0);
-        // A pacing controller (BBR) additionally bounds the burst by
-        // gain x btlbw x RTT; window-limited controllers return None and
-        // leave the historical arithmetic untouched.
-        match self.cc.pacing_bps(self.params.mss) {
-            Some(bps) => offer.min((bps / 8.0 * rtt_s).max(0.0)),
-            None => offer,
-        }
+        window.min(rate_limited).min(self.remaining as f64).max(0.0)
     }
 
     /// Account `delivered` bytes and grow the window (one RTT passed).

@@ -73,6 +73,23 @@ if grep -rnE 'expect\("auth''ed"\)|drop_data_''channels' crates/server/src; then
   exit 1
 fi
 
+# One client transfer frame (DESIGN.md §8, "The client's frame"): every
+# two-party download opens through `receive` and lands its blocks in
+# `receive_file`, whose one `Receiver` and one staging `MemDsi` they all
+# share, behind the one accept loop of `accept_streams`. The five copies
+# that had drifted apart (a refusal read after 30 s, a partial retrieve
+# never held to its 150, a listing that left its 550 unread) went in PR 23;
+# a second copy is how they come back.
+echo "==> one client transfer frame (one Receiver, one staging MemDsi, one accept loop)"
+client_frame="$(sed '/^#\[cfg(test)\]/,$d' crates/client/src/transfer.rs)"
+for once in 'Receiver::new(' 'MemDsi::new(' 'listener.accept(|try_accept('; do
+  n="$(grep -cE "${once//(/\\(}" <<<"${client_frame}" || true)"
+  if [ "${n}" -gt 1 ]; then
+    echo "crates/client/src/transfer.rs: ${once} occurs ${n} times; receive through the one frame" >&2
+    exit 1
+  fi
+done
+
 # Aim two's number, in the log where the next re-anchor can read it.
 echo "==> crates/*/src line totals"
 rs_lines() { find "$@" -name '*.rs' -exec cat {} + | wc -l; }
@@ -82,6 +99,7 @@ done
 printf '    %6d crates/*/src\n' "$(rs_lines crates/*/src)"
 printf '    %6d crates/server/src/session (its test module, tests.rs, left out)\n' \
   "$(cat "${session_src[@]}" | wc -l)"
+printf '    %6d crates/client/src/transfer.rs\n' "$(wc -l <<<"${client_frame}")"
 
 # One JSON codec and std-only concurrency (DESIGN.md §3): `ig_obs::json`
 # encodes and parses every token, `ig_obs::sync` is the one place lock
