@@ -1,10 +1,12 @@
 //! Arbitrary-precision unsigned integers for RSA.
 //!
 //! Little-endian `u64` limbs, normalized (no trailing zero limbs; zero is
-//! the empty limb vector). Division is Knuth TAOCP vol. 2 Algorithm D;
-//! modular exponentiation is left-to-right square-and-multiply with
-//! division-based reduction, which is more than fast enough for the
-//! 512–2048-bit moduli this repository uses.
+//! the empty limb vector). Division is Knuth TAOCP vol. 2 Algorithm D.
+//! Modular exponentiation has one kernel, [`Montgomery`]: CIOS
+//! multiplication into caller-held buffers under a 4-bit fixed window, for
+//! every odd modulus — which is every RSA modulus, prime candidate and CRT
+//! factor. The division-based loop it replaced stays as the even-modulus
+//! arm of [`BigUint::modpow`], which no production caller reaches.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -82,7 +84,8 @@ impl BigUint {
                 len
             )));
         }
-        let mut out = vec![0u8; len - raw.len()];
+        let mut out = Vec::with_capacity(len);
+        out.resize(len - raw.len(), 0);
         out.extend_from_slice(&raw);
         Ok(out)
     }
@@ -205,12 +208,14 @@ impl BigUint {
 
     /// Left shift by `bits`.
     pub fn shl(&self, bits: usize) -> BigUint {
-        if self.is_zero() || bits == 0 {
-            return self.clone();
+        if self.is_zero() {
+            return BigUint::zero();
         }
         let limb_shift = bits / 64;
         let bit_shift = bits % 64;
-        let mut out = vec![0u64; limb_shift];
+        // Room for the carry limb and for the one Algorithm D appends.
+        let mut out = Vec::with_capacity(limb_shift + self.limbs.len() + 2);
+        out.resize(limb_shift, 0);
         if bit_shift == 0 {
             out.extend_from_slice(&self.limbs);
         } else {
@@ -292,6 +297,16 @@ impl BigUint {
         (n, rem as u64)
     }
 
+    /// `self mod d` for a one-limb `d`, with no allocation (the sieve's
+    /// remainder).
+    ///
+    /// # Panics
+    /// Panics if `d` is zero.
+    pub fn rem_limb(&self, d: u64) -> u64 {
+        let d = d as u128;
+        self.limbs.iter().rev().fold(0, |rem, &l| ((rem << 64) | l as u128) % d) as u64
+    }
+
     /// Knuth Algorithm D. Precondition: divisor has ≥ 2 limbs, self ≥ divisor.
     fn div_rem_knuth(&self, divisor: &BigUint) -> (BigUint, BigUint) {
         let shift = divisor.limbs.last().unwrap().leading_zeros() as usize;
@@ -362,6 +377,16 @@ impl BigUint {
         if modulus.is_one() {
             return Ok(BigUint::zero());
         }
+        if modulus.is_even() {
+            return self.modpow_by_division(exp, modulus);
+        }
+        Ok(Montgomery::new(modulus).modpow(self, exp))
+    }
+
+    /// Bit-at-a-time square-and-multiply, a Knuth division per step: the
+    /// even-modulus arm of [`BigUint::modpow`] (Montgomery reduction needs
+    /// an odd modulus) and the unit tests' reference. `modulus` is ≥ 2.
+    fn modpow_by_division(&self, exp: &BigUint, modulus: &BigUint) -> Result<BigUint> {
         let mut base = self.rem(modulus)?;
         let mut result = BigUint::one();
         let bits = exp.bit_len();
@@ -452,6 +477,179 @@ impl BigUint {
                 return n;
             }
         }
+    }
+}
+
+/// Montgomery arithmetic modulo an odd `n > 1` of `k` limbs, `R = 2^(64k)`.
+///
+/// A residue is `k` limbs, not normalized, holding `x·R mod n`. The caller
+/// owns every buffer, so a multiplication allocates nothing.
+pub(crate) struct Montgomery {
+    n: BigUint,
+    /// `−n⁻¹ mod 2^64`.
+    n0_inv: u64,
+    /// `R² mod n`: multiplying by it carries a value into residue form.
+    r2: Vec<u64>,
+    /// The residues of 1 and of −1.
+    one: Vec<u64>,
+    minus_one: Vec<u64>,
+}
+
+/// Bits of exponent consumed per multiplication by a table entry. Divides
+/// 64, so no window straddles two limbs.
+const WINDOW: usize = 4;
+
+impl Montgomery {
+    /// # Panics
+    /// Panics if `modulus` is even or 1.
+    pub(crate) fn new(modulus: &BigUint) -> Self {
+        assert!(!modulus.is_even() && !modulus.is_one(), "Montgomery modulus must be odd and > 1");
+        let k = modulus.limbs.len();
+        // Newton's iteration doubles the correct low bits of an inverse mod
+        // 2^64: n0 is its own inverse mod 8, five rounds give 96 bits.
+        let n0 = modulus.limbs[0];
+        let mut inv = n0;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+        }
+        let r = BigUint::one().shl(64 * k).rem(modulus).expect("modulus nonzero");
+        let padded = |v: BigUint| {
+            let mut limbs = v.limbs;
+            limbs.resize(k, 0);
+            limbs
+        };
+        Montgomery {
+            n0_inv: inv.wrapping_neg(),
+            r2: padded(r.mul(&r).rem(modulus).expect("modulus nonzero")),
+            minus_one: padded(modulus.sub(&r)),
+            one: padded(r),
+            n: modulus.clone(),
+        }
+    }
+
+    /// `out = a·b·R⁻¹ mod n` by coarsely integrated operand scanning (Koç,
+    /// Acar, Kaliski 1996): each limb of `b` is multiplied in and one limb
+    /// of the sum reduced away in the same pass. `a`, `b` and `out` are
+    /// `k` limbs, `a` and `b` below `n`; `t` is `k + 2` limbs of scratch.
+    fn mul(&self, out: &mut [u64], a: &[u64], b: &[u64], t: &mut [u64]) {
+        let n = &self.n.limbs[..];
+        let k = n.len();
+        let (a, b, out, t) = (&a[..k], &b[..k], &mut out[..k], &mut t[..k + 2]);
+        t.fill(0);
+        for &bi in b {
+            let mut carry = 0u128;
+            for j in 0..k {
+                let sum = t[j] as u128 + a[j] as u128 * bi as u128 + carry;
+                t[j] = sum as u64;
+                carry = sum >> 64;
+            }
+            let sum = t[k] as u128 + carry;
+            t[k] = sum as u64;
+            t[k + 1] = (sum >> 64) as u64;
+
+            let m = t[0].wrapping_mul(self.n0_inv);
+            let mut carry = (t[0] as u128 + m as u128 * n[0] as u128) >> 64;
+            for j in 1..k {
+                let sum = t[j] as u128 + m as u128 * n[j] as u128 + carry;
+                t[j - 1] = sum as u64;
+                carry = sum >> 64;
+            }
+            let sum = t[k] as u128 + carry;
+            t[k - 1] = sum as u64;
+            t[k] = t[k + 1] + (sum >> 64) as u64;
+        }
+        // t < 2n: one subtraction, kept unless it borrowed out of t[k].
+        let mut borrow = false;
+        for j in 0..k {
+            let (d, b1) = t[j].overflowing_sub(n[j]);
+            let (d, b2) = d.overflowing_sub(borrow as u64);
+            out[j] = d;
+            borrow = b1 | b2;
+        }
+        if borrow && t[k] == 0 {
+            out.copy_from_slice(&t[..k]);
+        }
+    }
+
+    /// `base^exp` as a residue. Fixed window: sixteen powers of the base
+    /// are tabled, and every window of the exponent, a zero one included,
+    /// costs four squarings and one multiplication by a table entry — the
+    /// sequence of operations follows the exponent's length, not its bits.
+    /// Which entry is read still does: this is not a constant-time claim.
+    fn pow(&self, base: &BigUint, exp: &BigUint) -> Vec<u64> {
+        let k = self.n.limbs.len();
+        let mut base = if base < &self.n {
+            base.limbs.clone()
+        } else {
+            base.rem(&self.n).expect("modulus nonzero").limbs
+        };
+        base.resize(k, 0);
+
+        const ENTRIES: usize = 1 << WINDOW;
+        let mut buf = vec![0u64; (ENTRIES + 3) * k + 2];
+        let (table, rest) = buf.split_at_mut(ENTRIES * k);
+        let (mut acc, rest) = rest.split_at_mut(k);
+        let (mut tmp, t) = rest.split_at_mut(k);
+        table[..k].copy_from_slice(&self.one);
+        self.mul(&mut table[k..2 * k], &base, &self.r2, t);
+        for i in 2..ENTRIES {
+            let (done, next) = table.split_at_mut(i * k);
+            self.mul(&mut next[..k], &done[(i - 1) * k..], &done[k..2 * k], t);
+        }
+        let entry = |w: usize| {
+            let digit = (exp.limbs[w * WINDOW / 64] >> (w * WINDOW % 64)) as usize % ENTRIES;
+            &table[digit * k..(digit + 1) * k]
+        };
+
+        // The top window is copied, not multiplied in; an exponent of zero
+        // has no window and leaves the residue of 1.
+        let windows = exp.bit_len().div_ceil(WINDOW);
+        acc.copy_from_slice(if windows == 0 { &self.one } else { entry(windows - 1) });
+        for w in (0..windows.saturating_sub(1)).rev() {
+            for _ in 0..WINDOW {
+                self.mul(tmp, acc, acc, t);
+                std::mem::swap(&mut acc, &mut tmp);
+            }
+            self.mul(tmp, acc, entry(w), t);
+            std::mem::swap(&mut acc, &mut tmp);
+        }
+        acc.to_vec()
+    }
+
+    /// `base^exp mod n`.
+    pub(crate) fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let k = self.n.limbs.len();
+        let residue = self.pow(base, exp);
+        let mut buf = vec![0u64; 3 * k + 2];
+        let (out, rest) = buf.split_at_mut(k);
+        let (unit, t) = rest.split_at_mut(k);
+        unit[0] = 1;
+        self.mul(out, &residue, unit, t);
+        buf.truncate(k);
+        let mut plain = BigUint { limbs: buf };
+        plain.normalize();
+        plain
+    }
+
+    /// One Miller–Rabin round on `n`, where `n − 1 = d·2^s` with `d` odd:
+    /// true iff `a^d ≡ 1` or `a^(d·2^r) ≡ −1 (mod n)` for some `r < s`. The
+    /// power and the squarings after it never leave residue form.
+    pub(crate) fn is_strong_probable_prime_to(&self, a: &BigUint, d: &BigUint, s: usize) -> bool {
+        let k = self.n.limbs.len();
+        let mut x = self.pow(a, d);
+        if x == self.one || x == self.minus_one {
+            return true;
+        }
+        let mut buf = vec![0u64; 2 * k + 2];
+        let (square, t) = buf.split_at_mut(k);
+        for _ in 1..s {
+            self.mul(square, &x, &x, t);
+            x.copy_from_slice(square);
+            if x == self.minus_one {
+                return true;
+            }
+        }
+        false
     }
 }
 
@@ -651,6 +849,18 @@ mod tests {
     }
 
     #[test]
+    fn rem_limb_matches_div_rem() {
+        let mut rng = StdRng::seed_from_u64(43);
+        assert_eq!(BigUint::zero().rem_limb(7), 0);
+        for _ in 0..200 {
+            let bits = 1 + (rng.gen::<usize>() % 700);
+            let a = BigUint::random_bits(&mut rng, bits);
+            let d = rng.gen::<u64>() >> (rng.gen::<u32>() % 64) | 1;
+            assert_eq!(n(a.rem_limb(d)), a.rem(&n(d)).unwrap(), "{a:?} mod {d}");
+        }
+    }
+
+    #[test]
     fn div_rem_knuth_addback_path() {
         // Construct a case known to trigger the rare D6 add-back step:
         // u = b^2/2, v slightly above b/2 style values.
@@ -688,6 +898,21 @@ mod tests {
                 naive = naive.mul(&base).rem(&m).unwrap();
             }
             assert_eq!(fast, naive);
+        }
+    }
+
+    #[test]
+    fn both_modpow_arms_agree_on_odd_moduli() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for bits in [2usize, 63, 64, 65, 128, 521] {
+            let m = BigUint::random_bits(&mut rng, bits).shl(1).add(&n(1));
+            let base = BigUint::random_bits(&mut rng, bits + 70);
+            let exp = BigUint::random_bits(&mut rng, bits);
+            assert_eq!(
+                base.modpow(&exp, &m).unwrap(),
+                base.modpow_by_division(&exp, &m).unwrap(),
+                "{base:?} ^ {exp:?} mod {m:?}"
+            );
         }
     }
 

@@ -5,11 +5,12 @@
 //! primitives the Grid Security Infrastructure layer needs:
 //!
 //! * [`bignum::BigUint`] — arbitrary-precision unsigned integers with
-//!   Knuth Algorithm-D division and square-and-multiply modular
+//!   Knuth Algorithm-D division and fixed-window Montgomery modular
 //!   exponentiation.
 //! * [`rsa`] — RSA key generation (Miller–Rabin primes), PKCS#1-v1.5-style
-//!   signing/verification with SHA-256, and RSA key transport used by the
-//!   GSI handshake.
+//!   signing/verification with SHA-256 (private operations by CRT, checked
+//!   under the public exponent), and RSA key transport used by the GSI
+//!   handshake.
 //! * [`sha256`], [`hmac`], [`hkdf`] — hashing, message authentication and
 //!   the key schedule for sealed GSI records.
 //! * [`chacha20`] — the stream cipher used for `PROT P` (private) channels.

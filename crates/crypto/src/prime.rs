@@ -2,9 +2,10 @@
 //!
 //! Miller–Rabin with trial division pre-sieving. Witness count follows the
 //! usual "error < 4^-k" bound; 20 rounds is far beyond what key sizes here
-//! require.
+//! require. The candidate and witness draws are the same calls in the same
+//! order as ever: a seed yields the primes, and so the key, it always has.
 
-use crate::bignum::BigUint;
+use crate::bignum::{BigUint, Montgomery};
 use crate::error::{CryptoError, Result};
 use rand::Rng;
 
@@ -34,37 +35,25 @@ pub fn is_probably_prime<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut 
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let bp = BigUint::from_u64(p);
-        if n == &bp {
-            return true;
-        }
-        if n.rem(&bp).expect("nonzero divisor").is_zero() {
-            return false;
+        if n.rem_limb(p) == 0 {
+            return n == &BigUint::from_u64(p);
         }
     }
     // Write n-1 = d * 2^s with d odd.
-    let n_minus_1 = n.sub(&BigUint::one());
-    let mut d = n_minus_1.clone();
+    let mut d = n.sub(&BigUint::one());
     let mut s = 0usize;
     while d.is_even() {
         d = d.shr(1);
         s += 1;
     }
     let n_minus_3 = n.sub(&BigUint::from_u64(3));
-    'witness: for _ in 0..rounds {
+    let ctx = Montgomery::new(n);
+    for _ in 0..rounds {
         // a in [2, n-2]
         let a = BigUint::random_below(rng, &n_minus_3).add(&two);
-        let mut x = a.modpow(&d, n).expect("modulus nonzero");
-        if x.is_one() || x == n_minus_1 {
-            continue 'witness;
+        if !ctx.is_strong_probable_prime_to(&a, &d, s) {
+            return false;
         }
-        for _ in 0..s - 1 {
-            x = x.mul(&x).rem(n).expect("modulus nonzero");
-            if x == n_minus_1 {
-                continue 'witness;
-            }
-        }
-        return false;
     }
     true
 }

@@ -26,14 +26,19 @@ pub struct RsaPublicKey {
     e: BigUint,
 }
 
-/// An RSA private key. Holds the factors for validation/debugging but uses
-/// plain `d` exponentiation (no CRT — simplicity over speed at these sizes).
+/// An RSA private key. `sign` and `decrypt` work modulo the two factors
+/// and recombine (CRT); the three values that takes are derived from `d`,
+/// `p` and `q` where the key is made and are not part of its encoding.
 #[derive(Clone, PartialEq, Eq)]
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
     d: BigUint,
     p: BigUint,
     q: BigUint,
+    /// `d mod (p − 1)`, `d mod (q − 1)`, `q⁻¹ mod p`.
+    dp: BigUint,
+    dq: BigUint,
+    q_inv: BigUint,
 }
 
 impl std::fmt::Debug for RsaPrivateKey {
@@ -59,6 +64,9 @@ impl RsaPublicKey {
     pub fn new(n: BigUint, e: BigUint) -> Result<Self> {
         if n.bit_len() < 32 {
             return Err(CryptoError::InvalidKey("modulus too small".into()));
+        }
+        if n.is_even() {
+            return Err(CryptoError::InvalidKey("even modulus".into()));
         }
         if e.is_zero() || e.is_one() || e.is_even() {
             return Err(CryptoError::InvalidKey("bad public exponent".into()));
@@ -154,9 +162,41 @@ impl RsaPublicKey {
 }
 
 impl RsaPrivateKey {
+    /// Derive the CRT values. `p·q` is `public`'s modulus, so both are odd
+    /// and nonzero; a factor of 1, or `p = q`, is an error from the
+    /// arithmetic.
+    fn new(public: RsaPublicKey, d: BigUint, p: BigUint, q: BigUint) -> Result<Self> {
+        let one = BigUint::one();
+        let dp = d.rem(&p.sub(&one))?;
+        let dq = d.rem(&q.sub(&one))?;
+        let q_inv = q.mod_inverse(&p)?;
+        Ok(RsaPrivateKey { public, d, p, q, dp, dq, q_inv })
+    }
+
     /// Public half.
     pub fn public(&self) -> &RsaPublicKey {
         &self.public
+    }
+
+    /// `m^d mod n` for `m < n`, by Garner's recombination of the powers
+    /// modulo `p` and `q`. Nothing is released that does not check under
+    /// the public exponent: a miscomputation, or a key file whose `d` does
+    /// not belong to its factors, is an error here and not a bad signature
+    /// at the peer.
+    fn private_op(&self, m: &BigUint) -> Result<BigUint> {
+        let m1 = m.modpow(&self.dp, &self.p)?;
+        let m2 = m.modpow(&self.dq, &self.q)?;
+        // h = q⁻¹·(m1 − m2) mod p; n ≡ 0 (mod p) and n > q > m2 keep the
+        // difference positive whichever of m1, m2 is larger.
+        let diff = m1.add(&self.public.n).sub(&m2);
+        let h = self.q_inv.mul(&diff).rem(&self.p)?;
+        let s = m2.add(&h.mul(&self.q));
+        if s.modpow(&self.public.e, &self.public.n)? != *m {
+            return Err(CryptoError::InvalidKey(
+                "private operation does not check under the public exponent".into(),
+            ));
+        }
+        Ok(s)
     }
 
     /// Sign `message` (hashes internally with SHA-256).
@@ -164,8 +204,7 @@ impl RsaPrivateKey {
         let k = self.public.byte_len();
         let em = encode_signature_padding(message, k)?;
         let m = BigUint::from_bytes_be(&em);
-        let s = m.modpow(&self.d, &self.public.n)?;
-        s.to_bytes_be_padded(k)
+        self.private_op(&m)?.to_bytes_be_padded(k)
     }
 
     /// Decrypt a PKCS#1 v1.5 type-2 ciphertext.
@@ -178,8 +217,8 @@ impl RsaPrivateKey {
         if c >= self.public.n {
             return Err(CryptoError::BadCiphertext);
         }
-        let m = c.modpow(&self.d, &self.public.n)?;
-        let em = m
+        let em = self
+            .private_op(&c)?
             .to_bytes_be_padded(k)
             .map_err(|_| CryptoError::BadCiphertext)?;
         if em.len() < 11 || em[0] != 0x00 || em[1] != 0x02 {
@@ -221,7 +260,7 @@ impl RsaPrivateKey {
         if p.mul(&q) != n {
             return Err(CryptoError::InvalidKey("p*q != n".into()));
         }
-        Ok(RsaPrivateKey { public: RsaPublicKey::new(n, e)?, d, p, q })
+        RsaPrivateKey::new(RsaPublicKey::new(n, e)?, d, p, q)
     }
 }
 
@@ -251,7 +290,7 @@ impl RsaKeyPair {
             }
             let d = e.mod_inverse(&phi)?;
             let public = RsaPublicKey::new(n, e.clone())?;
-            let private = RsaPrivateKey { public: public.clone(), d, p, q };
+            let private = RsaPrivateKey::new(public.clone(), d, p, q)?;
             return Ok(RsaKeyPair { public, private });
         }
     }
@@ -425,6 +464,9 @@ mod tests {
         // Even exponent rejected.
         let kp = test_keypair(15);
         let n = BigUint::from_bytes_be(&kp.public.encode()[4..4 + kp.public.byte_len()]);
-        assert!(RsaPublicKey::new(n, BigUint::from_u64(4)).is_err());
+        assert!(RsaPublicKey::new(n.clone(), BigUint::from_u64(4)).is_err());
+        // An even modulus is not a key, at any size.
+        let even = RsaPublicKey::new(n.add(&BigUint::one()), BigUint::from_u64(DEFAULT_E));
+        assert_eq!(even, Err(CryptoError::InvalidKey("even modulus".into())));
     }
 }

@@ -7,6 +7,7 @@
 mod hostile;
 
 use ig_crypto::encode::{pem_decode_all, pem_encode};
+use ig_crypto::CryptoError;
 use ig_pki::cert::Extension;
 use ig_pki::{validate_chain, Certificate, CertificateSigningRequest, PkiError, TrustStore};
 
@@ -66,4 +67,18 @@ fn hostile_bodies_are_decode_errors() {
         let cert = Certificate::from_bytes(text.replacen(from, to, 1).as_bytes());
         assert!(matches!(cert, Err(PkiError::Decode(_))), "{to}: {cert:?}");
     }
+    // A root whose modulus is even. The key is opaque bytes to the body's
+    // decoder, so the body decodes; asking for the key, or validating a
+    // chain under that root, is a typed error and never reaches arithmetic.
+    let [_, user, root] = &recorded_chain()[..] else { panic!("three certificates") };
+    let mut even = root.clone();
+    let n_len = u32::from_be_bytes(even.tbs.public_key[..4].try_into().unwrap()) as usize;
+    even.tbs.public_key[4 + n_len - 1] &= 0xfe;
+    let even = Certificate::from_pem(&even.to_pem()).unwrap();
+    let invalid_key = |e: &PkiError| matches!(e, PkiError::Crypto(CryptoError::InvalidKey(_)));
+    assert!(even.public_key().is_err_and(|e| invalid_key(&e)));
+    let mut trust = TrustStore::new();
+    trust.add_root(even);
+    let verdict = validate_chain(std::slice::from_ref(user), &trust, 2000);
+    assert!(verdict.as_ref().is_err_and(invalid_key), "{verdict:?}");
 }

@@ -71,12 +71,15 @@ impl Dsi for MemDsi {
     }
 
     fn write(&self, user: &UserContext, path: &str, offset: u64, data: &[u8]) -> Result<()> {
+        /// A new byte is written once: zeros fill only a gap before
+        /// `offset`, what overlaps the file is overwritten, the rest appended.
         fn splice(file: &mut Vec<u8>, offset: usize, data: &[u8]) {
-            let end = offset + data.len();
-            if file.len() < end {
-                file.resize(end, 0);
+            if file.len() < offset {
+                file.resize(offset, 0);
             }
-            file[offset..end].copy_from_slice(data);
+            let overlap = (file.len() - offset).min(data.len());
+            file[offset..offset + overlap].copy_from_slice(&data[..overlap]);
+            file.extend_from_slice(&data[overlap..]);
         }
         let p = user.resolve_ref(path)?;
         if self.dirs.read().contains(p.as_ref()) {
@@ -213,6 +216,14 @@ mod tests {
         dsi.write(&u, "/g", 4, b"5678").unwrap();
         dsi.write(&u, "/g", 0, b"1234").unwrap();
         assert_eq!(dsi.read(&u, "/g", 0, 8).unwrap(), b"12345678");
+        // A write that straddles the end overwrites and appends; one past
+        // the new end after it zero-fills only the gap between them.
+        dsi.write(&u, "/g", 6, b"abcd").unwrap();
+        assert_eq!(dsi.read(&u, "/g", 0, 16).unwrap(), b"123456abcd");
+        dsi.write(&u, "/g", 12, b"Z").unwrap();
+        assert_eq!(dsi.read(&u, "/g", 0, 16).unwrap(), b"123456abcd\0\0Z");
+        dsi.write(&u, "/g", 13, b"").unwrap();
+        assert_eq!(dsi.size(&u, "/g").unwrap(), 13);
     }
 
     #[test]
